@@ -9,7 +9,6 @@ from .enumeration import (
     backend_name,
     boundary_tallies,
     enumerate_loops,
-    enumerate_saw,
     half_plane_counts,
     iter_saws,
     observable_f,
@@ -50,7 +49,6 @@ __all__ = [
     "build_strip_prefix",
     "boundary_tallies",
     "enumerate_loops",
-    "enumerate_saw",
     "iter_saws",
     "observable_f",
     "half_plane_counts",

@@ -2,7 +2,8 @@
 package, with machine-readable JSON or CSV reports.
 
 Exit codes: 0 when every checked property holds, 1 when a check is
-falsified, 2 on usage errors.
+falsified, 2 on usage errors, 3 when a solver did not converge or a
+size cap was hit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from . import domains as dm
 from . import enumeration as en
 from . import identity as idt
 from . import strip as sp
-from .errors import HexsawError, InvalidParameterError
+from .errors import (
+    CapacityError,
+    HexsawError,
+    InvalidParameterError,
+    NonConvergenceError,
+)
 from .lattice import classify_walk
 from .model import constants
 
@@ -293,8 +299,6 @@ def _add_common(p, *, model=False, TL=False, output=True):
     if output:
         p.add_argument("--output", default=None, help="write report to this path")
         p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker budget (checks are sequential at desk scale)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,6 +386,9 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         results, ok, rows = args.func(args, t0)
+    except (CapacityError, NonConvergenceError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
     except (HexsawError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

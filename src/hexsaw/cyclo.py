@@ -1,181 +1,280 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_48).
 
-Elements are stored on the power basis 1, z, ..., z^15 with rational
-coefficients, where z = exp(i*pi/24) is a primitive 48th root of unity
-with minimal polynomial x^16 - x^8 + 1.  This field contains every
-constant the model needs at n = 0: cos(pi/8), cos(3*pi/8), sqrt(2), the
-critical step weight and the phase factors attached to windings that are
-multiples of pi/24.
+Elements live on the power basis 1, z, ..., z^15, where z = exp(i*pi/24)
+is a primitive 48th root of unity with minimal polynomial x^16 - x^8 + 1.
+This field contains every constant the model needs at n = 0: cos(pi/8),
+cos(3*pi/8), sqrt(2), the critical step weight and the phase factors
+attached to windings that are multiples of pi/24.
+
+An element is stored as 16 integer numerators over one positive integer
+denominator, (n_0, ..., n_15) / d, normalised so that
+gcd(n_0, ..., n_15, d) = 1 (zero is (0, ..., 0) / 1).  The form is
+canonical, so equal values have equal ``==`` and ``hash``.  Products are
+integer convolutions reduced with the fixed rule z^16 = z^8 - 1 (and so
+z^24 = -1).  The Galois automorphisms sigma_k: z -> z^k, k a unit mod
+48, act by signed permutation-like tables on the numerators and keep the
+denominator; complex conjugation is sigma_47.  Inverses use no rational
+Euclid: a tower of four quadratic steps through the Galois group turns
+a into its norm N(a), a positive rational, and a^-1 is the product of
+the four cofactors divided by N(a).
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 
 from .errors import ScalarModeError
 
 _DEG = 16
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _reduce(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in z modulo z^16 = z^8 - 1."""
-    c = list(coeffs) + [_ZERO] * max(0, _DEG - len(coeffs))
+def _zeta_terms(j: int) -> tuple:
+    """z^j on the power basis, as ((index, sign), ...) with 1 or 2 terms."""
+    j %= 48
+    sign = 1
+    if j >= 24:                  # z^24 = -1
+        j -= 24
+        sign = -1
+    if j < _DEG:
+        return ((j, sign),)
+    return ((j - 8, sign), (j - 16, -sign))     # z^16 = z^8 - 1
+
+
+def _sigma_table(k: int) -> tuple:
+    return tuple(_zeta_terms(k * i) for i in range(_DEG))
+
+
+# sigma_k for the tower 47 (complex conjugation), 7, 17, 5 of the Galois
+# group (Z/48)^*: each generator squares into the subgroup of the ones
+# before it, so a*sigma_k(a) climbs one quadratic step per generator.
+_CONJ = _sigma_table(47)
+_TOWER = (_CONJ, _sigma_table(7), _sigma_table(17), _sigma_table(5))
+
+
+def _norm(nums: list, d: int) -> "Cyclo48":
+    """The canonical element nums / d (d nonzero, nums of length 16)."""
+    if d != 1:
+        g = gcd(*nums, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            nums = [a // g for a in nums]
+            d //= g
+    out = object.__new__(Cyclo48)
+    out.n = tuple(nums)
+    out.d = d
+    return out
+
+
+def _rational(p: int, q: int = 1) -> "Cyclo48":
+    return _norm([p] + [0] * (_DEG - 1), q)
+
+
+def _fold(c: list) -> list:
+    """Reduce c in place to length 16 with z^m = z^(m-8) - z^(m-16).
+
+    The top term goes first, so a term folded onto m-8 >= 16 folds again.
+    """
     for m in range(len(c) - 1, _DEG - 1, -1):
-        a = c[m]
-        if a:
-            c[m] = _ZERO
-            c[m - 8] += a
-            c[m - 16] -= a
-    return tuple(c[:_DEG])
+        top = c.pop()
+        if top:
+            c[m - 8] += top
+            c[m - 16] -= top
+    return c
+
+
+def _convolve(a: tuple, b: tuple) -> list:
+    """Integer product of two numerator vectors, reduced mod z^16 - z^8 + 1."""
+    # Most products in an elimination have a rational (often zero) factor.
+    if not any(b[1:]):
+        c = b[0]
+        return [x * c for x in a]
+    if not any(a[1:]):
+        c = a[0]
+        return [y * c for y in b]
+    prod = [0] * (2 * _DEG - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    prod[j] += x * y
+    return _fold(prod)
+
+
+def _mul(a: "Cyclo48", b: "Cyclo48") -> "Cyclo48":
+    return _norm(_convolve(a.n, b.n), a.d * b.d)
+
+
+def _add(a: "Cyclo48", b: "Cyclo48", s: int = 1) -> "Cyclo48":
+    """a + s*b for s = 1 or -1, cross-multiplying only unequal denominators."""
+    d1, d2 = a.d, b.d
+    if d1 == d2:
+        if s > 0:
+            return _norm([x + y for x, y in zip(a.n, b.n)], d1)
+        return _norm([x - y for x, y in zip(a.n, b.n)], d1)
+    g = gcd(d1, d2)
+    f1, f2 = d2 // g, s * (d1 // g)
+    return _norm([x * f1 + y * f2 for x, y in zip(a.n, b.n)], d1 * f1)
+
+
+def _apply(table: tuple, a: "Cyclo48") -> "Cyclo48":
+    """sigma(a) for an automorphism table; the content and d are unchanged."""
+    out = [0] * _DEG
+    for x, terms in zip(a.n, table):
+        if x:
+            for t, s in terms:
+                out[t] += s * x
+    res = object.__new__(Cyclo48)
+    res.n = tuple(out)
+    res.d = a.d
+    return res
 
 
 def _coerce(x) -> "Cyclo48 | None":
     if isinstance(x, Cyclo48):
         return x
+    if isinstance(x, int):
+        return _rational(x)
     if isinstance(x, Rational):
-        return Cyclo48.from_rational(Fraction(x))
+        return _rational(x.numerator, x.denominator)
     return None
 
 
-class Cyclo48:
-    """An element of Q(zeta_48) with exact rational coordinates."""
+def _mixing_error(other) -> ScalarModeError:
+    return ScalarModeError(f"cannot mix exact Cyclo48 with {type(other).__name__}")
 
-    __slots__ = ("c",)
+
+class Cyclo48:
+    """An element of Q(zeta_48): integer numerators ``n`` over ``d > 0``."""
+
+    __slots__ = ("n", "d")
 
     def __init__(self, coeffs):
-        self.c = _reduce([Fraction(x) for x in coeffs])
+        qs = [Fraction(x) for x in coeffs]
+        d = lcm(*(q.denominator for q in qs))
+        nums = _fold([q.numerator * (d // q.denominator) for q in qs])
+        canon = _norm(nums + [0] * (_DEG - len(nums)), d)
+        self.n = canon.n
+        self.d = canon.d
 
     @classmethod
     def from_rational(cls, q) -> "Cyclo48":
-        return cls([Fraction(q)])
+        q = Fraction(q)
+        return _rational(q.numerator, q.denominator)
 
     @classmethod
     def zeta_pow(cls, k: int) -> "Cyclo48":
         """z**k for any integer k (reduced mod 48)."""
-        k %= 48
-        if k < _DEG:
-            return cls([_ZERO] * k + [_ONE])
-        # z^24 = -1, so z^k = -z^(k-24) for k >= 24; 16..23 need one
-        # reduction step via z^16 = z^8 - 1.
-        if k >= 24:
-            return -cls.zeta_pow(k - 24)
-        return cls([_ZERO] * (k - 16) + [-_ONE] + [_ZERO] * 7 + [_ONE])
+        nums = [0] * _DEG
+        for t, s in _zeta_terms(k):
+            nums[t] += s
+        return _norm(nums, 1)
 
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other):
         o = _coerce(other)
         if o is None:
-            raise ScalarModeError(
-                f"cannot mix exact Cyclo48 with {type(other).__name__}"
-            )
-        return Cyclo48([a + b for a, b in zip(self.c, o.c)])
+            raise _mixing_error(other)
+        return _add(self, o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo48([-a for a in self.c])
+        out = object.__new__(Cyclo48)
+        out.n = tuple(-a for a in self.n)
+        out.d = self.d
+        return out
 
     def __sub__(self, other):
         o = _coerce(other)
         if o is None:
-            raise ScalarModeError(
-                f"cannot mix exact Cyclo48 with {type(other).__name__}"
-            )
-        return self + (-o)
+            raise _mixing_error(other)
+        return _add(self, o, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = _coerce(other)
+        if o is None:
+            raise _mixing_error(other)
+        return _add(o, self, -1)
 
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
-            raise ScalarModeError(
-                f"cannot mix exact Cyclo48 with {type(other).__name__}"
-            )
-        prod = [_ZERO] * (2 * _DEG - 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(o.c):
-                    if b:
-                        prod[i + j] += a * b
-        return Cyclo48(prod)
+            raise _mixing_error(other)
+        return _mul(self, o)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo48":
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_48)")
-        # Extended Euclid in Q[x] against the minimal polynomial.
-        phi = [_ONE] + [_ZERO] * 7 + [-_ONE] + [_ZERO] * 7 + [_ONE]  # x^16-x^8+1
-        phi = phi[::-1]
-        r0, r1 = phi, list(self.c)
-        s0, s1 = [_ZERO], [_ONE]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        lead = next(a for a in reversed(r0) if a)  # gcd is a nonzero constant
-        assert all(a == 0 for a in r0[1:]), "element not invertible mod Phi_48"
-        return Cyclo48([a / lead for a in s0])
+        if self.is_rational():
+            return _rational(self.d, self.n[0])
+        # a * c_0 * c_1 * c_2 * c_3 = N(a), with c_k = sigma_k(a_k) and
+        # a_{k+1} = a_k * c_k fixed by the first k+1 tower automorphisms.
+        a = self
+        cof = None
+        for table in _TOWER:
+            c = _apply(table, a)
+            a = _mul(a, c)
+            cof = c if cof is None else _mul(c, cof)
+        return _mul(cof, _rational(a.d, a.n[0]))    # a = N(a) is rational now
 
     def __truediv__(self, other):
         o = _coerce(other)
         if o is None:
-            raise ScalarModeError(
-                f"cannot mix exact Cyclo48 with {type(other).__name__}"
-            )
-        return self * o.inverse()
+            raise _mixing_error(other)
+        return _mul(self, o.inverse())
 
     def __rtruediv__(self, other):
         o = _coerce(other)
         if o is None:
-            raise ScalarModeError(
-                f"cannot mix exact Cyclo48 with {type(other).__name__}"
-            )
-        return o * self.inverse()
+            raise _mixing_error(other)
+        return _mul(o, self.inverse())
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise ScalarModeError("exponent of a Cyclo48 must be an integer")
         base = self if k >= 0 else self.inverse()
-        out = Cyclo48.from_rational(1)
-        for _ in range(abs(k)):
-            out = out * base
+        k = abs(k)
+        out = ONE
+        while k:
+            if k & 1:
+                out = _mul(out, base)
+            k >>= 1
+            if k:
+                base = _mul(base, base)
         return out
 
     # -- field automorphisms and predicates -----------------------------
 
     def conjugate(self) -> "Cyclo48":
         """Complex conjugation, z -> z^-1."""
-        out = Cyclo48.from_rational(0)
-        for i, a in enumerate(self.c):
-            if a:
-                out = out + Cyclo48.zeta_pow(-i) * a
-        return out
+        return _apply(_CONJ, self)
 
     def is_real(self) -> bool:
         return self == self.conjugate()
 
     def is_rational(self) -> bool:
-        return all(a == 0 for a in self.c[1:])
+        return not any(self.n[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.c[0]
+        return Fraction(self.n[0], self.d)
 
     # -- numeric evaluation ---------------------------------------------
 
     def to_complex(self) -> complex:
         z = cmath.exp(1j * cmath.pi / 24)
+        d = self.d
         acc = 0j
-        for a in reversed(self.c):
-            acc = acc * z + complex(a)
+        for a in reversed(self.n):
+            acc = acc * z + complex(a / d)
         return acc
 
     def to_float(self) -> float:
@@ -191,9 +290,9 @@ class Cyclo48:
         with mpmath.workdps(dps):
             z = mpmath.exp(1j * mpmath.pi / 24)
             acc = mpmath.mpc(0)
-            for a in reversed(self.c):
-                acc = acc * z + mpmath.mpf(a.numerator) / a.denominator
-            return acc
+            for a in reversed(self.n):
+                acc = acc * z + mpmath.mpf(a)
+            return acc / self.d
 
     def sign(self) -> int:
         """Sign of a real element, decided at 60-digit precision.
@@ -202,7 +301,7 @@ class Cyclo48:
         the magnitude guard rejects anything suspiciously close to zero
         rather than silently guessing.
         """
-        if all(a == 0 for a in self.c):
+        if not self:
             return 0
         if not self.is_real():
             raise ValueError("sign() requires a real element")
@@ -224,50 +323,21 @@ class Cyclo48:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.c == o.c
+        return self.d == o.d and self.n == o.n
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.n, self.d))
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.n)
 
     def __repr__(self):
-        terms = [f"{a}*z^{i}" for i, a in enumerate(self.c) if a]
+        terms = [f"{Fraction(a, self.d)}*z^{i}" for i, a in enumerate(self.n) if a]
         return "Cyclo48(" + (" + ".join(terms) or "0") + ")"
 
 
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = max(i for i, x in enumerate(b) if x)
-    q = [_ZERO] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / b[db]
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return q, a[:db]
-
-
-ZERO = Cyclo48.from_rational(0)
-ONE = Cyclo48.from_rational(1)
+ZERO = _rational(0)
+ONE = _rational(1)
 
 
 def two_cos(k: int) -> Cyclo48:

@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -177,19 +177,6 @@ def iter_saws(domain: dm.Domain, max_len: int | None = None) -> Iterator[SawVisi
         verts_used.pop()
 
     yield from rec(lattice.START_MID, lattice.START_HEADING, 0, 0, 0)
-
-
-def enumerate_saw(
-    domain: dm.Domain,
-    visitor: Callable[[SawVisit], None],
-    max_len: int | None = None,
-) -> int:
-    """Drive a visitor over every walk; returns the number of walks."""
-    n = 0
-    for visit in iter_saws(domain, max_len):
-        visitor(visit)
-        n += 1
-    return n
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ def _surface_rhs(domain, consts, yv, F_via, v, half, zero):
     r = (2 * u + 1, 2 * w - 1)   # heading 2, lower-right
     one_minus_y = consts.one() - yv
     lam = consts.lam
-    lam_bar = lam.conjugate() if consts.mode == "exact" else lam.conjugate()
+    lam_bar = lam.conjugate()
     s_q = F_via.get((p, q), zero)
     s_r = F_via.get((p, r), zero)
     term_q = (

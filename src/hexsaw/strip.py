@@ -38,7 +38,7 @@ from .errors import (
 )
 from .model import constants
 
-T_CAP_EXACT = 3
+T_CAP_EXACT = 4
 T_CAP_FLOAT = 6
 
 EMPTY = "."
@@ -591,7 +591,7 @@ def _gauss(A, b):
         for r in range(m):
             if r != col and A[r][col]:
                 f = A[r][col]
-                A[r] = [a - f * p for a, p in zip(A[r], A[col])]
+                A[r] = [a - f * p if p else a for a, p in zip(A[r], A[col])]
                 b[r] = b[r] - f * b[col]
     return b
 

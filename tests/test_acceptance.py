@@ -77,7 +77,7 @@ def test_criterion_04_general_n_with_loops():
 
 def test_criterion_05_strip_identity_exact():
     """alpha*A_T + beta(y)*B_T = 1 exactly in the strip."""
-    cases = [(1, 1), (2, 1), (3, 1), (2, 2)]
+    cases = [(1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (4, 2)]
     oks = []
     for T, y in cases:
         rep = sp.check_strip_identity(T, y, mode="exact")
@@ -106,7 +106,8 @@ def test_criterion_06_critical_fugacity_sequence():
 
 
 def test_criterion_07_bridge_decay():
-    """B_1 > B_2 > B_3 > B_4 > 0 with the exact complement identity;
+    """B_1 > B_2 > B_3 > B_4 > 0 with the exact complement identity
+    (T = 1..4, and T = 4 again in float);
     the log-log slope against T is reported, not asserted."""
     c = constants(0, "dilute")
     bs = []
@@ -119,6 +120,10 @@ def test_criterion_07_bridge_decay():
     b4 = sp.strip_gf(4, 1, "bridge", mode="float").value
     assert abs(1.0 - c.coeff_a.to_float() * a4 - b4) < 1e-9
     bs.append(b4)
+    a4_exact = sp.strip_gf(4, 1, "arch", mode="exact").value
+    b4_exact = sp.strip_gf(4, 1, "bridge", mode="exact").value
+    assert ONE - c.coeff_a * a4_exact == b4_exact
+    assert abs(b4_exact.to_float() - b4) < 1e-10
     decreasing = all(x > y for x, y in zip(bs, bs[1:])) and bs[-1] > 0
     slope = np.polyfit(np.log(np.arange(1, 5)), np.log(bs), 1)[0]
     report(7, decreasing,

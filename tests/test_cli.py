@@ -126,3 +126,15 @@ def test_argparse_errors_become_exit_codes(capsys):
     capsys.readouterr()
     assert main(["verify-local"]) == 2  # missing required --T/--L
     capsys.readouterr()
+
+
+def test_solver_and_capacity_errors_exit_3(capsys):
+    # strip height above the transfer-operator cap
+    assert main(["strip-identity", "--T", "7"]) == 3
+    capsys.readouterr()
+    # exact solve above its cap
+    assert main(["strip-identity", "--T", "5", "--mode", "exact"]) == 3
+    capsys.readouterr()
+    # surface weight beyond y_1: the strip series diverges
+    assert main(["strip-identity", "--T", "1", "--y", "8"]) == 3
+    capsys.readouterr()

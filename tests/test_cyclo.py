@@ -111,3 +111,68 @@ def test_power_and_float_guard():
     assert z ** -5 == ONE / z ** 5
     with pytest.raises(ValueError):
         Cyclo48.zeta_pow(1).to_float()   # genuinely complex
+
+
+# -- the integer-numerator representation ------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, elements)
+def test_canonical_form(a, b):
+    for x in (a, b, a + b, a * b, a - b):
+        assert x.d > 0
+        assert math.gcd(*x.n, x.d) == 1
+        assert len(x.n) == 16 and all(isinstance(v, int) for v in x.n)
+    # the same value reached by another route has the same form and hash
+    s = (a + b) - b
+    assert (s.n, s.d) == (a.n, a.d) and hash(s) == hash(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small, st.integers(min_value=1, max_value=12))
+def test_equal_rationals_hash_equal(q, k):
+    scaled = Cyclo48([Fraction(q.numerator * k, q.denominator * k)])
+    direct = Cyclo48.from_rational(q)
+    assert scaled == direct and hash(scaled) == hash(direct)
+    assert Cyclo48([Fraction(2, 4)]) == Cyclo48.from_rational(Fraction(1, 2))
+    assert hash(Cyclo48([Fraction(2, 4)])) == hash(Cyclo48.from_rational(Fraction(1, 2)))
+    assert ZERO.n == (0,) * 16 and ZERO.d == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(elements, st.integers(min_value=-40, max_value=40))
+def test_power_matches_repeated_multiplication(a, k):
+    if a == ZERO and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            a ** k
+        return
+    base = a if k >= 0 else a.inverse()
+    expected = ONE
+    for _ in range(abs(k)):
+        expected = expected * base
+    assert a ** k == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements, elements)
+def test_to_complex_is_a_ring_embedding(a, b):
+    za, zb = a.to_complex(), b.to_complex()
+    scale = max(1.0, abs(za), abs(zb)) ** 2
+    assert abs((a * b).to_complex() - za * zb) < 1e-9 * scale
+    if a != ZERO:
+        inv = a.inverse().to_complex()
+        assert abs(inv * za - 1) < 1e-8 * max(1.0, abs(inv) * abs(za))
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements, st.floats(allow_nan=False, allow_infinity=False))
+def test_float_mixing_raises(a, f):
+    for op in (
+        lambda: a + f, lambda: f + a, lambda: a - f, lambda: f - a,
+        lambda: a * f, lambda: f * a, lambda: a / f, lambda: f / a,
+        lambda: a < f,
+    ):
+        with pytest.raises(ScalarModeError):
+            op()
+    with pytest.raises(ScalarModeError):
+        a ** 1.0

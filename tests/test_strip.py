@@ -65,7 +65,7 @@ def test_strip_identity_exact_T2_y2():
 
 
 def test_strip_identity_float():
-    rep = sp.check_strip_identity(4, 1)
+    rep = sp.check_strip_identity(sp.T_CAP_EXACT + 1, 1)
     assert rep.mode == "float" and rep.max_abs < 1e-9
 
 
@@ -136,7 +136,7 @@ def test_guards():
     with pytest.raises(CapacityError):
         sp.build_transfer(sp.T_CAP_FLOAT + 1)
     with pytest.raises(CapacityError):
-        sp.strip_gf(4, 1, "walk", mode="exact")
+        sp.strip_gf(sp.T_CAP_EXACT + 1, 1, "walk", mode="exact")
     with pytest.raises(InvalidParameterError):
         sp.strip_gf(1, 1, "spiral")
     with pytest.raises(InvalidParameterError):
