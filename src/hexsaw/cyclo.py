@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
+from numbers import Complex, Rational
 
 from .errors import ScalarModeError
 
@@ -147,13 +147,20 @@ def _mixing_error(other) -> ScalarModeError:
     return ScalarModeError(f"cannot mix exact Cyclo48 with {type(other).__name__}")
 
 
+def _exact_fraction(x) -> Fraction:
+    """Fraction(x) for ints, rationals and rational strings; floats refused."""
+    if isinstance(x, Complex) and not isinstance(x, Rational):
+        raise ScalarModeError(f"Cyclo48 needs exact rationals, got {type(x).__name__}")
+    return Fraction(x)
+
+
 class Cyclo48:
     """An element of Q(zeta_48): integer numerators ``n`` over ``d > 0``."""
 
     __slots__ = ("n", "d")
 
     def __init__(self, coeffs):
-        qs = [Fraction(x) for x in coeffs]
+        qs = [_exact_fraction(x) for x in coeffs]
         d = lcm(*(q.denominator for q in qs))
         nums = _fold([q.numerator * (d // q.denominator) for q in qs])
         canon = _norm(nums + [0] * (_DEG - len(nums)), d)
@@ -162,7 +169,7 @@ class Cyclo48:
 
     @classmethod
     def from_rational(cls, q) -> "Cyclo48":
-        q = Fraction(q)
+        q = _exact_fraction(q)
         return _rational(q.numerator, q.denominator)
 
     @classmethod

@@ -22,9 +22,8 @@ and unrestricted walks come from the same operator.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -298,9 +297,27 @@ def _apply_column(state, config: _Config, T: int):
     return ("".join(new), na, ne, (p + 1) % 2)
 
 
+# End kinds each walk kind accepts; the other end transitions are dropped.
+_KINDS = {
+    "walk": ("interior", "bottom", "top"),
+    "arch": ("bottom",),
+    "bridge": ("top",),
+}
+# End-kind codes of the transition arrays: index = code.
+_END_KINDS = (None, "interior", "bottom", "top")
+
+
 @dataclass(frozen=True)
 class TransferOperator:
-    """Column-to-column transfer system for one strip height."""
+    """Column-to-column transfer system for one strip height.
+
+    For the float layer ``transitions`` is also held column-wise as int
+    arrays ``src``, ``dst``, ``xpow``, ``ypow`` and ``end`` (the end kind
+    as its index in ``_END_KINDS``).  ``cells[kind]`` is
+    ``(keep, slot, row, col)``: the indices of the transitions the kind
+    keeps, and for each the slot of its matrix cell, cells being the
+    distinct (row, col) pairs in order of first use.
+    """
 
     T: int
     surface: str
@@ -308,6 +325,32 @@ class TransferOperator:
     transitions: tuple      # (src, dst, xpow, ypow, end_kind)
     sources: tuple          # state indices with weight-1 initial amplitude
     sinks: tuple            # accepting state indices
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
+    xpow: np.ndarray = field(init=False, repr=False, compare=False)
+    ypow: np.ndarray = field(init=False, repr=False, compare=False)
+    end: np.ndarray = field(init=False, repr=False, compare=False)
+    cells: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        code = {k: i for i, k in enumerate(_END_KINDS)}
+        cols = np.array(
+            [(si, sj, xp, yp, code[ek]) for si, sj, xp, yp, ek in self.transitions],
+            dtype=np.intp,
+        ).reshape(-1, 5)
+        for name, col in zip(("src", "dst", "xpow", "ypow", "end"), cols.T):
+            object.__setattr__(self, name, np.ascontiguousarray(col))
+        cells = {}
+        for kind, allowed in _KINDS.items():
+            ok = np.array([ek is None or ek in allowed for ek in _END_KINDS])
+            keep = np.flatnonzero(ok[self.end])
+            index: dict = {}
+            slot = [index.setdefault(c, len(index))
+                    for c in zip(self.src[keep].tolist(), self.dst[keep].tolist())]
+            rc = np.array(list(index), dtype=np.intp).reshape(-1, 2)
+            cells[kind] = (keep, np.array(slot, dtype=np.intp),
+                           np.ascontiguousarray(rc[:, 0]), np.ascontiguousarray(rc[:, 1]))
+        object.__setattr__(self, "cells", cells)
 
     @property
     def state_count(self) -> int:
@@ -367,18 +410,8 @@ def build_transfer(T: int, surface: str = "top") -> TransferOperator:
     )
 
 
-_KINDS = {
-    "walk": ("interior", "bottom", "top"),
-    "arch": ("bottom",),
-    "bridge": ("top",),
-}
-
-
 def _filtered(op: TransferOperator, kind: str):
-    allowed = _KINDS[kind]
-    return [
-        t for t in op.transitions if t[4] is None or t[4] in allowed
-    ]
+    return [op.transitions[i] for i in op.cells[kind][0]]
 
 
 def series_counts(op: TransferOperator, N: int, kind: str = "walk"):
@@ -416,23 +449,45 @@ def series_counts(op: TransferOperator, N: int, kind: str = "walk"):
     return out
 
 
-def _float_matrix(op: TransferOperator, x: float, y: float, kind: str = "walk"):
-    n = op.state_count
-    M = np.zeros((n, n))
-    for si, sj, xp, yp, ek in _filtered(op, kind):
-        M[si, sj] += x**xp * y**yp
-    return M
+@dataclass(frozen=True)
+class _FloatMatrix:
+    """M(x, y) in coordinate form: M[row[k], col[k]] = w[k], one k per cell."""
+
+    n: int
+    row: np.ndarray
+    col: np.ndarray
+    w: np.ndarray
+
+    def vecmat(self, v: np.ndarray) -> np.ndarray:
+        """The row vector v @ M."""
+        return np.bincount(self.col, weights=v[self.row] * self.w, minlength=self.n)
+
+    def identity_minus(self) -> np.ndarray:
+        """Dense I - M."""
+        n = self.n
+        A = np.zeros((n, n))
+        A[self.row, self.col] = -self.w
+        A.flat[:: n + 1] += 1.0
+        return A
 
 
-def _spectral_radius(M: np.ndarray, tol: float = 1e-13, iters: int = 20000) -> float:
+def _float_matrix(op: TransferOperator, x: float, y: float, kind: str = "walk") -> _FloatMatrix:
+    keep, slot, row, col = op.cells[kind]
+    # x**i * y**j as Python floats, one per exponent pair, gathered per
+    # transition and summed into its cell in transition order
+    xmax, ymax = int(op.xpow.max(initial=0)), int(op.ypow.max(initial=0))
+    table = np.array([[x**i * y**j for j in range(ymax + 1)] for i in range(xmax + 1)])
+    w = np.bincount(slot, weights=table[op.xpow[keep], op.ypow[keep]], minlength=len(row))
+    return _FloatMatrix(op.state_count, row, col, w)
+
+
+def _spectral_radius(M: _FloatMatrix, tol: float = 1e-13, iters: int = 20000) -> float:
     # Column parity makes the spectrum symmetric under negation, so
     # iterate with M^2 and take a square root at the end.
-    M2 = M @ M
-    n = M.shape[0]
-    v = np.full(n, 1.0 / n)
+    v = np.full(M.n, 1.0 / M.n)
     lam = 0.0
     for _ in range(iters):
-        w = v @ M2 + 1e-300
+        w = M.vecmat(M.vecmat(v)) + 1e-300
         nlam = float(np.linalg.norm(w))
         w = w / nlam
         if abs(nlam - lam) < tol * max(nlam, 1.0):
@@ -642,14 +697,9 @@ def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
         for s in op.sources:
             total = total + z[s]
         return StripValue(T, y, kind, total, "exact", True)
-    x_c = 1.0 / MU_BULK
-    n = op.state_count
-    M = np.zeros((n, n))
-    for si, sj, xpw, ypw, ek in _filtered(op, kind):
-        M[si, sj] += x_c**xpw * float(y) ** ypw
-    rhs = np.zeros(n)
+    rhs = np.zeros(op.state_count)
     rhs[list(op.sinks)] = 1.0
-    z = np.linalg.solve(np.eye(n) - M, rhs)
+    z = np.linalg.solve(_float_matrix(op, 1.0 / MU_BULK, float(y), kind).identity_minus(), rhs)
     total = float(sum(z[list(op.sources)]))
     if kind == "walk":
         total += 1.0
@@ -732,7 +782,3 @@ def check_bounds(Tmax: int, y_grid=(1, Fraction(3, 2), 2), mode: str = "auto") -
             )
     ok = all(ch["ok"] for ch in checks)
     return {"ok": ok, "Tmax": Tmax, "checks": checks}
-
-
-def bounds_report_json(rep: dict) -> str:
-    return json.dumps(rep, indent=1)

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hexsaw.cli import SCHEMA_VERSION, main
 
@@ -138,3 +142,11 @@ def test_solver_and_capacity_errors_exit_3(capsys):
     # surface weight beyond y_1: the strip series diverges
     assert main(["strip-identity", "--T", "1", "--y", "8"]) == 3
     capsys.readouterr()
+
+
+def test_cli_import_stays_light():
+    """Every CLI run is a fresh process, so no heavy optional import at load."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import hexsaw.cli, sys; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -105,6 +105,24 @@ def test_scalar_mode_guard():
     assert SQRT2 + Fraction(1, 2) == SQRT2 + Cyclo48.from_rational(Fraction(1, 2))
 
 
+def test_constructors_refuse_floats():
+    for bad in (0.1, 0.5, 1.0, 2j, complex(1, 0)):
+        with pytest.raises(ScalarModeError):
+            Cyclo48.from_rational(bad)
+        with pytest.raises(ScalarModeError):
+            Cyclo48([1, bad])
+
+
+def test_constructors_accept_exact_rationals():
+    half = Cyclo48.from_rational(Fraction(1, 2))
+    assert Cyclo48.from_rational("1/2") == half
+    assert Cyclo48.from_rational(Fraction(3, 6)) == half
+    assert Cyclo48.from_rational(3) == Cyclo48([3])
+    assert Cyclo48.from_rational("3/2").as_rational() == Fraction(3, 2)
+    z = Cyclo48.zeta_pow(1)
+    assert Cyclo48([Fraction(1, 2), "3/2", 2]) == half + z * Fraction(3, 2) + z * z * 2
+
+
 def test_power_and_float_guard():
     z = Cyclo48.zeta_pow(5)
     assert z ** 0 == ONE

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hexsaw import bridges as br
 from hexsaw import strip as sp
 from hexsaw.cyclo import Cyclo48, ONE
-from hexsaw.errors import CapacityError, InvalidParameterError
+from hexsaw.errors import CapacityError, InvalidParameterError, NonConvergenceError
 from hexsaw.model import constants
 
 
@@ -125,6 +126,39 @@ def test_solve_yT_sequence():
     assert all(a > b for a, b in zip(ys, ys[1:]))
     y_star = 1 + 2**0.5
     assert all(y > y_star for y in ys)
+
+
+def _dense_from_transitions(op, x, y):
+    """M(x, y) straight from the transition list, as an independent oracle."""
+    M = np.zeros((op.state_count, op.state_count))
+    for si, sj, xp, yp, _ in op.transitions:
+        M[si, sj] += x**xp * y**yp
+    return M
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_spectral_radius_matches_dense_eigvals(T):
+    """Matrix-free power iteration against LAPACK eigenvalues."""
+    op = sp.build_transfer(T, "top")
+    x_c = 1.0 / sp.MU_BULK
+    for x, y in ((x_c, 1.0), (x_c, 2.5), (0.6, 0.5), (0.45, 3.0)):
+        want = max(abs(np.linalg.eigvals(_dense_from_transitions(op, x, y))))
+        got = sp._spectral_radius(sp._float_matrix(op, x, y))
+        assert got == pytest.approx(want, rel=1e-10), (x, y)
+
+
+def test_spectral_radius_nonconvergence():
+    op = sp.build_transfer(3, "top")
+    with pytest.raises(NonConvergenceError):
+        sp._spectral_radius(sp._float_matrix(op, 1.0 / sp.MU_BULK, 2.0), iters=1)
+
+
+def test_float_values_T5_T6():
+    """Regression values where only the float transfer layer reaches."""
+    assert sp.solve_yT(5) == pytest.approx(2.750306675518633, abs=1e-7)
+    assert sp.solve_yT(6) == pytest.approx(2.710513243925555, abs=1e-7)
+    rep = sp.check_strip_identity(6, 2, mode="float")
+    assert rep.mode == "float" and rep.max_abs <= 1e-11
 
 
 def test_divergence_guard():
