@@ -2,6 +2,8 @@
 
 Both kernels walk the same flattened step tables and must produce
 identical histograms; the point of this script is the wall-time ratio.
+D(4,2) (4,658,995 walks) is the size at which the kernel dominates a
+`verify-global` run; the smaller cases take milliseconds compiled.
 
 Usage:
     python3 benchmarks/bench_enumeration.py [--repeat 3]
@@ -34,6 +36,7 @@ def main() -> None:
         ("trapezoid T=2 L=3", dm.build_trapezoid(2, 3)),
         ("trapezoid T=3 L=2", dm.build_trapezoid(3, 2)),
         ("rectangle T=3 L=3", dm.build_rectangle(3, 3)),
+        ("trapezoid T=4 L=2", dm.build_trapezoid(4, 2)),
     ]
 
     print(f"active backend: {en.backend_name()}")
@@ -48,10 +51,10 @@ def main() -> None:
             assert (en.class_histogram(domain, backend="compiled")
                     == en.class_histogram(domain, backend="pure")).all()
             t_comp = bench(domain, "compiled", args.repeat)
-            print(f"{name:<22}{walks:>12}{t_pure:>12.3f}{t_comp:>14.3f}"
+            print(f"{name:<22}{walks:>12}{t_pure:>12.4f}{t_comp:>14.4f}"
                   f"{t_pure / t_comp:>9.1f}x")
         else:
-            print(f"{name:<22}{walks:>12}{t_pure:>12.3f}{'n/a':>14}{'n/a':>10}")
+            print(f"{name:<22}{walks:>12}{t_pure:>12.4f}{'n/a':>14}{'n/a':>10}")
 
 
 if __name__ == "__main__":

@@ -1,20 +1,10 @@
-"""Build script: compiles the optional DFS kernel extension.
+"""Build script: compiles the DFS kernel extension from hand-written C.
 
-The package works without the extension (a pure-Python kernel with the
-same interface is selected at import time), so a failed compile is not
-fatal to installation from source without Cython.
+A source checkout that was never built still runs (a pure-Python kernel
+with the same interface is selected at import time), but a build that
+cannot compile the kernel fails instead of skipping it.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("hexsaw._dfs", ["src/hexsaw/_dfs.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(ext_modules=[Extension("hexsaw._dfs", ["src/hexsaw/_dfs.c"])])

@@ -1,6 +1,6 @@
 """Pure-Python fallback for the compiled DFS kernel.
 
-Same interface and semantics as the Cython extension ``_dfs``; selected
+Same interface and semantics as the C extension ``_dfs``; selected
 at import time when the extension is unavailable.  Slower by a large
 constant factor but exact.
 """

@@ -99,6 +99,7 @@ def _document(args, results, ok: bool, t0: float) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
+        "backend": en.backend_name(),
         "command": args.command,
         "config": config,
         "results": results,

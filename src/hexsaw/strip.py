@@ -520,6 +520,8 @@ def growth_mu(T: int, y, method: str = "eigen", surface: str = "top") -> GrowthE
             raise NonConvergenceError(f"growth bracket failed: {flo}, {fhi}")
         for _ in range(60):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # adjacent floats: the interval cannot shrink further
             if _spectral_radius(_float_matrix(op, mid, yf)) - 1.0 < 0:
                 lo = mid
             else:
@@ -666,6 +668,13 @@ class StripValue:
 
 
 @lru_cache(maxsize=128)
+def _guard_radius(T: int, y: Fraction) -> float:
+    """Walk-kind spectral radius at x = x_c; the strip series of every
+    kind converges iff it is below 1."""
+    return _spectral_radius(_float_matrix(build_transfer(T, "top"), 1.0 / MU_BULK, float(y)))
+
+
+@lru_cache(maxsize=128)
 def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
     """Exact value of the strip generating function at x = x_c.
 
@@ -682,7 +691,7 @@ def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
     op = build_transfer(T, "top")
     # convergence guard: the series diverges at and beyond y_T
     if y > 1:
-        rho = _spectral_radius(_float_matrix(op, 1.0 / MU_BULK, float(y)))
+        rho = _guard_radius(T, y)
         if rho >= 1.0:
             raise DivergenceError(
                 f"strip series diverges: y = {y} >= y_{T} (spectral radius {rho:.6f})"

@@ -32,6 +32,18 @@ def test_verify_local_ok(capsys):
     assert doc["results"]["exact_zero"] is True
 
 
+def test_reports_name_the_backend(capsys):
+    for argv in (
+        ("verify-local", "--T", "1", "--L", "1"),
+        ("strip-identity", "--T", "1", "--y", "2"),
+        ("kesten", "--N", "4"),
+        ("half-plane", "--N", "4"),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["backend"] in ("compiled", "pure-python")
+
+
 def test_verify_global_y(capsys):
     code, doc = run_json(
         capsys, "verify-global", "--T", "2", "--L", "1", "--y", "3/2"

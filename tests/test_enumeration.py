@@ -1,12 +1,20 @@
 """Walk and loop enumeration: kernels, tallies, half-plane counts."""
 
+import dataclasses
+import importlib.machinery
+import importlib.util
 import io
 import json
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hexsaw import _dfs_py
 from hexsaw import domains as dm
 from hexsaw import enumeration as en
 from hexsaw.cyclo import ONE
@@ -31,6 +39,67 @@ def test_kernels_agree(domain):
     if en.COMPILED:
         compiled = en.class_histogram(domain, backend="compiled")
         assert (pure == compiled).all()
+
+
+@pytest.fixture(scope="module")
+def c_kernel(tmp_path_factory):
+    """The C kernel built from src/hexsaw/_dfs.c into a temporary directory,
+    so it is tested even when no extension was built in place."""
+    if not (shutil.which("cc") or shutil.which("gcc")):
+        pytest.skip("no C compiler (cc or gcc) found")
+    tmp = tmp_path_factory.mktemp("c_kernel")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
+        cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    (path,) = (tmp / "lib" / "hexsaw").glob("_dfs.*")
+    loader = importlib.machinery.ExtensionFileLoader("_dfs", str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader("_dfs", loader))
+    loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "domain, max_len",
+    [
+        (dm.build_trapezoid(1, 2), None),
+        (dm.build_trapezoid(2, 1), None),
+        (dm.build_trapezoid(2, 2), None),
+        (dm.build_trapezoid(3, 2), None),
+        (dm.build_rectangle(2, 2), None),
+        (dm.build_rectangle(3, 3), None),
+        (dm.build_strip_prefix(3, 4, surface="bottom"), 8),
+        (dm.build_trapezoid(2, 2), 0),
+    ],
+    ids=lambda p: f"{p.kind}-{p.T}-{p.L}" if isinstance(p, dm.Domain) else f"len{p}",
+)
+def test_c_kernel_matches_pure(c_kernel, domain, max_len):
+    tables = en.build_tables(domain)
+    n = len(tables.mids) - 1 if max_len is None else max_len
+    ref = _dfs_py.tally_class(tables, n)
+    got = c_kernel.tally_class(tables, n)
+    assert got.dtype == np.int64 and got.shape == ref.shape
+    assert (got == ref).all()
+
+
+def test_c_kernel_rejects_malformed_tables(c_kernel):
+    tables = en.build_tables(dm.build_trapezoid(1, 2))
+    wide = tables.step_mid.copy()
+    wide[0] = len(tables.mids)
+    for bad in (
+        dataclasses.replace(tables, step_mid=wide),
+        dataclasses.replace(tables, step_vert=tables.step_vert.astype(np.int64)),
+        dataclasses.replace(tables, mid_class=tables.mid_class[:-1]),
+        dataclasses.replace(tables, mid_class=tables.mid_class[::-1]),
+        dataclasses.replace(tables, start_dir=2),
+        dataclasses.replace(tables, n_surface=0),
+    ):
+        with pytest.raises(ValueError):
+            c_kernel.tally_class(bad, 4)
+    with pytest.raises(ValueError):
+        c_kernel.tally_class(tables, -1)
 
 
 def test_histogram_matches_generator():

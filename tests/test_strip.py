@@ -161,6 +161,44 @@ def test_float_values_T5_T6():
     assert rep.mode == "float" and rep.max_abs <= 1e-11
 
 
+def _counting_radius(monkeypatch):
+    calls = []
+    real = sp._spectral_radius
+    monkeypatch.setattr(sp, "_spectral_radius", lambda M: calls.append(M) or real(M))
+    return calls
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 5])
+def test_growth_mu_bisection_stops_when_interval_cannot_shrink(T, monkeypatch):
+    """Same mu_T and bracket, bit for bit, as 60 unconditional halvings,
+    with fewer spectral radii."""
+    op = sp.build_transfer(T, "top")
+    lo, hi = 0.15, 1.25
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if sp._spectral_radius(sp._float_matrix(op, mid, 1.75)) - 1.0 < 0:
+            lo = mid
+        else:
+            hi = mid
+    calls = _counting_radius(monkeypatch)
+    est = sp.growth_mu(T, Fraction(7, 4))
+    assert est.mu.hex() == (2.0 / (lo + hi)).hex()
+    assert est.error.hex() == (hi - lo).hex()
+    assert len(calls) < 62
+
+
+def test_convergence_guard_runs_once_per_T_and_y(monkeypatch):
+    calls = _counting_radius(monkeypatch)
+    y = Fraction(21, 10)
+    rep = sp.check_strip_identity(3, y, mode="float")
+    assert rep.ok and len(calls) == 1
+    with pytest.raises(sp.DivergenceError):
+        sp.strip_gf(1, Fraction(17, 2), "arch")
+    with pytest.raises(sp.DivergenceError):
+        sp.strip_gf(1, Fraction(17, 2), "bridge")
+    assert len(calls) == 2
+
+
 def test_divergence_guard():
     with pytest.raises(sp.DivergenceError):
         sp.strip_gf(1, 8, "walk")
