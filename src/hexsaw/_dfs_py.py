@@ -21,25 +21,29 @@ def tally_class(tables, max_len: int):
     ]
     vis_mid = bytearray(len(tables.mids))
     vis_vert = bytearray(len(tables.verts))
-
-    def walk(mid, d, length, contacts):
+    # An explicit stack, so walks may be longer than the recursion limit.
+    # Entries are walks to count, (end mid, dir, length, contacts), and
+    # undo markers (mid, -1, vertex, 0) that release a step's mid-edge
+    # and vertex once every extension through them has been counted.
+    stack = [(tables.start_mid, tables.start_dir, 0, 0)]
+    while stack:
+        mid, d, length, contacts = stack.pop()
+        if d < 0:
+            vis_mid[mid] = vis_vert[length] = 0
+            continue
+        if vis_mid[mid]:
+            continue
         counts[mid_class[mid]][length][contacts] += 1
         if length >= max_len:
-            return
+            continue
         v = step_vert[2 * mid + d]
         if v < 0 or vis_vert[v]:
-            return
-        vis_vert[v] = 1
+            continue
+        vis_mid[mid] = vis_vert[v] = 1
         base = 4 * mid + 2 * d
         c2 = contacts + vert_surface[v]
-        for t in (0, 1):
-            nm = step_mid[base + t]
-            if not vis_mid[nm]:
-                vis_mid[nm] = 1
-                walk(nm, step_dir[base + t], length + 1, c2)
-                vis_mid[nm] = 0
-        vis_vert[v] = 0
-
-    vis_mid[tables.start_mid] = 1
-    walk(tables.start_mid, tables.start_dir, 0, 0)
+        stack.append((mid, -1, v, 0))
+        # right turn first, so the left turn is counted first
+        stack.append((step_mid[base + 1], step_dir[base + 1], length + 1, c2))
+        stack.append((step_mid[base], step_dir[base], length + 1, c2))
     return np.asarray(counts, dtype=np.int64)

@@ -15,13 +15,14 @@ mid-edges is (max U - min U)*sqrt(3)/4.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from . import domains as dm
+from . import enumeration as en
 from . import lattice
 from .cyclo import Cyclo48
 from .errors import CapacityError, ClassificationError, InvalidParameterError
@@ -126,29 +127,10 @@ def concat_bridges(factors: Sequence[Walk]) -> Walk:
 def iter_half_plane_walks(max_len: int) -> Iterator[Walk]:
     """Every nonempty self-avoiding walk from a whose mid-edges after
     the start stay strictly above the start line, up to max_len steps."""
-    start = lattice.START_MID
-    turns: list[str] = []
-    mid_set = {start}
-    vert_set: set[tuple[int, int]] = set()
-
-    def rec(mid, head):
-        if turns:
-            yield Walk(start, 0, tuple(turns))
-        if len(turns) >= max_len:
-            return
-        for t in ("L", "R"):
-            vtx, nmid, nhead = lattice.step(mid, head, t)
-            if nmid[1] <= 0 or nmid in mid_set or vtx in vert_set:
-                continue
-            turns.append(t)
-            mid_set.add(nmid)
-            vert_set.add(vtx)
-            yield from rec(nmid, nhead)
-            turns.pop()
-            mid_set.remove(nmid)
-            vert_set.remove(vtx)
-
-    yield from rec(start, 0)
+    domain = en.half_plane_domain(max_len)
+    for v in en.iter_saws(domain, max_len):
+        if v.length and domain.boundary[v.end] in en.HALF_PLANE_CLASSES:
+            yield v.walk
 
 
 def iter_bridges(max_len: int, irreducible: bool | None = None) -> Iterator[Walk]:
@@ -159,6 +141,14 @@ def iter_bridges(max_len: int, irreducible: bool | None = None) -> Iterator[Walk
             yield w
 
 
+def _height_length_counts(bridges) -> dict[tuple[int, int], int]:
+    counts: dict[tuple[int, int], int] = {}
+    for b in bridges:
+        key = (int(height_width(b)[0]), len(b))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 @lru_cache(maxsize=8)
 def bridge_height_length_counts(
     max_len: int, irreducible_only: bool = False
@@ -166,12 +156,9 @@ def bridge_height_length_counts(
     """Counts of bridges by (height, length) up to max_len steps."""
     if max_len > N_CAP:
         raise CapacityError(f"bridge enumeration capped at length {N_CAP}")
-    counts: dict[tuple[int, int], int] = {}
-    for b in iter_bridges(max_len, irreducible=True if irreducible_only else None):
-        h, _ = height_width(b)
-        key = (int(h), len(b))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return _height_length_counts(
+        iter_bridges(max_len, irreducible=True if irreducible_only else None)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +177,14 @@ class RenewalStats:
     mean_height: Cyclo48            # sum h*f_h / Z_N, exact
     mean_height_float: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "truncation_N": self.N,
-                "kesten_partial": self.partial_sum_float,
-                "f_h": {str(h): self.f_h[h].to_float() for h in sorted(self.f_h)},
-                "mean_height_truncated": self.mean_height_float,
-            },
-            indent=1,
-        )
-
 
 def kesten_partial(N: int) -> RenewalStats:
     """Exact partial sum of x_c^|gamma| over irreducible bridges with
     |gamma| <= N, together with the per-height masses f_h."""
-    counts = bridge_height_length_counts(N, irreducible_only=True)
+    return _renewal_stats(N, bridge_height_length_counts(N, irreducible_only=True))
+
+
+def _renewal_stats(N: int, counts: dict[tuple[int, int], int]) -> RenewalStats:
     x_c = constants(0, "dilute").x_c
     xpow = {0: Cyclo48.from_rational(1)}
     for k in range(1, N + 1):
@@ -490,33 +469,10 @@ def _seam_shift(a):
 def iter_strip_walks(T: int, max_len: int) -> Iterator[Walk]:
     """Every nonempty self-avoiding walk from a whose vertices lie in
     the height-T strip (rows 1 .. 3T-1), up to max_len steps."""
-    start = lattice.START_MID
-    turns: list[str] = []
-    mid_set = {start}
-    vert_set: set[tuple[int, int]] = set()
-    v_top = 3 * T - 1
-
-    def rec(mid, head):
-        if turns:
-            yield Walk(start, 0, tuple(turns))
-        if len(turns) >= max_len:
-            return
-        du, dv = lattice.HEADING_STEPS[head]
-        vtx = ((mid[0] + du) // 2, (mid[1] + dv) // 2)
-        if not 1 <= vtx[1] <= v_top or vtx in vert_set:
-            return
-        vert_set.add(vtx)
-        for t in ("L", "R"):
-            _, nmid, nhead = lattice.step(mid, head, t)
-            if nmid not in mid_set:
-                turns.append(t)
-                mid_set.add(nmid)
-                yield from rec(nmid, nhead)
-                turns.pop()
-                mid_set.remove(nmid)
-        vert_set.remove(vtx)
-
-    yield from rec(start, 0)
+    domain = dm.build_strip_prefix(T, max(1, -(-max_len // 2)))
+    for v in en.iter_saws(domain, max_len):
+        if v.length:
+            yield v.walk
 
 
 def unfolded_arch_series(T: int, max_len: int, prime: bool = False):
@@ -577,7 +533,7 @@ def sample_renewal(cfg: SamplerConfig) -> tuple[Walk, dict]:
     picks = rng.choices(range(len(pool)), weights=weights, k=cfg.k)
     factors = [pool[p] for p in picks]
     bridge = concat_bridges(factors)
-    stats = kesten_partial(cfg.N)
+    stats = _renewal_stats(cfg.N, _height_length_counts(pool))
     heights = [int(height_width(f)[0]) for f in factors]
     h_total, w_total = height_width(bridge)
     report = {

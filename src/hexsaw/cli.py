@@ -108,6 +108,17 @@ def _document(args, results, ok: bool, t0: float) -> dict:
     }
 
 
+def _residual_results(rep, **extra) -> dict:
+    """The results of an identity check; ``extra`` entries follow the mode."""
+    return {
+        "kind": rep.kind,
+        "mode": rep.mode,
+        **extra,
+        "max_abs_residual": rep.max_abs,
+        "exact_zero": rep.exact_zero,
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -117,13 +128,7 @@ def _cmd_verify_local(args, t0):
     y = _parse_y(args.y, consts.mode)
     domain = dm.build_trapezoid(args.T, args.L)
     rep = idt.check_local(domain, consts, y, with_loops=args.with_loops)
-    results = {
-        "kind": rep.kind,
-        "mode": rep.mode,
-        "max_abs_residual": rep.max_abs,
-        "exact_zero": rep.exact_zero,
-    }
-    return results, rep.ok, None
+    return _residual_results(rep), rep.ok, None
 
 
 def _cmd_verify_global(args, t0):
@@ -131,13 +136,7 @@ def _cmd_verify_global(args, t0):
     y = _parse_y(args.y, consts.mode)
     rep = idt.check_global_trapezoid(args.T, args.L, consts, y,
                                      with_loops=args.with_loops)
-    results = {
-        "kind": rep.kind,
-        "mode": rep.mode,
-        "residual": str(rep.residuals["global"]),
-        "max_abs_residual": rep.max_abs,
-        "exact_zero": rep.exact_zero,
-    }
+    results = _residual_results(rep, residual=str(rep.residuals["global"]))
     return results, rep.ok, None
 
 
@@ -145,13 +144,7 @@ def _cmd_verify_rectangle(args, t0):
     consts = _constants(args)
     rep = idt.check_global_rectangle(args.T, args.L, consts,
                                      with_loops=args.with_loops)
-    results = {
-        "kind": rep.kind,
-        "mode": rep.mode,
-        "max_abs_residual": rep.max_abs,
-        "exact_zero": rep.exact_zero,
-    }
-    return results, rep.ok, None
+    return _residual_results(rep), rep.ok, None
 
 
 def _cmd_strip_mu(args, t0):
@@ -190,13 +183,7 @@ def _cmd_y_seq(args, t0):
 def _cmd_strip_identity(args, t0):
     y = _parse_y(args.y, args.mode if args.mode != "auto" else "exact")
     rep = sp.check_strip_identity(args.T, y, mode=args.mode)
-    results = {
-        "kind": rep.kind,
-        "mode": rep.mode,
-        "max_abs_residual": rep.max_abs,
-        "exact_zero": rep.exact_zero,
-    }
-    return results, rep.ok, None
+    return _residual_results(rep), rep.ok, None
 
 
 def _cmd_bounds(args, t0):

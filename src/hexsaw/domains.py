@@ -24,7 +24,6 @@ enumerating longer walks raises TruncationError upstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,25 +97,6 @@ class Domain:
     def contains_walk(self, w: lattice.Walk) -> bool:
         return all(v in self.vertices for v in w.vertices) and all(
             m in self.mids for m in w.mids
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "T": self.T,
-                "L": self.L,
-                "vertices": sorted(self.vertices),
-                "surface": sorted(self.surface),
-                "boundary": {
-                    cls: self.boundary_mids(cls)
-                    for cls in (A_START, A_BOTTOM, B_TOP, E_RIGHT, E_LEFT,
-                                E_PLUS, E_MINUS)
-                    if self.boundary_mids(cls)
-                },
-                "max_reliable_len": self.max_reliable_len,
-            },
-            indent=1,
         )
 
 

@@ -1,21 +1,21 @@
 """Exhaustive enumeration of walks and loop configurations in a domain.
 
-The hot path (full endpoint histograms keyed by boundary class, length
-and surface contacts) runs through a step-table kernel: the compiled
+Both enumerators walk the same step tables (:func:`build_tables`).  The
+hot path (full endpoint histograms keyed by boundary class, length and
+surface contacts) runs through a step-table kernel: the compiled
 extension when available, otherwise a pure-Python twin with identical
-semantics.  Everything that needs per-walk detail (winding phases,
-penultimate mid-edges, loop decoration) uses a plain generator and is
-only intended for small domains.
+semantics.  Everything that needs per-walk detail (turns, winding
+phases, penultimate mid-edges, loop decoration) uses :func:`iter_saws`,
+the package's one walk generator, and is only intended for small
+domains.  Half-plane and strip walks are walks of strip-prefix domains
+(:func:`half_plane_domain`, :func:`hexsaw.bridges.iter_strip_walks`).
 """
 
 from __future__ import annotations
 
-import csv
-import json
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -130,8 +130,7 @@ def class_histogram(
     return kern.tally_class(build_tables(domain), n)
 
 
-@dataclass(frozen=True)
-class SawVisit:
+class SawVisit(NamedTuple):
     """One enumerated walk, as seen by a visitor."""
 
     end: tuple[int, int]
@@ -139,44 +138,59 @@ class SawVisit:
     length: int
     contacts: int
     winding: int                   # units of pi/3
-    vertices: frozenset
-    mids: frozenset
+    turns: tuple[lattice.Turn, ...]
+    vertices: tuple[tuple[int, int], ...]   # in walk order
+
+    @property
+    def walk(self) -> lattice.Walk:
+        return lattice.Walk(turns=self.turns)
+
+    @property
+    def mids(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self.walk.mids)
 
 
 def iter_saws(domain: dm.Domain, max_len: int | None = None) -> Iterator[SawVisit]:
-    """Every self-avoiding walk from a, including the empty walk."""
+    """Every self-avoiding walk from a, including the empty walk, in
+    depth-first order (left turn before right turn)."""
     n_max = _resolve_max_len(domain, max_len)
-    verts_used: list = []
-    mids_used: list = [lattice.START_MID]
-    out: list[SawVisit] = []
+    tab = build_tables(domain)
+    mids, verts = tab.mids, tab.verts
+    step_vert = tab.step_vert.tolist()
+    step_mid = tab.step_mid.tolist()
+    step_dir = tab.step_dir.tolist()
+    vert_surface = tab.vert_surface.tolist()
+    vis_mid = bytearray(len(mids))
+    vis_vert = bytearray(len(verts))
+    turns: list = []
+    path_verts: list = []
 
-    def rec(mid, heading, length, contacts, wind):
-        yield SawVisit(
-            end=mid,
-            prev=mids_used[-2] if length else None,
-            length=length,
-            contacts=contacts,
-            winding=wind,
-            vertices=frozenset(verts_used),
-            mids=frozenset(mids_used),
-        )
+    def rec(mid, d, prev, contacts, wind):
+        length = len(turns)
+        yield SawVisit(mids[mid], prev, length, contacts, wind, tuple(turns),
+                       tuple(path_verts))
         if length >= n_max:
             return
-        du, dv = lattice.HEADING_STEPS[heading]
-        vtx = ((mid[0] + du) // 2, (mid[1] + dv) // 2)
-        if vtx not in domain.vertices or vtx in verts_used:
+        v = step_vert[2 * mid + d]
+        if v < 0 or vis_vert[v]:
             return
-        verts_used.append(vtx)
-        dc = 1 if vtx in domain.surface else 0
-        for turn, dw in (("L", 1), ("R", -1)):
-            _, nm, nh = lattice.step(mid, heading, turn)
-            if nm not in mids_used:
-                mids_used.append(nm)
-                yield from rec(nm, nh, length + 1, contacts + dc, wind + dw)
-                mids_used.pop()
-        verts_used.pop()
+        vis_vert[v] = 1
+        path_verts.append(verts[v])
+        base = 4 * mid + 2 * d
+        c2 = contacts + vert_surface[v]
+        for t, turn, dw in ((0, "L", 1), (1, "R", -1)):
+            nm = step_mid[base + t]
+            if not vis_mid[nm]:
+                vis_mid[nm] = 1
+                turns.append(turn)
+                yield from rec(nm, step_dir[base + t], mids[mid], c2, wind + dw)
+                vis_mid[nm] = 0
+                turns.pop()
+        vis_vert[v] = 0
+        path_verts.pop()
 
-    yield from rec(lattice.START_MID, lattice.START_HEADING, 0, 0, 0)
+    vis_mid[tab.start_mid] = 1
+    yield from rec(tab.start_mid, tab.start_dir, None, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -222,14 +236,16 @@ def enumerate_loops(domain: dm.Domain) -> list[Loop]:
     return loops
 
 
-def _loop_subsets(loops: list[Loop], busy: frozenset) -> Iterator[tuple[int, int, int]]:
-    """(total length, total contacts, count) over disjoint loop subsets."""
+def _loop_subsets(loops: list[Loop], busy) -> Iterator[tuple[int, int, int]]:
+    """(total length, total contacts, count) over disjoint subsets of the
+    loops that avoid the vertices in ``busy``."""
+    free = [lp for lp in loops if lp.vertices.isdisjoint(busy)]
 
     def rec(i, used, tot_len, tot_con, k):
         yield (tot_len, tot_con, k)
-        for j in range(i, len(loops)):
-            lp = loops[j]
-            if not (lp.vertices & used) and not (lp.vertices & busy):
+        for j in range(i, len(free)):
+            lp = free[j]
+            if lp.vertices.isdisjoint(used):
                 yield from rec(
                     j + 1, used | lp.vertices, tot_len + lp.length,
                     tot_con + lp.contacts, k + 1,
@@ -324,16 +340,22 @@ def observable_f(
     return acc
 
 
+#: Walks ending back on the bottom line (class A) leave the open upper
+#: half-plane; the start class stays, as it only ever holds the empty walk.
+HALF_PLANE_CLASSES = frozenset(CLASS_ORDER) - {dm.A_BOTTOM}
+
+
+def half_plane_domain(N: int) -> dm.Domain:
+    """A bottom-surface strip prefix that holds every walk of length <= N
+    in the upper half-plane; keep the walks ending in HALF_PLANE_CLASSES."""
+    return dm.build_strip_prefix(max(N, 1), (N + 1) // 2 + 1, surface="bottom")
+
+
 def half_plane_counts(N: int, backend: str = "auto") -> dict[tuple[int, int], int]:
     """c[n, i]: walks of length n <= N in the upper half-plane with i
     visits to the boundary vertex row."""
-    Lmax = (N + 1) // 2 + 1
-    domain = dm.build_strip_prefix(max(N, 1), Lmax, surface="bottom")
-    hist = class_histogram(domain, max_len=N, backend=backend)
-    # Walks ending back on the bottom line leave the open upper
-    # half-plane, so the A class is excluded (the start itself stays:
-    # it only ever holds the empty walk).
-    keep = [i for i, c in enumerate(CLASS_ORDER) if c != dm.A_BOTTOM]
+    hist = class_histogram(half_plane_domain(N), max_len=N, backend=backend)
+    keep = [i for i, c in enumerate(CLASS_ORDER) if c in HALF_PLANE_CLASSES]
     agg = hist[keep].sum(axis=0)
     out = {}
     for n in range(N + 1):
@@ -341,22 +363,3 @@ def half_plane_counts(N: int, backend: str = "auto") -> dict[tuple[int, int], in
             if agg[n, i]:
                 out[(n, i)] = int(agg[n, i])
     return out
-
-
-def tallies_to_json(tallies: Tallies) -> str:
-    return json.dumps(
-        {
-            cls: [[ln, ct, lp, cnt] for (ln, ct, lp), cnt in sorted(t.items())]
-            for cls, t in tallies.items()
-            if t
-        },
-        indent=1,
-    )
-
-
-def tallies_to_csv(tallies: Tallies, fh=None) -> None:
-    w = csv.writer(fh or sys.stdout)
-    w.writerow(["class", "length", "contacts", "loops", "count"])
-    for cls in CLASS_ORDER:
-        for (ln, ct, lp), cnt in sorted(tallies.get(cls, {}).items()):
-            w.writerow([cls, ln, ct, lp, cnt])

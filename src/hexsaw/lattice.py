@@ -24,7 +24,7 @@ through a vertex: each step turns left (heading - 1) or right
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Literal
 
 from .errors import ClassificationError, InvalidParameterError
@@ -87,6 +87,7 @@ def mid_endpoints(U: int, V: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return out[0], out[1]
 
 
+@lru_cache(maxsize=None)
 def mid_headings(U: int, V: int) -> tuple[int, int]:
     """The two headings along which a walk can traverse this mid-edge."""
     hs = []

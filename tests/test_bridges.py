@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hexsaw import bridges as br
+from hexsaw import enumeration as en
 from hexsaw import lattice
 from hexsaw.cyclo import ONE, two_cos
 from hexsaw.errors import (
@@ -32,6 +33,18 @@ def test_height_integer_width_half_integer_for_bridges():
         h, w = br.height_width(b)
         assert h.denominator == 1 and h >= 1
         assert (2 * w).denominator == 1 and w > 0
+
+
+def test_half_plane_walks_match_kernel_counts():
+    for N in range(13):
+        per_length: dict = {}
+        for w in br.iter_half_plane_walks(N):
+            per_length[len(w)] = per_length.get(len(w), 0) + 1
+        ref: dict = {}
+        for (n, _), c in en.half_plane_counts(N).items():
+            if n:
+                ref[n] = ref.get(n, 0) + c
+        assert per_length == ref, N
 
 
 def test_renewal_points_against_subwalk_oracle():

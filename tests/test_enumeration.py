@@ -3,8 +3,6 @@
 import dataclasses
 import importlib.machinery
 import importlib.util
-import io
-import json
 import shutil
 import subprocess
 import sys
@@ -17,8 +15,10 @@ import pytest
 from hexsaw import _dfs_py
 from hexsaw import domains as dm
 from hexsaw import enumeration as en
+from hexsaw import lattice
 from hexsaw.cyclo import ONE
 from hexsaw.errors import CapacityError, TruncationError
+from hexsaw.lattice import Walk
 from hexsaw.model import constants
 
 
@@ -72,6 +72,8 @@ def c_kernel(tmp_path_factory):
         (dm.build_rectangle(3, 3), None),
         (dm.build_strip_prefix(3, 4, surface="bottom"), 8),
         (dm.build_trapezoid(2, 2), 0),
+        # walks far longer than the interpreter's recursion limit
+        (dm.build_strip_prefix(1, 700, surface="bottom"), 1300),
     ],
     ids=lambda p: f"{p.kind}-{p.T}-{p.L}" if isinstance(p, dm.Domain) else f"len{p}",
 )
@@ -82,6 +84,13 @@ def test_c_kernel_matches_pure(c_kernel, domain, max_len):
     got = c_kernel.tally_class(tables, n)
     assert got.dtype == np.int64 and got.shape == ref.shape
     assert (got == ref).all()
+
+
+def test_pure_kernel_walks_past_recursion_limit():
+    domain = dm.build_strip_prefix(1, 700, surface="bottom")
+    hist = en.class_histogram(domain, max_len=1300, backend="pure")
+    assert hist.sum() == 5199
+    assert hist[:, 1300].sum() > 0
 
 
 def test_c_kernel_rejects_malformed_tables(c_kernel):
@@ -110,6 +119,34 @@ def test_histogram_matches_generator():
         ci = en.CLASS_ID[domain.boundary[visit.end]]
         ref[ci, visit.length, visit.contacts] += 1
     assert (hist == ref).all()
+
+
+def _brute_force_saws(domain, n_max):
+    """(turns, end, prev, contacts, winding) of every self-avoiding walk
+    of length <= n_max inside the domain, from all 2**n turn sequences."""
+    out = []
+    for n in range(n_max + 1):
+        for turns in lattice.iter_turn_sequences(n):
+            w = Walk(turns=turns)
+            if w.is_self_avoiding() and domain.contains_walk(w):
+                contacts = sum(1 for v in w.vertices if v in domain.surface)
+                prev = w.mids[-2] if n else None
+                out.append((turns, w.end, prev, contacts, w.winding()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [dm.build_trapezoid(1, 1), dm.build_trapezoid(1, 2), dm.build_rectangle(2, 1),
+     dm.build_strip_prefix(1, 3)],
+    ids=lambda d: f"{d.kind}-{d.T}-{d.L}",
+)
+def test_iter_saws_matches_brute_force(domain):
+    n_max = min(7, domain.max_reliable_len or 7)
+    got = [(v.turns, v.end, v.prev, v.contacts, v.winding)
+           for v in en.iter_saws(domain, max_len=n_max)]
+    assert sorted(got) == sorted(_brute_force_saws(domain, n_max))
+    assert len(set(got)) == len(got)
 
 
 def test_iter_saws_basics():
@@ -206,20 +243,6 @@ def test_half_plane_counts_against_direct_dfs():
 
 def test_half_plane_backend_equivalence():
     assert en.half_plane_counts(5, backend="pure") == en.half_plane_counts(5)
-
-
-def test_tallies_serialization():
-    domain = dm.build_trapezoid(1, 1)
-    tallies = en.boundary_tallies(domain)
-    doc = json.loads(en.tallies_to_json(tallies))
-    for cls, rows in doc.items():
-        rebuilt = {(ln, ct, lp): cnt for ln, ct, lp, cnt in rows}
-        assert rebuilt == tallies[cls]
-    buf = io.StringIO()
-    en.tallies_to_csv(tallies, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "class,length,contacts,loops,count"
-    assert len(lines) == 1 + sum(len(t) for t in tallies.values())
 
 
 def test_total_weight_is_positive_exact():
