@@ -181,10 +181,14 @@ class RenewalStats:
 def kesten_partial(N: int) -> RenewalStats:
     """Exact partial sum of x_c^|gamma| over irreducible bridges with
     |gamma| <= N, together with the per-height masses f_h."""
-    return _renewal_stats(N, bridge_height_length_counts(N, irreducible_only=True))
+    return renewal_stats(N, bridge_height_length_counts(N, irreducible_only=True))
 
 
-def _renewal_stats(N: int, counts: dict[tuple[int, int], int]) -> RenewalStats:
+def renewal_stats(N: int, counts: dict[tuple[int, int], int]) -> RenewalStats:
+    """Renewal data of the bridges of length <= N among ``counts``, keyed
+    (height, length); irreducibility does not depend on N, so the counts
+    of one truncation hold every shorter one."""
+    counts = {k: c for k, c in counts.items() if k[1] <= N}
     x_c = constants(0, "dilute").x_c
     xpow = {0: Cyclo48.from_rational(1)}
     for k in range(1, N + 1):
@@ -201,7 +205,7 @@ def _renewal_stats(N: int, counts: dict[tuple[int, int], int]) -> RenewalStats:
     mean = weighted / total
     return RenewalStats(
         N=N,
-        counts=dict(counts),
+        counts=counts,
         f_h=f_h,
         partial_sum=total,
         partial_sum_float=total.to_float(),
@@ -232,8 +236,7 @@ def renewal_consistency(N: int, t_max: int) -> list[dict]:
     for t in range(1, t_max + 1):
         v.append(sum(f.get(h, 0.0) * v[t - h] for h in range(1, t + 1)))
         if t <= sp.T_CAP_FLOAT:
-            mode = "auto" if t <= sp.T_CAP_EXACT else "float"
-            val = sp.strip_gf(t, 1, "bridge", mode=mode).value
+            val = sp.strip_gf(t, 1, "bridge").value
             b_t = val.to_float() if isinstance(val, Cyclo48) else float(val)
         else:
             b_t = None
@@ -533,7 +536,7 @@ def sample_renewal(cfg: SamplerConfig) -> tuple[Walk, dict]:
     picks = rng.choices(range(len(pool)), weights=weights, k=cfg.k)
     factors = [pool[p] for p in picks]
     bridge = concat_bridges(factors)
-    stats = _renewal_stats(cfg.N, _height_length_counts(pool))
+    stats = renewal_stats(cfg.N, _height_length_counts(pool))
     heights = [int(height_width(f)[0]) for f in factors]
     h_total, w_total = height_width(bridge)
     report = {

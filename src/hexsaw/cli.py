@@ -201,8 +201,9 @@ def _cmd_kesten(args, t0):
     rows = []
     prev = None
     ok = True
+    counts = br.bridge_height_length_counts(max(ns), irreducible_only=True)
     for n in ns:
-        stats = br.kesten_partial(n)
+        stats = br.renewal_stats(n, counts)
         rows.append(
             {
                 "N": n,

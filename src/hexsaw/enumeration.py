@@ -4,10 +4,15 @@ Both enumerators walk the same step tables (:func:`build_tables`).  The
 hot path (full endpoint histograms keyed by boundary class, length and
 surface contacts) runs through a step-table kernel: the compiled
 extension when available, otherwise a pure-Python twin with identical
-semantics.  Everything that needs per-walk detail (turns, winding
-phases, penultimate mid-edges, loop decoration) uses :func:`iter_saws`,
-the package's one walk generator, and is only intended for small
-domains.  Half-plane and strip walks are walks of strip-prefix domains
+semantics; the kernel is chosen once, at import.  Everything that
+needs per-walk detail (turns, winding phases, penultimate mid-edges,
+loop decoration) uses :func:`iter_saws`, the package's one walk
+generator, and is only intended for small domains.  Such a pass is
+collapsed into tallies {(length, contacts, loops): count} under a key
+(the boundary class, or for :func:`observable_f` the end, penultimate
+mid-edge and winding), so each distinct monomial x_c^len y^contacts
+n^loops is weighed once, by the same code for every tally.  Half-plane
+and strip walks are walks of strip-prefix domains
 (:func:`half_plane_domain`, :func:`hexsaw.bridges.iter_strip_walks`).
 """
 
@@ -31,8 +36,6 @@ except ImportError:  # pragma: no cover - depends on build environment
     from . import _dfs_py as _kernel
 
     COMPILED = False
-
-from . import _dfs_py as _pure_kernel
 
 CLASS_ORDER = (dm.A_START, dm.A_BOTTOM, dm.B_TOP, dm.E_RIGHT, dm.E_LEFT,
                dm.E_PLUS, dm.E_MINUS, dm.INTERIOR)
@@ -119,15 +122,9 @@ def backend_name() -> str:
     return "compiled" if COMPILED else "pure-python"
 
 
-def class_histogram(
-    domain: dm.Domain, max_len: int | None = None, backend: str = "auto"
-) -> np.ndarray:
+def class_histogram(domain: dm.Domain, max_len: int | None = None) -> np.ndarray:
     """counts[class_id, length, contacts] over all walks from a."""
-    n = _resolve_max_len(domain, max_len)
-    kern = {"auto": _kernel, "compiled": _kernel, "pure": _pure_kernel}[backend]
-    if backend == "compiled" and not COMPILED:
-        raise CapacityError("compiled kernel unavailable")
-    return kern.tally_class(build_tables(domain), n)
+    return _kernel.tally_class(build_tables(domain), _resolve_max_len(domain, max_len))
 
 
 class SawVisit(NamedTuple):
@@ -257,87 +254,92 @@ def _loop_subsets(loops: list[Loop], busy) -> Iterator[tuple[int, int, int]]:
 Tallies = dict  # class -> {(length, contacts, loops): count}
 
 
+def _walk_tallies(domain: dm.Domain, key, with_loops: bool,
+                  max_len: int | None = None) -> dict:
+    """One :func:`iter_saws` pass grouped as key(visit) -> {(length,
+    contacts, loops): count}; with loops, each walk is dressed with every
+    disjoint set of loops that avoids it."""
+    loops = enumerate_loops(domain) if with_loops else None
+    out: dict = {}
+    for visit in iter_saws(domain, max_len):
+        tally = out.setdefault(key(visit), {})
+        if loops is None:
+            k = (visit.length, visit.contacts, 0)
+            tally[k] = tally.get(k, 0) + 1
+        else:
+            for ll, lc, lk in _loop_subsets(loops, visit.vertices):
+                k = (visit.length + ll, visit.contacts + lc, lk)
+                tally[k] = tally.get(k, 0) + 1
+    return out
+
+
 def boundary_tallies(
-    domain: dm.Domain,
-    max_len: int | None = None,
-    with_loops: bool = False,
-    backend: str = "auto",
+    domain: dm.Domain, max_len: int | None = None, with_loops: bool = False
 ) -> Tallies:
     """Configuration tallies keyed by boundary class of the walk's end."""
     out: Tallies = {c: {} for c in CLASS_ORDER}
     if not with_loops:
-        hist = class_histogram(domain, max_len, backend)
+        hist = class_histogram(domain, max_len)
         nz = np.argwhere(hist)
         for ci, ln, ct in nz:
             out[CLASS_ORDER[ci]][(int(ln), int(ct), 0)] = int(hist[ci, ln, ct])
         return out
-    loops = enumerate_loops(domain)
-    for visit in iter_saws(domain, max_len):
-        cls = domain.boundary[visit.end]
-        tally = out[cls]
-        for ll, lc, lk in _loop_subsets(loops, visit.vertices):
-            key = (visit.length + ll, visit.contacts + lc, lk)
-            tally[key] = tally.get(key, 0) + 1
+    out.update(_walk_tallies(domain, lambda v: domain.boundary[v.end], True, max_len))
     return out
+
+
+def _tally_sum(consts, y):
+    """A function summing count * x_c^len * y^contacts * n^loops over a
+    tally.  The powers are memoised across calls; loop terms vanish at
+    n = 0."""
+    x, yv, n = consts.x_c, consts.surface_weight(y), consts.n
+    zero = consts.one() * 0
+    xpow: dict = {}
+    ypow: dict = {}
+
+    def total(tally: dict):
+        acc = zero
+        for (ln, ct, lp), cnt in sorted(tally.items()):
+            if lp and n == 0:
+                continue
+            if ln not in xpow:
+                xpow[ln] = x**ln
+            if ct not in ypow:
+                ypow[ct] = yv**ct
+            term = cnt * xpow[ln] * ypow[ct]
+            if lp:
+                term = term * n**lp
+            acc = acc + term
+        return acc
+
+    return total
 
 
 def evaluate_tally(tally: dict, consts, y) -> object:
     """Sum count * x_c^len * y^contacts * n^loops over one tally."""
-    yv = consts.surface_weight(y)
-    x = consts.x_c
-    total = consts.one() * 0
-    xpow = {}
-    for (ln, ct, lp), cnt in sorted(tally.items()):
-        if lp and consts.n == 0:
-            continue
-        if ln not in xpow:
-            xpow[ln] = x**ln
-        term = cnt * xpow[ln] * yv**ct
-        if lp:
-            term = term * consts.n**lp
-        total = total + term
-    return total
+    return _tally_sum(consts, y)(tally)
 
 
-def observable_f(
-    domain: dm.Domain,
-    consts,
-    y,
-    with_loops: bool = False,
-    split_prev: bool = False,
-) -> dict:
-    """The parafermionic observable F(p) at every mid-edge p.
+def observable_f(domain: dm.Domain, consts, y, with_loops: bool = False) -> dict:
+    """The parafermionic observable, split by the walk's last step:
+    {(end mid-edge p, penultimate mid-edge): value}, with the empty walk
+    under (a, None).  F(p) is the sum over the penultimate mid-edges;
+    the split is what the boundary-vertex identity needs.
 
-    With ``split_prev`` the keys are (end, penultimate mid) pairs, which
-    is what the boundary-vertex identity needs.
+    One walk pass groups the walks by (end, penultimate, winding), and
+    each group's tally is weighed once per (length, contacts, loops).
     """
-    yv = consts.surface_weight(y)
-    x = consts.x_c
-    loops = enumerate_loops(domain) if with_loops else []
-    acc: dict = {}
-    xpow: dict = {}
+    total = _tally_sum(consts, y)
+    groups = _walk_tallies(domain, lambda v: (v.end, v.prev, v.winding), with_loops)
     phases: dict = {}
-    for visit in iter_saws(domain):
-        if visit.length not in xpow:
-            xpow[visit.length] = x**visit.length
-        if visit.winding not in phases:
-            phases[visit.winding] = consts.phase(visit.winding)
-        base = xpow[visit.length] * phases[visit.winding]
-        if with_loops:
-            w = consts.one() * 0
-            for ll, lc, lk in _loop_subsets(loops, visit.vertices):
-                if lk and consts.n == 0:
-                    continue
-                t = x**ll * yv ** (visit.contacts + lc)
-                if lk:
-                    t = t * consts.n**lk
-                w = w + t
-            term = base * w
-        else:
-            term = base * yv**visit.contacts
-        key = (visit.end, visit.prev) if split_prev else visit.end
-        acc[key] = acc.get(key, consts.one() * 0) + term
-    return acc
+    out: dict = {}
+    for (end, prev, wind), tally in groups.items():
+        if wind not in phases:
+            phases[wind] = consts.phase(wind)
+        term = phases[wind] * total(tally)
+        key = (end, prev)
+        out[key] = out[key] + term if key in out else term
+    return out
 
 
 #: Walks ending back on the bottom line (class A) leave the open upper
@@ -351,10 +353,10 @@ def half_plane_domain(N: int) -> dm.Domain:
     return dm.build_strip_prefix(max(N, 1), (N + 1) // 2 + 1, surface="bottom")
 
 
-def half_plane_counts(N: int, backend: str = "auto") -> dict[tuple[int, int], int]:
+def half_plane_counts(N: int) -> dict[tuple[int, int], int]:
     """c[n, i]: walks of length n <= N in the upper half-plane with i
     visits to the boundary vertex row."""
-    hist = class_histogram(half_plane_domain(N), max_len=N, backend=backend)
+    hist = class_histogram(half_plane_domain(N), max_len=N)
     keep = [i for i, c in enumerate(CLASS_ORDER) if c in HALF_PLANE_CLASSES]
     agg = hist[keep].sum(axis=0)
     out = {}

@@ -20,7 +20,6 @@ rectangles.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
 
 from . import domains as dm
@@ -57,29 +56,6 @@ class ResidualReport:
     def ok(self) -> bool:
         return self.exact_zero if self.mode == "exact" else self.max_abs < 1e-9
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "mode": self.mode,
-                "params": self.params,
-                "max_abs_residual": self.max_abs,
-                "exact_zero": self.exact_zero,
-                "ok": self.ok,
-                "residuals": {str(k): _num(v) for k, v in self.residuals.items()},
-            },
-            indent=1,
-        )
-
-
-def _num(v):
-    if isinstance(v, Cyclo48):
-        w = v.to_complex()
-        return [w.real, w.imag]
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
-
 
 def _abs(v) -> float:
     if isinstance(v, Cyclo48):
@@ -95,9 +71,10 @@ def check_local(
 ) -> ResidualReport:
     """Verify the vertex identity at every vertex of the domain."""
     yv = consts.surface_weight(y)
-    F = en.observable_f(domain, consts, y, with_loops=with_loops)
-    F_via = en.observable_f(domain, consts, y, with_loops=with_loops,
-                            split_prev=True)
+    F_via = en.observable_f(domain, consts, y, with_loops=with_loops)
+    F: dict = {}
+    for (end, _), val in F_via.items():
+        F[end] = F[end] + val if end in F else val
     zero = _zero(consts)
     half = _half(consts)
     residuals = {}
@@ -163,8 +140,8 @@ def _report(kind, consts, params, residuals) -> ResidualReport:
     )
 
 
-def _class_values(domain, consts, y, with_loops, backend="auto"):
-    tallies = en.boundary_tallies(domain, with_loops=with_loops, backend=backend)
+def _class_values(domain, consts, y, with_loops):
+    tallies = en.boundary_tallies(domain, with_loops=with_loops)
     return {
         cls: en.evaluate_tally(tallies[cls], consts, y)
         for cls in en.CLASS_ORDER
@@ -177,11 +154,10 @@ def check_global_trapezoid(
     consts: ModelConstants,
     y,
     with_loops: bool = False,
-    backend: str = "auto",
 ) -> ResidualReport:
     """A° = coeff_a*A + coeff_e*E + beta(y)*B on the trapezoid D(T, L)."""
     domain = dm.build_trapezoid(T, L)
-    vals = _class_values(domain, consts, y, with_loops, backend)
+    vals = _class_values(domain, consts, y, with_loops)
     a_ring = vals[dm.A_START]
     a_val = vals[dm.A_BOTTOM]
     b_val = vals[dm.B_TOP]
@@ -198,14 +174,13 @@ def check_global_rectangle(
     L: int,
     consts: ModelConstants,
     with_loops: bool = False,
-    backend: str = "auto",
 ) -> ResidualReport:
     """A° = coeff_a*A + B + eps+*E+ + eps-*E- on the rectangle R(T, L).
 
     The rectangle has no weighted surface, so there is no y.
     """
     domain = dm.build_rectangle(T, L)
-    vals = _class_values(domain, consts, 1, with_loops, backend)
+    vals = _class_values(domain, consts, 1, with_loops)
     rhs = (
         consts.coeff_a * vals[dm.A_BOTTOM]
         + vals[dm.B_TOP]

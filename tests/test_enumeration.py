@@ -32,13 +32,11 @@ def test_backend_flag():
     ids=lambda d: f"{d.kind}-{d.T}-{d.L}",
 )
 def test_kernels_agree(domain):
-    pure = en.class_histogram(domain, backend="pure")
-    auto = en.class_histogram(domain, backend="auto")
+    tables = en.build_tables(domain)
+    pure = _dfs_py.tally_class(tables, len(tables.mids) - 1)
+    auto = en.class_histogram(domain)
     assert pure.shape == auto.shape
     assert (pure == auto).all()
-    if en.COMPILED:
-        compiled = en.class_histogram(domain, backend="compiled")
-        assert (pure == compiled).all()
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +86,7 @@ def test_c_kernel_matches_pure(c_kernel, domain, max_len):
 
 def test_pure_kernel_walks_past_recursion_limit():
     domain = dm.build_strip_prefix(1, 700, surface="bottom")
-    hist = en.class_histogram(domain, max_len=1300, backend="pure")
+    hist = _dfs_py.tally_class(en.build_tables(domain), 1300)
     assert hist.sum() == 5199
     assert hist[:, 1300].sum() > 0
 
@@ -213,6 +211,33 @@ def test_evaluate_tally_exact_vs_float():
             assert abs(ve.to_float() - vf) < 1e-12
 
 
+def _brute_force_observable(saws, consts, y):
+    """sum x_c^len * y^contacts * phase(winding) over the walks, keyed by
+    (end, penultimate mid), walk by walk."""
+    yv = consts.surface_weight(y)
+    out: dict = {}
+    for turns, end, prev, contacts, wind in saws:
+        term = consts.x_c ** len(turns) * yv**contacts * consts.phase(wind)
+        out[(end, prev)] = out[(end, prev)] + term if (end, prev) in out else term
+    return out
+
+
+@pytest.mark.parametrize("T,L,walks,longest", [(1, 2, 23, 6), (2, 1, 167, 14)])
+def test_observable_f_matches_brute_force(T, L, walks, longest):
+    domain = dm.build_trapezoid(T, L)
+    # one step past the longest walk, to show that none is missed
+    saws = _brute_force_saws(domain, longest + 1)
+    assert len(saws) == walks and max(len(s[0]) for s in saws) == longest
+    ce = constants(0, "dilute")
+    for y in (1, Fraction(3, 2)):
+        got = en.observable_f(domain, ce, y)
+        assert got == _brute_force_observable(saws, ce, y)
+        cf = constants(0.0, "dilute", mode="float")
+        fl = en.observable_f(domain, cf, float(y))
+        assert fl.keys() == got.keys()
+        assert all(abs(fl[k] - v.to_complex()) < 1e-12 for k, v in got.items())
+
+
 def test_half_plane_zigzag_bound():
     # the zigzag touching the surface every other vertex gives
     # C_n(y) >= y^floor(n/2) coefficientwise
@@ -242,7 +267,11 @@ def test_half_plane_counts_against_direct_dfs():
 
 
 def test_half_plane_backend_equivalence():
-    assert en.half_plane_counts(5, backend="pure") == en.half_plane_counts(5)
+    hist = _dfs_py.tally_class(en.build_tables(en.half_plane_domain(5)), 5)
+    keep = [i for i, c in enumerate(en.CLASS_ORDER) if c in en.HALF_PLANE_CLASSES]
+    agg = hist[keep].sum(axis=0)
+    pure = {(int(n), int(i)): int(agg[n, i]) for n, i in np.argwhere(agg)}
+    assert pure == en.half_plane_counts(5)
 
 
 def test_total_weight_is_positive_exact():

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from hexsaw import domains as dm
+from hexsaw import enumeration as en
 from hexsaw import identity as idn
+from hexsaw.cli import main
 from hexsaw.model import constants
 
 
@@ -80,12 +82,33 @@ def test_identity_fails_off_criticality():
     assert rep.max_abs > 1e-6 and not rep.ok
 
 
-def test_report_json_roundtrip():
-    c = constants(0, "dilute")
-    rep = idn.check_global_trapezoid(1, 1, c, 1)
-    doc = json.loads(rep.to_json())
+def test_report_json_roundtrip(capsys):
+    assert main(["verify-global", "--T", "1", "--L", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
-    assert doc["exact_zero"] is True
-    assert doc["kind"] == "global-trapezoid"
-    assert doc["params"]["T"] == 1
-    assert doc["residuals"]["global"] == [0.0, 0.0]
+    assert doc["results"]["exact_zero"] is True
+    assert doc["results"]["kind"] == "global-trapezoid"
+    assert doc["config"]["T"] == 1
+
+
+@pytest.mark.parametrize("with_loops", [False, True])
+def test_check_local_walks_once(monkeypatch, with_loops):
+    calls = []
+    iter_saws = en.iter_saws
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return iter_saws(*args, **kwargs)
+
+    monkeypatch.setattr(en, "iter_saws", counting)
+    c = constants(1.0, "dilute", mode="float") if with_loops else constants(0, "dilute")
+    rep = idn.check_local(dm.build_trapezoid(1, 2), c, Fraction(3, 2), with_loops=with_loops)
+    assert rep.ok
+    assert len(calls) == 1
+
+
+def test_local_identity_exact_D32():
+    # the surface correction on a domain with 38,723 walks, three rows deep
+    rep = idn.check_local(dm.build_trapezoid(3, 2), constants(0, "dilute"), Fraction(3, 2))
+    assert rep.exact_zero
+    assert len(rep.residuals) == len(dm.build_trapezoid(3, 2).vertices)
