@@ -5,7 +5,11 @@ sampler.
 A bridge decomposes uniquely at its renewal points into irreducible
 bridges.  The critical weights x_c^|gamma| of irreducible bridges sum
 to 1 (Kesten's relation); this module computes exact truncated partial
-sums of that series in Q(zeta_48).
+sums of that series in Q(zeta_48).  Those sums need only counts: the
+kernel's top-line (class B) histograms of strip prefixes count the
+bridges by height and length, and renewal inversion turns them into
+irreducible counts.  The walks themselves (for the sampler, stickbreak
+and unfolding) come from one :func:`hexsaw.enumeration.iter_saws` pass.
 
 Coordinates follow :mod:`hexsaw.lattice`: mid-edges carry doubled
 integer pairs (U, V) with real position (U*sqrt(3)/4, V/4), so a
@@ -18,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import domains as dm
@@ -29,7 +32,7 @@ from .errors import CapacityError, ClassificationError, InvalidParameterError
 from .lattice import Walk
 from .model import constants
 
-#: Enumeration budget for the truncated irreducible-bridge pool.
+#: Longest bridge that the counts and the sampler's pool reach.
 N_CAP = 20
 
 
@@ -134,31 +137,51 @@ def iter_half_plane_walks(max_len: int) -> Iterator[Walk]:
 
 
 def iter_bridges(max_len: int, irreducible: bool | None = None) -> Iterator[Walk]:
-    for w in iter_half_plane_walks(max_len):
-        if lattice.classify_walk(w) != "bridge":
+    """Every bridge of at most max_len steps, in the depth-first order of
+    :func:`iter_half_plane_walks`: the half-plane walks whose last step
+    leaves their highest vertex straight up."""
+    if max_len < 0:
+        raise InvalidParameterError(f"need max_len >= 0, got {max_len}")
+    for v in en.iter_saws(en.half_plane_domain(max_len), max_len):
+        if not v.vertices:
             continue
+        u, top = v.vertices[-1]
+        if v.end != (2 * u, 2 * top + 2) or any(h > top for _, h in v.vertices):
+            continue
+        w = v.walk
         if irreducible is None or is_irreducible(w) == irreducible:
             yield w
 
 
-def _height_length_counts(bridges) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for b in bridges:
-        key = (int(height_width(b)[0]), len(b))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-@lru_cache(maxsize=8)
 def bridge_height_length_counts(
     max_len: int, irreducible_only: bool = False
 ) -> dict[tuple[int, int], int]:
-    """Counts of bridges by (height, length) up to max_len steps."""
+    """Counts of bridges by (height, length) up to max_len steps.
+
+    The bridges of height h are the walks of the height-h strip that end
+    on its top line (class B), counted by the kernel; the shortest has
+    2h steps.  A bridge is an irreducible bridge followed by a bridge or
+    nothing, heights and lengths adding, so the irreducible counts are
+    the renewal inversion I = B - I*B.
+    """
+    if max_len < 0:
+        raise InvalidParameterError(f"need max_len >= 0, got {max_len}")
     if max_len > N_CAP:
         raise CapacityError(f"bridge enumeration capped at length {N_CAP}")
-    return _height_length_counts(
-        iter_bridges(max_len, irreducible=True if irreducible_only else None)
-    )
+    top = en.CLASS_ID[dm.B_TOP]
+    counts: dict[tuple[int, int], int] = {}
+    for h in range(1, max_len // 2 + 1):
+        strip = dm.build_strip_prefix(h, -(-max_len // 2) + 1)
+        per_len = en.class_histogram(strip, max_len)[top].sum(axis=1)
+        counts.update({(h, n): int(c) for n, c in enumerate(per_len) if c})
+    if not irreducible_only:
+        return counts
+    irr: dict[tuple[int, int], int] = {}
+    for (h, n), c in counts.items():     # by height: every lower one is done
+        c -= sum(ci * counts.get((h - hi, n - ni), 0) for (hi, ni), ci in irr.items())
+        if c:
+            irr[(h, n)] = c
+    return irr
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +204,11 @@ class RenewalStats:
 def kesten_partial(N: int) -> RenewalStats:
     """Exact partial sum of x_c^|gamma| over irreducible bridges with
     |gamma| <= N, together with the per-height masses f_h."""
-    return renewal_stats(N, bridge_height_length_counts(N, irreducible_only=True))
-
-
-def renewal_stats(N: int, counts: dict[tuple[int, int], int]) -> RenewalStats:
-    """Renewal data of the bridges of length <= N among ``counts``, keyed
-    (height, length); irreducibility does not depend on N, so the counts
-    of one truncation hold every shorter one."""
-    counts = {k: c for k, c in counts.items() if k[1] <= N}
+    if N < 2:
+        raise InvalidParameterError(
+            f"need N >= 2, got {N}: no bridge is shorter than 2 steps"
+        )
+    counts = bridge_height_length_counts(N, irreducible_only=True)
     x_c = constants(0, "dilute").x_c
     xpow = {0: Cyclo48.from_rational(1)}
     for k in range(1, N + 1):
@@ -527,8 +547,7 @@ def sample_renewal(cfg: SamplerConfig) -> tuple[Walk, dict]:
     bridges of length <= N, drawn with probability x_c^|gamma| / Z_N."""
     if cfg.k < 1:
         raise InvalidParameterError("need at least one factor")
-    if cfg.N > N_CAP:
-        raise CapacityError(f"bridge enumeration capped at length {N_CAP}")
+    stats = kesten_partial(cfg.N)
     pool = list(iter_bridges(cfg.N, irreducible=True))
     x_c = constants(0, "dilute").x_c.to_float()
     weights = [x_c ** len(b) for b in pool]
@@ -536,7 +555,6 @@ def sample_renewal(cfg: SamplerConfig) -> tuple[Walk, dict]:
     picks = rng.choices(range(len(pool)), weights=weights, k=cfg.k)
     factors = [pool[p] for p in picks]
     bridge = concat_bridges(factors)
-    stats = renewal_stats(cfg.N, _height_length_counts(pool))
     heights = [int(height_width(f)[0]) for f in factors]
     h_total, w_total = height_width(bridge)
     report = {

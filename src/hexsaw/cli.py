@@ -68,6 +68,12 @@ def _parse_n(text: str):
             raise InvalidParameterError(f"cannot parse n = {text!r}") from exc
 
 
+def _heights(Tmax: int) -> range:
+    if Tmax < 1:
+        raise InvalidParameterError(f"need --Tmax >= 1, got {Tmax}")
+    return range(1, Tmax + 1)
+
+
 def _constants(args):
     n = _parse_n(args.n)
     mode = args.mode
@@ -152,7 +158,7 @@ def _cmd_strip_mu(args, t0):
     rows = []
     prev = None
     ok = True
-    for T in range(1, args.Tmax + 1):
+    for T in _heights(args.Tmax):
         est = sp.growth_mu(T, y, method=args.method)
         rows.append({"T": T, "y": float(y), "mu_T": est.mu, "error": est.error,
                      "method": est.method})
@@ -168,7 +174,7 @@ def _cmd_y_seq(args, t0):
     rows = []
     prev = None
     ok = True
-    for T in range(1, args.Tmax + 1):
+    for T in _heights(args.Tmax):
         y_t = sp.solve_yT(T, tol=args.tol)
         rows.append({"T": T, "y_T": y_t, "y_star": Y_STAR,
                      "margin": y_t - Y_STAR})
@@ -201,9 +207,8 @@ def _cmd_kesten(args, t0):
     rows = []
     prev = None
     ok = True
-    counts = br.bridge_height_length_counts(max(ns), irreducible_only=True)
     for n in ns:
-        stats = br.renewal_stats(n, counts)
+        stats = br.kesten_partial(n)
         rows.append(
             {
                 "N": n,

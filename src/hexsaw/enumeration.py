@@ -26,7 +26,7 @@ import numpy as np
 
 from . import domains as dm
 from . import lattice
-from .errors import CapacityError, TruncationError
+from .errors import CapacityError, InvalidParameterError, TruncationError
 
 try:
     from . import _dfs as _kernel
@@ -356,6 +356,8 @@ def half_plane_domain(N: int) -> dm.Domain:
 def half_plane_counts(N: int) -> dict[tuple[int, int], int]:
     """c[n, i]: walks of length n <= N in the upper half-plane with i
     visits to the boundary vertex row."""
+    if N < 0:
+        raise InvalidParameterError(f"need N >= 0, got {N}")
     hist = class_histogram(half_plane_domain(N), max_len=N)
     keep = [i for i, c in enumerate(CLASS_ORDER) if c in HALF_PLANE_CLASSES]
     agg = hist[keep].sum(axis=0)

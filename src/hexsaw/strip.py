@@ -359,7 +359,9 @@ class TransferOperator:
 
 @lru_cache(maxsize=16)
 def build_transfer(T: int, surface: str = "top") -> TransferOperator:
-    if not 1 <= T <= T_CAP_FLOAT:
+    if T < 1:
+        raise InvalidParameterError(f"need T >= 1, got T={T}")
+    if T > T_CAP_FLOAT:
         raise CapacityError(f"strip height {T} outside supported range 1..{T_CAP_FLOAT}")
     if surface not in ("top", "bottom"):
         raise InvalidParameterError(f"bad surface {surface!r}")
@@ -664,7 +666,6 @@ class StripValue:
     kind: str
     value: object          # Cyclo48 in exact mode, float otherwise
     mode: str
-    converged: bool
 
 
 @lru_cache(maxsize=128)
@@ -705,14 +706,14 @@ def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
         total = Cyclo48.from_rational(1 if kind == "walk" else 0)
         for s in op.sources:
             total = total + z[s]
-        return StripValue(T, y, kind, total, "exact", True)
+        return StripValue(T, y, kind, total, "exact")
     rhs = np.zeros(op.state_count)
     rhs[list(op.sinks)] = 1.0
     z = np.linalg.solve(_float_matrix(op, 1.0 / MU_BULK, float(y), kind).identity_minus(), rhs)
     total = float(sum(z[list(op.sources)]))
     if kind == "walk":
         total += 1.0
-    return StripValue(T, y, kind, total, "float", True)
+    return StripValue(T, y, kind, total, "float")
 
 
 def check_strip_identity(T: int, y, mode: str = "auto"):
@@ -748,6 +749,8 @@ def check_bounds(Tmax: int, y_grid=(1, Fraction(3, 2), 2), mode: str = "auto") -
     (iii) 0 <= 1/B_{T+1}(x_c,y) <= alpha x_c + beta(y)/B_T(x_c,1);
     (iv) A_T(x_c,1) increasing in T and below 1/alpha.
     """
+    if Tmax < 1:
+        raise InvalidParameterError(f"need Tmax >= 1, got Tmax={Tmax}")
     A = {t: strip_gf(t, 1, "arch", mode).value for t in range(1, Tmax + 1)}
     B = {t: strip_gf(t, 1, "bridge", mode).value for t in range(1, Tmax + 1)}
     if isinstance(B[1], Cyclo48):

@@ -8,7 +8,8 @@ import pytest
 from hexsaw import bridges as br
 from hexsaw import enumeration as en
 from hexsaw import lattice
-from hexsaw.cyclo import ONE, two_cos
+from hexsaw import strip as sp
+from hexsaw.cyclo import ONE, ZERO, two_cos
 from hexsaw.errors import (
     CapacityError,
     ClassificationError,
@@ -118,6 +119,99 @@ def test_kesten_partials_increase_below_one():
 def test_kesten_guard():
     with pytest.raises(CapacityError):
         br.bridge_height_length_counts(br.N_CAP + 1)
+    # no bridge is shorter than 2 steps; no length is negative
+    for N in (-3, 0, 1):
+        with pytest.raises(InvalidParameterError, match="N >= 2"):
+            br.kesten_partial(N)
+    with pytest.raises(InvalidParameterError, match="max_len"):
+        br.bridge_height_length_counts(-1)
+    with pytest.raises(InvalidParameterError, match="max_len"):
+        list(br.iter_bridges(-1))
+    with pytest.raises(InvalidParameterError, match="N >= 0"):
+        en.half_plane_counts(-1)
+    assert br.bridge_height_length_counts(1) == {}
+
+
+def _per_walk_bridge_counts(N):
+    """(height, length) counts of all and of irreducible bridges, found
+    by classifying every half-plane walk."""
+    full: dict = {}
+    irr: dict = {}
+    for w in br.iter_half_plane_walks(N):
+        if classify_walk(w) != "bridge":
+            continue
+        key = (int(br.height_width(w)[0]), len(w))
+        full[key] = full.get(key, 0) + 1
+        if br.is_irreducible(w):
+            irr[key] = irr.get(key, 0) + 1
+    return full, irr
+
+
+def test_kernel_bridge_counts_match_per_walk_oracle():
+    full, irr = _per_walk_bridge_counts(16)
+    for N in list(range(15)) + [16]:
+        def upto(counts):
+            return {k: c for k, c in counts.items() if k[1] <= N}
+        assert br.bridge_height_length_counts(N) == upto(full), N
+        assert br.bridge_height_length_counts(N, irreducible_only=True) == upto(irr), N
+
+
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_kernel_bridge_counts_match_transfer_series(T):
+    """Height-T bridges are the strip operator's bridge series."""
+    series = sp.series_counts(sp.build_transfer(T), 14, "bridge")
+    by_len: dict = {}
+    for (n, _), c in series.items():
+        by_len[n] = by_len.get(n, 0) + c
+    counts = br.bridge_height_length_counts(14)
+    assert {n: c for (h, n), c in counts.items() if h == T} == by_len
+
+
+@pytest.mark.parametrize("irreducible", [None, True, False])
+def test_iter_bridges_matches_classify_filter(irreducible):
+    for N in range(13):
+        ref = [
+            w.turns for w in br.iter_half_plane_walks(N)
+            if classify_walk(w) == "bridge"
+            and (irreducible is None or br.is_irreducible(w) == irreducible)
+        ]
+        assert [b.turns for b in br.iter_bridges(N, irreducible)] == ref, N
+
+
+def test_bridge_paths_skip_classify_walk(monkeypatch):
+    """Kesten sums read kernel counts only, and iter_bridges builds a
+    Walk for the bridges it yields, not for every half-plane walk."""
+    calls = {"classify": 0, "walks": 0}
+    classify = lattice.classify_walk
+    post_init = Walk.__post_init__
+
+    def counted_classify(w):
+        calls["classify"] += 1
+        return classify(w)
+
+    def counted_post_init(self):
+        calls["walks"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(lattice, "classify_walk", counted_classify)
+    monkeypatch.setattr(Walk, "__post_init__", counted_post_init)
+    br.kesten_partial(12)
+    assert calls == {"classify": 0, "walks": 0}
+    yielded = sum(1 for _ in br.iter_bridges(12))
+    assert calls == {"classify": 0, "walks": yielded}
+
+
+def test_truncated_bridge_sums_bound_strip_series():
+    """B_T(x_c, 1) from the strip operator exceeds its kernel-counted
+    truncation at 20 steps (exact sign)."""
+    counts = br.bridge_height_length_counts(20)
+    for T in range(1, 5):
+        truncated = ZERO
+        for (h, n), c in counts.items():
+            if h == T:
+                truncated = truncated + c * X_C**n
+        assert truncated
+        assert (sp.strip_gf(T, 1, "bridge").value - truncated).sign() > 0, T
 
 
 def test_renewal_consistency_rows():
@@ -251,5 +345,7 @@ def test_sampler_deterministic_and_renewed():
 def test_sampler_guards():
     with pytest.raises(InvalidParameterError):
         br.sample_renewal(br.SamplerConfig(N=4, k=0, seed=1))
+    with pytest.raises(InvalidParameterError, match="N >= 2"):
+        br.sample_renewal(br.SamplerConfig(N=1, k=2, seed=1))
     with pytest.raises(CapacityError):
         br.sample_renewal(br.SamplerConfig(N=br.N_CAP + 1, k=1, seed=1))

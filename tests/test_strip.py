@@ -213,6 +213,14 @@ def test_guards():
         sp.strip_gf(1, 1, "spiral")
     with pytest.raises(InvalidParameterError):
         sp.growth_mu(1, 0)
+    # heights below 1 are bad input, not a capacity limit
+    for T in (0, -2):
+        with pytest.raises(InvalidParameterError, match="T >= 1"):
+            sp.build_transfer(T)
+        with pytest.raises(InvalidParameterError, match="T >= 1"):
+            sp.strip_gf(T, 1, "bridge")
+    with pytest.raises(InvalidParameterError, match="Tmax >= 1"):
+        sp.check_bounds(0)
 
 
 def test_check_bounds_small():
