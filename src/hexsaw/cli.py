@@ -153,6 +153,13 @@ def _cmd_verify_rectangle(args, t0):
     return _residual_results(rep), rep.ok, None
 
 
+def _operator_size(T: int) -> dict:
+    """Size of the height-T transfer operator a row was solved on; the
+    arguments match the solvers' call so the lru_cache returns their build."""
+    op = sp.build_transfer(T, "top")
+    return {"states": op.state_count, "transitions": len(op.transitions)}
+
+
 def _cmd_strip_mu(args, t0):
     y = _parse_y(args.y, "float")
     rows = []
@@ -161,7 +168,7 @@ def _cmd_strip_mu(args, t0):
     for T in _heights(args.Tmax):
         est = sp.growth_mu(T, y, method=args.method)
         rows.append({"T": T, "y": float(y), "mu_T": est.mu, "error": est.error,
-                     "method": est.method})
+                     "method": est.method, **_operator_size(T)})
         if prev is not None and not est.mu > prev:
             ok = False
         if y == 1 and not est.mu < sp.MU_BULK + 1e-12:
@@ -177,7 +184,7 @@ def _cmd_y_seq(args, t0):
     for T in _heights(args.Tmax):
         y_t = sp.solve_yT(T, tol=args.tol)
         rows.append({"T": T, "y_T": y_t, "y_star": Y_STAR,
-                     "margin": y_t - Y_STAR})
+                     "margin": y_t - Y_STAR, **_operator_size(T)})
         if y_t - Y_STAR <= 1e-9:
             ok = False
         if prev is not None and not y_t < prev:
@@ -219,9 +226,14 @@ def _cmd_kesten(args, t0):
         )
         if not stats.partial_sum_float < 1.0:
             ok = False
-        if prev is not None and not stats.partial_sum_float > prev:
-            ok = False
-        prev = stats.partial_sum_float
+        if prev is not None:
+            # every bridge has even length, so a range (previous N, N]
+            # without an even length adds nothing to the sum
+            if n // 2 > prev.N // 2:
+                ok = ok and stats.partial_sum_float > prev.partial_sum_float
+            else:
+                ok = ok and stats.partial_sum == prev.partial_sum
+        prev = stats
     flat = [
         {"N": r["N"], "kesten_partial": r["kesten_partial"],
          "mean_height": r["mean_height"]}

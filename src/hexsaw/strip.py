@@ -13,6 +13,22 @@ free end (label E).  Two flags track whether the start has been inserted
 and the end placed; a parity bit tracks the column parity relative to
 the start column.
 
+One column is a set of disjoint paths, and a column move keeps only how
+they join the column's endpoints, numbered L_k = k (left crossing at
+level k), R_k = T + k (right crossing), S* = 2T (the start) and
+E* = 2T + 1 (the free end).  A move is
+``(rocc, xpow, ypow, start, end_kind, match)``: the bitmask of occupied
+right crossings, the visited vertices and contact vertices, whether the
+column inserts the start, where it places the end (None, 'interior',
+'bottom' or 'top'), and ``match[e]``, the endpoint the column joins e
+to (-1 when e is unused).  The moves of one (parity, left mask) come in
+a fixed order, split into four lists by whether a state may still
+insert the start and place the end, so a state only meets moves its
+flags allow.  A transition follows paths through the state's left
+pairing and the move from each right port, then from an S or E end not
+yet reached; an occupied left port that no path visits lies on a closed
+loop and rejects the move.
+
 Every walk corresponds to exactly one accepted transition path from an
 all-empty state (flags 00) to the all-empty state with flags 11, with
 one x per visited vertex and one y per visited contact vertex.  End
@@ -26,6 +42,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -38,263 +55,149 @@ from .errors import (
 from .model import constants
 
 T_CAP_EXACT = 4
-T_CAP_FLOAT = 6
+T_CAP_FLOAT = 7
 
 EMPTY = "."
+_VERTICAL = ("none", "full", "end_lo", "end_hi")
 
 
-def _partners(labels: str) -> dict[int, int]:
-    out, stack = {}, []
+def _level_options(T: int, p: int, k: int) -> list:
+    """The ways level k of a parity-p column can meet its own edges:
+    (locc bit, endpoints, end kind, right bit, start, vertical), in the
+    fixed enumeration order."""
+    S, E = 2 * T, 2 * T + 1
+    none = ((None, None),)
+    left = ((0, None, None), (0, E, "interior"), (1 << k, k, None))
+    right = ((None, None), (T + k, None), (E, "interior"))
+    bottom = ((None, None), (S, None), (E, "bottom")) if k == 0 and p % 2 == 0 else none
+    top = ((None, None), (E, "top")) if k == T - 1 and p % 2 == T % 2 else none
+    vert = _VERTICAL if k + 1 < T and (k + 1) % 2 == p % 2 else ("none",)
+    out = []
+    for (lb, lp, le), (rp, re), (bp, be), (tp, te), v in product(left, right, bottom, top, vert):
+        kinds = [e for e in (le, re, be, te) if e] + (["interior"] if v[:3] == "end" else [])
+        eps = tuple(e for e in (lp, rp, bp, tp) if e is not None) + ((E,) if v == "end_lo" else ())
+        if len(kinds) < 2 and len(eps) < 3:
+            out.append((lb, eps, kinds[0] if kinds else None, int(rp == T + k) << k,
+                        bp == S, v))
+    return out
+
+
+def _column_moves(T: int, p: int, surface: str) -> dict:
+    """The nonempty column moves of parity p, keyed by (left-crossing
+    mask, may insert the start, may place the end).
+
+    Levels are filled bottom to top and a level is cut off as soon as its
+    vertex cannot have degree 0 or 2.  ``carry`` is the endpoint at the
+    lower end of the strand entering a level from below, so each path is
+    matched end to end where it closes.
+    """
+    E = 2 * T + 1
+    if surface == "top":
+        contact = T - 1 if p % 2 == T % 2 else None
+    else:
+        contact = 0 if p % 2 == 0 else None
+    levels = [_level_options(T, p, k) for k in range(T)]
+    moves: dict = {}
+
+    def rec(k, carry, ek, locc, rocc, xpow, ypow, start, pairs):
+        if k == T:
+            if xpow:  # an unoccupied column is padding, not a step
+                match = [-1] * (2 * T + 2)
+                for a, b in pairs:
+                    match[a], match[b] = b, a
+                moves.setdefault(locc, []).append((rocc, xpow, ypow, start, ek, tuple(match)))
+            return
+        for lb, eps, kind, rb, st, v in levels[k]:
+            if kind and ek:
+                continue
+            if carry is not None:
+                eps = (carry,) + eps
+            if v == "full":
+                if len(eps) != 1:
+                    continue
+                up, closed = eps[0], pairs
+            elif len(eps) == 2:
+                up, closed = None, pairs + (eps,)
+            elif not eps:
+                up, closed = None, pairs
+            else:
+                continue
+            if v == "end_hi":
+                up = E
+            visit = 1 if v == "full" or eps else 0
+            rec(k + 1, up, kind or ek, locc | lb, rocc | rb, xpow + visit,
+                ypow + (visit if k == contact else 0), start or st, closed)
+
+    rec(0, None, None, 0, 0, 0, 0, False, ())
+    return {
+        (locc, s, e): [m for m in ms if (s or not m[3]) and (e or m[4] is None)]
+        for locc, ms in moves.items()
+        for s in (False, True)
+        for e in (False, True)
+    }
+
+
+def _parse(labels: str, T: int):
+    """(part, occupied count, S port, occupied mask) of a cut state:
+    part[i] is the left port paired with i, or 2T / 2T + 1 for a strand
+    tied to S / E."""
+    part, stack = [-1] * T, []
     for i, c in enumerate(labels):
         if c == "(":
             stack.append(i)
         elif c == ")":
             j = stack.pop()
-            out[i], out[j] = j, i
-    if stack:
-        raise InvalidParameterError(f"unbalanced cut state {labels!r}")
-    return out
+            part[i], part[j] = j, i
+        elif c != EMPTY:
+            part[i] = 2 * T + (c == "E")
+    return part, T - labels.count(EMPTY), labels.find("S"), sum(
+        1 << i for i in range(T) if part[i] >= 0)
 
 
-@dataclass(frozen=True)
-class _Config:
-    """One geometric occupation pattern of a single column."""
-
-    links: tuple          # (token, token) per visited vertex
-    rocc: int             # bitmask of occupied right crossings
-    xpow: int
-    ypow: int
-    start: bool
-    end_kind: str | None  # None | 'interior' | 'bottom' | 'top'
-
-
-@lru_cache(maxsize=None)
-def _geometric_configs(T: int, p: int, locc: int, surface: str) -> tuple:
-    """All degree-consistent column patterns for a given left-crossing mask."""
-    vert_ks = [k for k in range(1, T) if k % 2 == p % 2]
-    has_bottom = p % 2 == 0
-    has_top = p % 2 == T % 2
-    if surface == "top":
-        contact_level = T - 1 if has_top else None
-    else:
-        contact_level = 0 if has_bottom else None
-
-    configs = []
-
-    def emit(rch, lend, vch, bstub, tstub):
-        ends = (
-            sum(1 for c in rch if c == "end")
-            + sum(1 for c in lend if c == "end")
-            + sum(1 for c in vch if c in ("end_lo", "end_hi"))
-            + (bstub == "end")
-            + (tstub == "end")
-        )
-        if ends > 1:
-            return
-        vslot = {}
-        for k in range(T):
-            slots = []
-            if locc >> k & 1:
-                slots.append(f"L{k}")
-            elif lend[k] == "end":
-                slots.append("E*")
-            if rch[k] == "cross":
-                slots.append(f"R{k}")
-            elif rch[k] == "end":
-                slots.append("E*")
-            vslot[k] = slots
-        for k, ch in zip(vert_ks, vch):
-            # vertical edge between levels k-1 (lower) and k (upper)
-            if ch == "full":
-                vslot[k - 1].append(f"V{k}")
-                vslot[k].append(f"V{k}")
-            elif ch == "end_lo":
-                vslot[k - 1].append("E*")
-            elif ch == "end_hi":
-                vslot[k].append("E*")
-        if bstub == "start":
-            vslot[0].append("S*")
-        elif bstub == "end":
-            vslot[0].append("E*")
-        if tstub == "end":
-            vslot[T - 1].append("E*")
-
-        links = []
-        xpow = ypow = 0
-        for k in range(T):
-            m = len(vslot[k])
-            if m == 0:
-                continue
-            if m != 2:
-                return
-            links.append(tuple(vslot[k]))
-            xpow += 1
-            if k == contact_level:
-                ypow += 1
-        if bstub == "end":
-            ek = "bottom"
-        elif tstub == "end":
-            ek = "top"
-        elif ends:
-            ek = "interior"
-        else:
-            ek = None
-        rocc = sum(1 << k for k in range(T) if rch[k] == "cross")
-        configs.append(
-            _Config(tuple(links), rocc, xpow, ypow, bstub == "start", ek)
-        )
-
-    rc = ["none", "cross", "end"]
-    lc = ["none", "end"]
-    vc = ["none", "full", "end_lo", "end_hi"]
-    bs = ["none", "start", "end"] if has_bottom else ["none"]
-    ts = ["none", "end"] if has_top else ["none"]
-    vert_set = set(vert_ks)
-
-    # Build candidates level by level so that a level whose slot count
-    # cannot reach 0 or 2 is pruned immediately; ``emit`` stays the sole
-    # validator of anything subtler than the per-level degree.
-    def rec(k, carry, ends, rch, lend, vch, b, t):
-        if k == T:
-            emit(rch, lend, vch, b, t)
-            return
-        l_opts = ["none"] if locc >> k & 1 else lc
-        l_base = 1 if locc >> k & 1 else 0
-        for le in l_opts:
-            e_l = ends + (le == "end")
-            if e_l > 1:
-                continue
-            for rcv in rc:
-                e_r = e_l + (rcv == "end")
-                if e_r > 1:
-                    continue
-                cnt = carry + l_base + (le == "end") + (rcv != "none")
-                for bv in (bs if k == 0 else ["none"]):
-                    e_b = e_r + (bv == "end")
-                    if e_b > 1:
-                        continue
-                    c_b = cnt + (bv != "none")
-                    for tv in (ts if k == T - 1 else ["none"]):
-                        e_t = e_b + (tv == "end")
-                        if e_t > 1:
-                            continue
-                        c_t = c_b + (tv != "none")
-                        if k + 1 in vert_set:
-                            for vcv in vc:
-                                e_v = e_t + (vcv in ("end_lo", "end_hi"))
-                                if e_v > 1:
-                                    continue
-                                low = c_t + (vcv in ("full", "end_lo"))
-                                if low not in (0, 2):
-                                    continue
-                                up = 1 if vcv in ("full", "end_hi") else 0
-                                rec(k + 1, up, e_v, rch + [rcv],
-                                    lend + [le], vch + [vcv],
-                                    bv if k == 0 else b,
-                                    tv if k == T - 1 else t)
-                        else:
-                            if c_t not in (0, 2):
-                                continue
-                            rec(k + 1, 0, e_t, rch + [rcv],
-                                lend + [le], vch,
-                                bv if k == 0 else b,
-                                tv if k == T - 1 else t)
-
-    rec(0, 0, 0, [], [], [], None, None)
-    return tuple(configs)
+def _trace(e, part, match, seen, T):
+    """From column endpoint e, alternate left arcs and column paths to the
+    far end of the strand: a right port, S (2T) or E (2T + 1)."""
+    while e < T:
+        seen[e] = True
+        e = part[e]
+        if e >= T:
+            return e
+        seen[e] = True
+        e = match[e]
+    return e
 
 
-class _UF:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.parent[x] = self.find(p)
-        return p
-
-    def union(self, a, b) -> bool:
-        """Returns False when a and b were already connected (a cycle)."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _apply_column(state, config: _Config, T: int):
-    """One column transition, or None if the pattern is inconsistent."""
-    labels, a_done, end_done, p = state
-    if config.start and a_done:
-        return None
-    if config.start and p % 2 != 0:
-        return None
-    if config.end_kind and end_done:
-        return None
-
-    uf = _UF()
-    for i, j in _partners(labels).items():
-        if i < j:
-            uf.union(f"L{i}", f"L{j}")
-    for t1, t2 in config.links:
-        if not uf.union(t1, t2):
-            return None  # closed loop
-
-    tags: dict = {}
-    for i, c in enumerate(labels):
-        if c in ("S", "E"):
-            tags.setdefault(uf.find(f"L{i}"), set()).add(c)
-    if config.start:
-        tags.setdefault(uf.find("S*"), set()).add("S")
-    if config.end_kind:
-        tags.setdefault(uf.find("E*"), set()).add("E")
-
-    comp_ports: dict = {}
-    for k in range(T):
-        if config.rocc >> k & 1:
-            comp_ports.setdefault(uf.find(f"R{k}"), []).append(k)
-
+def _compose(parsed, move, T):
+    """The right-hand labels after one column move, or None if the move
+    closes a loop or leaves an invalid cut."""
+    part, occupied, s_port, _ = parsed
+    rocc, _, _, start, _, match = move
+    S = 2 * T
+    seen = [False] * (S + 2)
     new = [EMPTY] * T
-    for root, ports in comp_ports.items():
-        tg = tags.pop(root, set())
-        if len(ports) == 2 and not tg:
-            new[ports[0]] = "("
-            new[ports[1]] = ")"
-        elif len(ports) == 1 and tg == {"S"}:
-            new[ports[0]] = "S"
-        elif len(ports) == 1 and tg == {"E"}:
-            new[ports[0]] = "E"
-        else:
-            return None
-
+    for k in range(T):
+        if rocc >> k & 1 and not seen[T + k]:
+            t = _trace(match[T + k], part, match, seen, T)
+            seen[t] = True
+            if t < S:
+                new[k], new[t - T] = "(", ")"
+            else:
+                new[k] = "S" if t == S else "E"
     completed = False
-    for root, tg in tags.items():
-        if tg == {"S", "E"}:
-            completed = True
-        elif tg:
-            # a strand tied to S or E alone must keep crossing; if its
-            # marker is no longer on any port the pattern is invalid
-            if root not in comp_ports:
-                return None
-    if completed and any(c != EMPTY for c in new):
+    if not seen[S] and (start or s_port >= 0):
+        e = S if start else s_port
+        seen[e] = True
+        completed = _trace(match[e], part, match, seen, T) == S + 1
+    if seen[:T].count(True) != occupied:
+        return None  # an occupied left port off every path lies on a loop
+    if completed and rocc:
         return None
-
+    labels = "".join(new)
     # planarity sanity: S may not be nested inside a pairing arc
-    depth = 0
-    for c in new:
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "S" and depth:
-            return None
-
-    na = a_done or config.start
-    ne = end_done or bool(config.end_kind)
-    if completed:
-        na = ne = True
-    return ("".join(new), na, ne, (p + 1) % 2)
+    i = labels.find("S")
+    if i > 0 and labels.count("(", 0, i) != labels.count(")", 0, i):
+        return None
+    return labels
 
 
 # End kinds each walk kind accepts; the other end transitions are dropped.
@@ -370,6 +273,8 @@ def build_transfer(T: int, surface: str = "top") -> TransferOperator:
     index: dict = {}
     states: list = []
     transitions = []
+    parsed: dict = {}
+    columns = [_column_moves(T, p, surface) for p in (0, 1)]
 
     def intern(s):
         if s not in index:
@@ -386,18 +291,22 @@ def build_transfer(T: int, surface: str = "top") -> TransferOperator:
             labels, a_done, end_done, p = st
             if labels == empty and a_done and end_done:
                 continue  # accepting state, no outgoing transitions
-            locc = sum(1 << k for k in range(T) if labels[k] != EMPTY)
+            if labels not in parsed:
+                parsed[labels] = _parse(labels, T)
+            cut = parsed[labels]
             si = index[st]
-            for cfg in _geometric_configs(T, p, locc, surface):
-                if cfg.xpow == 0:
-                    continue  # an unoccupied column is padding, not a step
-                res = _apply_column(st, cfg, T)
-                if res is None:
+            for move in columns[p][cut[3], not a_done and p == 0, not end_done]:
+                new = _compose(cut, move, T)
+                if new is None:
                     continue
-                if res not in index:
-                    nxt.append(res)
-                sj = intern(res)
-                transitions.append((si, sj, cfg.xpow, cfg.ypow, cfg.end_kind))
+                _, xpow, ypow, start, ek, _ = move
+                # a completed walk joined an S end and an E end, so both
+                # flags are already set
+                tgt = (new, a_done or start, end_done or ek is not None, (p + 1) % 2)
+                if tgt not in index:
+                    nxt.append(tgt)
+                sj = intern(tgt)
+                transitions.append((si, sj, xpow, ypow, ek))
         frontier = nxt
     sinks = tuple(
         i for i, (lb, a, e, _) in enumerate(states) if lb == empty and a and e

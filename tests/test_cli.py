@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hexsaw.cli import SCHEMA_VERSION, main
+from hexsaw.strip import T_CAP_FLOAT
 
 
 def run(capsys, *argv):
@@ -78,8 +81,10 @@ def test_strip_identity_and_mu(capsys):
 def test_y_seq(capsys):
     code, doc = run_json(capsys, "y-seq", "--Tmax", "2", "--tol", "1e-6")
     assert code == 0 and doc["ok"] is True
-    ys = [r["y_T"] for r in doc["results"]["rows"]]
+    rows = doc["results"]["rows"]
+    ys = [r["y_T"] for r in rows]
     assert ys[0] > ys[1] > 1 + 2**0.5
+    assert [(r["states"], r["transitions"]) for r in rows] == [(8, 16), (18, 71)]
 
 
 def test_kesten(capsys):
@@ -87,6 +92,15 @@ def test_kesten(capsys):
     assert code == 0 and doc["ok"] is True
     sums = [r["kesten_partial"] for r in doc["results"]["rows"]]
     assert sums == sorted(sums) and sums[-1] < 1
+
+
+@pytest.mark.parametrize("ns", ["4,5", "2,3,20"])
+def test_kesten_odd_truncation_adds_nothing(capsys, ns):
+    """Bridges have even length: an odd N repeats the sum at N - 1."""
+    code, doc = run_json(capsys, "kesten", "--N", ns)
+    assert code == 0 and doc["ok"] is True
+    sums = [r["kesten_partial"] for r in doc["results"]["rows"]]
+    assert sums[0] == sums[1]
 
 
 def test_sample_deterministic(capsys):
@@ -107,6 +121,7 @@ def test_csv_output(capsys, tmp_path):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert len(rows) == 2 and rows[0]["T"] == "1"
+    assert (rows[1]["states"], rows[1]["transitions"]) == ("18", "71")
 
 
 def test_output_file_json(capsys, tmp_path):
@@ -162,7 +177,7 @@ def test_argparse_errors_become_exit_codes(capsys):
 
 def test_solver_and_capacity_errors_exit_3(capsys):
     # strip height above the transfer-operator cap
-    assert main(["strip-identity", "--T", "7"]) == 3
+    assert main(["strip-identity", "--T", str(T_CAP_FLOAT + 1)]) == 3
     capsys.readouterr()
     # exact solve above its cap
     assert main(["strip-identity", "--T", "5", "--mode", "exact"]) == 3

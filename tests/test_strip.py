@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from hexsaw import bridges as br
+from hexsaw import domains as dm
+from hexsaw import enumeration as en
 from hexsaw import strip as sp
 from hexsaw.cyclo import Cyclo48, ONE
 from hexsaw.errors import CapacityError, InvalidParameterError, NonConvergenceError
@@ -27,6 +29,30 @@ def test_transfer_matches_dfs(T):
         key = (len(w), ct)
         ref[key] = ref.get(key, 0) + 1
     assert got == ref
+
+
+def _as_counts(hist):
+    return {(n, c): int(v) for (n, c), v in np.ndenumerate(hist) if v}
+
+
+@pytest.mark.parametrize("surface", ["top", "bottom"])
+@pytest.mark.parametrize("T", [4, 5, 6])
+def test_transfer_matches_kernel(T, surface):
+    """Operator series against the DFS kernel's class histograms on a
+    strip prefix long enough that no walk of length <= 20 feels the cut."""
+    op = sp.build_transfer(T, surface)
+    hist = en.class_histogram(dm.build_strip_prefix(T, 11, surface), 20)
+    assert sp.series_counts(op, 20, "walk") == _as_counts(hist.sum(axis=0))
+    assert sp.series_counts(op, 20, "arch") == _as_counts(hist[en.CLASS_ID[dm.A_BOTTOM]])
+    assert sp.series_counts(op, 20, "bridge") == _as_counts(hist[en.CLASS_ID[dm.B_TOP]])
+
+
+def test_transfer_sizes():
+    sizes = [(8, 16), (18, 71), (44, 274), (116, 1040), (314, 4069), (868, 15994),
+             (2426, 63748)]
+    for T, size in enumerate(sizes, start=1):
+        op = sp.build_transfer(T, "top")
+        assert (op.state_count, len(op.transitions)) == size, T
 
 
 def test_transfer_arch_bridge_split():
@@ -157,6 +183,7 @@ def test_float_values_T5_T6():
     """Regression values where only the float transfer layer reaches."""
     assert sp.solve_yT(5) == pytest.approx(2.750306675518633, abs=1e-7)
     assert sp.solve_yT(6) == pytest.approx(2.710513243925555, abs=1e-7)
+    assert sp.solve_yT(7) == pytest.approx(2.680571227716606, abs=1e-7)
     rep = sp.check_strip_identity(6, 2, mode="float")
     assert rep.mode == "float" and rep.max_abs <= 1e-11
 
