@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import domains as dm
@@ -278,7 +279,10 @@ def renewal_consistency(N: int, t_max: int) -> list[dict]:
 # diamond points and stickbreak
 # ---------------------------------------------------------------------------
 
-def diamond_points(b: Walk) -> list[int]:
+# stickbreak and rotated_segment are called pair by pair on one bridge,
+# whose diamond points their caller has just asked for
+@lru_cache(maxsize=1)
+def diamond_points(b: Walk) -> tuple[int, ...]:
     """Indices of vertical mid-edges such that the whole walk lies in the
     double cone with apexes half an edge below and above the mid-edge
     and boundary slopes +-60 degrees."""
@@ -296,7 +300,7 @@ def diamond_points(b: Walk) -> list[int]:
                 break
         if ok:
             out.append(k)
-    return out
+    return tuple(out)
 
 
 def stickbreak(b: Walk, i: int, j: int) -> Walk:

@@ -43,29 +43,21 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_y(text: str, mode: str):
-    if mode == "exact":
-        y = _parse_rational(text)
-    else:
-        try:
-            y = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            try:
-                y = float(text)
-            except ValueError as exc:
-                raise InvalidParameterError(f"cannot parse y = {text!r}") from exc
+    y = _parse_rational(text) if mode == "exact" else _parse_n(text)
     if y <= 0:
         raise InvalidParameterError(f"surface weight must be positive, got {text}")
     return y
 
 
 def _parse_n(text: str):
+    """A rational if ``text`` is one, else a float."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         try:
             return float(text)
         except ValueError as exc:
-            raise InvalidParameterError(f"cannot parse n = {text!r}") from exc
+            raise InvalidParameterError(f"cannot parse {text!r}") from exc
 
 
 def _heights(Tmax: int) -> range:
@@ -129,7 +121,7 @@ def _residual_results(rep, **extra) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_verify_local(args, t0):
+def _cmd_verify_local(args):
     consts = _constants(args)
     y = _parse_y(args.y, consts.mode)
     domain = dm.build_trapezoid(args.T, args.L)
@@ -137,7 +129,7 @@ def _cmd_verify_local(args, t0):
     return _residual_results(rep), rep.ok, None
 
 
-def _cmd_verify_global(args, t0):
+def _cmd_verify_global(args):
     consts = _constants(args)
     y = _parse_y(args.y, consts.mode)
     rep = idt.check_global_trapezoid(args.T, args.L, consts, y,
@@ -146,7 +138,7 @@ def _cmd_verify_global(args, t0):
     return results, rep.ok, None
 
 
-def _cmd_verify_rectangle(args, t0):
+def _cmd_verify_rectangle(args):
     consts = _constants(args)
     rep = idt.check_global_rectangle(args.T, args.L, consts,
                                      with_loops=args.with_loops)
@@ -154,21 +146,20 @@ def _cmd_verify_rectangle(args, t0):
 
 
 def _operator_size(T: int) -> dict:
-    """Size of the height-T transfer operator a row was solved on; the
-    arguments match the solvers' call so the lru_cache returns their build."""
+    """Size of the height-T transfer operator the solvers' cached build has."""
     op = sp.build_transfer(T, "top")
     return {"states": op.state_count, "transitions": len(op.transitions)}
 
 
-def _cmd_strip_mu(args, t0):
+def _cmd_strip_mu(args):
     y = _parse_y(args.y, "float")
     rows = []
     prev = None
     ok = True
     for T in _heights(args.Tmax):
-        est = sp.growth_mu(T, y, method=args.method)
+        est = sp.growth_mu(T, y)
         rows.append({"T": T, "y": float(y), "mu_T": est.mu, "error": est.error,
-                     "method": est.method, **_operator_size(T)})
+                     **_operator_size(T)})
         if prev is not None and not est.mu > prev:
             ok = False
         if y == 1 and not est.mu < sp.MU_BULK + 1e-12:
@@ -177,7 +168,7 @@ def _cmd_strip_mu(args, t0):
     return {"rows": rows, "mu_bulk": sp.MU_BULK}, ok, rows
 
 
-def _cmd_y_seq(args, t0):
+def _cmd_y_seq(args):
     rows = []
     prev = None
     ok = True
@@ -193,13 +184,13 @@ def _cmd_y_seq(args, t0):
     return {"rows": rows}, ok, rows
 
 
-def _cmd_strip_identity(args, t0):
+def _cmd_strip_identity(args):
     y = _parse_y(args.y, args.mode if args.mode != "auto" else "exact")
     rep = sp.check_strip_identity(args.T, y, mode=args.mode)
     return _residual_results(rep), rep.ok, None
 
 
-def _cmd_bounds(args, t0):
+def _cmd_bounds(args):
     y_grid = tuple(_parse_rational(t) for t in args.y_grid.split(","))
     rep = sp.check_bounds(args.Tmax, y_grid, mode=args.mode)
     rows = [
@@ -209,7 +200,7 @@ def _cmd_bounds(args, t0):
     return rep, rep["ok"], rows
 
 
-def _cmd_kesten(args, t0):
+def _cmd_kesten(args):
     ns = [int(t) for t in args.N.split(",")]
     rows = []
     prev = None
@@ -242,7 +233,7 @@ def _cmd_kesten(args, t0):
     return {"rows": rows}, ok, flat
 
 
-def _cmd_stickbreak_sweep(args, t0):
+def _cmd_stickbreak_sweep(args):
     checked = failures = bridges_used = 0
     for b in br.iter_bridges(args.max_len):
         d = br.diamond_points(b)
@@ -264,7 +255,7 @@ def _cmd_stickbreak_sweep(args, t0):
     return results, failures == 0 and checked > 0, None
 
 
-def _cmd_sample(args, t0):
+def _cmd_sample(args):
     cfg = br.SamplerConfig(N=args.N, k=args.k, seed=args.seed)
     bridge, report = br.sample_renewal(cfg)
     report["turns"] = "".join(bridge.turns)
@@ -272,7 +263,7 @@ def _cmd_sample(args, t0):
     return report, ok, None
 
 
-def _cmd_half_plane(args, t0):
+def _cmd_half_plane(args):
     y = _parse_y(args.y, "float")
     counts = en.half_plane_counts(args.N)
     rows = []
@@ -292,7 +283,7 @@ def _cmd_half_plane(args, t0):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, *, model=False, TL=False, output=True):
+def _add_common(p, *, model=False, TL=False):
     if model:
         p.add_argument("--n", default="0", help="loop weight (rational or decimal)")
         p.add_argument("--regime", default="dilute", choices=["dilute", "dense"])
@@ -302,9 +293,8 @@ def _add_common(p, *, model=False, TL=False, output=True):
     if TL:
         p.add_argument("--T", type=int, required=True, help="domain height")
         p.add_argument("--L", type=int, required=True, help="domain half-width")
-    if output:
-        p.add_argument("--output", default=None, help="write report to this path")
-        p.add_argument("--format", default="json", choices=["json", "csv"])
+    p.add_argument("--output", default=None, help="write report to this path")
+    p.add_argument("--format", default="json", choices=["json", "csv"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--Tmax", type=int, default=4)
     p.add_argument("--y", default="1")
-    p.add_argument("--method", default="eigen", choices=["eigen", "series-ratio"])
     p.set_defaults(func=_cmd_strip_mu)
 
     p = sub.add_parser("y-seq", help="critical strip fugacities y_T")
@@ -391,7 +380,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     t0 = time.time()
     try:
-        results, ok, rows = args.func(args, t0)
+        results, ok, rows = args.func(args)
     except (CapacityError, NonConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -161,33 +161,45 @@ def iter_saws(domain: dm.Domain, max_len: int | None = None) -> Iterator[SawVisi
     vis_vert = bytearray(len(verts))
     turns: list = []
     path_verts: list = []
-
-    def rec(mid, d, prev, contacts, wind):
+    # An explicit stack, so walks may be longer than the recursion limit.
+    # Entries are walks to visit, (end mid, dir, penultimate mid-edge,
+    # contacts, winding, last turn), and undo markers (mid, -1, ...) and
+    # (vertex, -2, ...) that release a turn's mid-edge or a step's vertex
+    # once every extension through it has been visited.
+    vis_mid[tab.start_mid] = 1
+    stack = [(tab.start_mid, tab.start_dir, None, 0, 0, None)]
+    while stack:
+        mid, d, prev, contacts, wind, turn = stack.pop()
+        if d == -1:
+            vis_mid[mid] = 0
+            turns.pop()
+            continue
+        if d == -2:
+            vis_vert[mid] = 0
+            path_verts.pop()
+            continue
+        if turn:
+            if vis_mid[mid]:
+                continue
+            vis_mid[mid] = 1
+            turns.append(turn)
+            stack.append((mid, -1, None, 0, 0, None))
         length = len(turns)
         yield SawVisit(mids[mid], prev, length, contacts, wind, tuple(turns),
                        tuple(path_verts))
         if length >= n_max:
-            return
+            continue
         v = step_vert[2 * mid + d]
         if v < 0 or vis_vert[v]:
-            return
+            continue
         vis_vert[v] = 1
         path_verts.append(verts[v])
+        stack.append((v, -2, None, 0, 0, None))
         base = 4 * mid + 2 * d
         c2 = contacts + vert_surface[v]
-        for t, turn, dw in ((0, "L", 1), (1, "R", -1)):
-            nm = step_mid[base + t]
-            if not vis_mid[nm]:
-                vis_mid[nm] = 1
-                turns.append(turn)
-                yield from rec(nm, step_dir[base + t], mids[mid], c2, wind + dw)
-                vis_mid[nm] = 0
-                turns.pop()
-        vis_vert[v] = 0
-        path_verts.pop()
-
-    vis_mid[tab.start_mid] = 1
-    yield from rec(tab.start_mid, tab.start_dir, None, 0, 0)
+        # right turn first, so the left turn is visited first
+        stack.append((step_mid[base + 1], step_dir[base + 1], mids[mid], c2, wind - 1, "R"))
+        stack.append((step_mid[base], step_dir[base], mids[mid], c2, wind + 1, "L"))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,13 @@ all-empty state (flags 00) to the all-empty state with flags 11, with
 one x per visited vertex and one y per visited contact vertex.  End
 transitions are tagged 'bottom', 'top' or 'interior' so arches, bridges
 and unrestricted walks come from the same operator.
+
+A strip generating function is the resolvent (I - M)^-1 * sink summed
+over the sources.  Flags are never cleared, so I - M is block-triangular
+over the four flag sectors (start inserted, end placed), and one solver
+eliminates one diagonal block at a time: over Q(zeta_48) for T <= 4,
+in floats up to T = 7.  Growth rates mu_T and the fugacities y_T come
+from the spectral radius of M by matrix-free power iteration.
 """
 
 from __future__ import annotations
@@ -373,14 +380,6 @@ class _FloatMatrix:
         """The row vector v @ M."""
         return np.bincount(self.col, weights=v[self.row] * self.w, minlength=self.n)
 
-    def identity_minus(self) -> np.ndarray:
-        """Dense I - M."""
-        n = self.n
-        A = np.zeros((n, n))
-        A[self.row, self.col] = -self.w
-        A.flat[:: n + 1] += 1.0
-        return A
-
 
 def _float_matrix(op: TransferOperator, x: float, y: float, kind: str = "walk") -> _FloatMatrix:
     keep, slot, row, col = op.cells[kind]
@@ -412,47 +411,41 @@ class GrowthEstimate:
     T: int
     y: float
     mu: float
-    method: str
     error: float
 
 
-def growth_mu(T: int, y, method: str = "eigen", surface: str = "top") -> GrowthEstimate:
-    """mu_T(1, y): growth rate of strip walk counts with contact weight y."""
+def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] around the sign change of f (f(lo) < 0 <= f(hi))
+    until it is no wider than tol or its midpoint rounds to an end."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: the interval cannot shrink further
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def growth_mu(T: int, y) -> GrowthEstimate:
+    """mu_T(1, y): growth rate of strip walk counts with contact weight y,
+    as 1/x at the x where the spectral radius of M(x, y) is 1."""
     yf = float(Fraction(y)) if not isinstance(y, float) else y
     if yf <= 0:
         raise InvalidParameterError("need y > 0")
-    op = build_transfer(T, surface)
-    if method == "eigen":
-        # T=1 is degenerate (mu=1 at y=1), so the upper end sits past x=1
-        lo, hi = 0.15, 1.25
-        flo = _spectral_radius(_float_matrix(op, lo, yf)) - 1.0
-        fhi = _spectral_radius(_float_matrix(op, hi, yf)) - 1.0
-        if not (flo < 0 < fhi):
-            raise NonConvergenceError(f"growth bracket failed: {flo}, {fhi}")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # adjacent floats: the interval cannot shrink further
-            if _spectral_radius(_float_matrix(op, mid, yf)) - 1.0 < 0:
-                lo = mid
-            else:
-                hi = mid
-        return GrowthEstimate(T, yf, 2.0 / (lo + hi), "eigen", hi - lo)
-    if method == "series-ratio":
-        N = 36
-        counts = series_counts(op, N)
-        c = [0.0] * (N + 1)
-        for (n, k), cnt in counts.items():
-            c[n] += cnt * yf**k
-        # period-2 parity wobble: use two-step ratios, then accelerate the
-        # geometric tail with one Aitken step
-        est = [math.sqrt(c[n] / c[n - 2]) for n in range(N - 5, N + 1)]
-        r0, r1, r2 = est[-5], est[-3], est[-1]
-        denom = (r2 - r1) - (r1 - r0)
-        mu = r2 - (r2 - r1) ** 2 / denom if abs(denom) > 1e-15 else r2
-        err = max(abs(mu - r2), 1e-12) * 2
-        return GrowthEstimate(T, yf, mu, "series-ratio", err)
-    raise InvalidParameterError(f"unknown method {method!r}")
+    op = build_transfer(T, "top")
+
+    def f(x):
+        return _spectral_radius(_float_matrix(op, x, yf)) - 1.0
+
+    # T=1 is degenerate (mu=1 at y=1), so the upper end sits past x=1
+    lo, hi = 0.15, 1.25
+    flo, fhi = f(lo), f(hi)
+    if not (flo < 0 < fhi):
+        raise NonConvergenceError(f"growth bracket failed: {flo}, {fhi}")
+    lo, hi = _bisect(f, lo, hi, 0.0)
+    return GrowthEstimate(T, yf, 2.0 / (lo + hi), hi - lo)
 
 
 MU_BULK = math.sqrt(2.0 + math.sqrt(2.0))
@@ -480,75 +473,66 @@ def solve_yT(T: int, tol: float = 1e-8) -> float:
         raise NonConvergenceError(
             f"y_T bracket [1, mu^2] failed for T={T}: f={flo}, {fhi}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(f, lo, hi, tol)
     return 0.5 * (lo + hi)
 
 
-# -- exact resolvent solve ---------------------------------------------
+# -- resolvent solve ---------------------------------------------------
+
+# A state's flag sector is its (start inserted, end placed) pair.  Flags
+# are never cleared, so I - M is block-triangular over the sectors and a
+# sector, solved in this order, only reads sectors solved before it.
+_SECTOR_ORDER = ((True, True), (False, True), (True, False), (False, False))
 
 
-def _sector(state):
-    return (state[1], state[2])
+def _exact_weights(op: TransferOperator, x, y, kind: str) -> np.ndarray:
+    """M(x, y) over Q(zeta_48) on the cells of ``op.cells[kind]``."""
+    keep, slot, row, _ = op.cells[kind]
+    power: dict = {}
+    w = [x * 0] * len(row)
+    for k, i, j in zip(slot.tolist(), op.xpow[keep].tolist(), op.ypow[keep].tolist()):
+        if (i, j) not in power:
+            power[i, j] = x**i * y**j
+        w[k] = w[k] + power[i, j]
+    return np.array(w, dtype=object)
 
 
-def _exact_solve(op: TransferOperator, x, y, kind: str):
-    """z = (I - M)^-1 * sink over Q(zeta_48), by flag-sector blocks."""
-    one = Cyclo48.from_rational(1)
+def _sector_solve(op: TransferOperator, kind: str, w: np.ndarray, one, solve) -> np.ndarray:
+    """z = (I - M)^-1 * sink, one flag-sector block at a time.
+
+    ``w`` holds M's entries on the cells of ``op.cells[kind]``, as floats
+    or as ``Cyclo48`` in an object array, ``one`` is the unit of the same
+    scalars and ``solve(A, b)`` solves one dense diagonal block.
+    """
+    _, _, row, col = op.cells[kind]
     zero = one * 0
-    xp_cache: dict = {}
-
-    def weight(xpow, ypow):
-        key = (xpow, ypow)
-        if key not in xp_cache:
-            xp_cache[key] = x**xpow * y**ypow
-        return xp_cache[key]
-
     n = op.state_count
-    rows: list[dict] = [dict() for _ in range(n)]
-    for si, sj, xpw, ypw, ek in _filtered(op, kind):
-        rows[si][sj] = rows[si].get(sj, zero) + weight(xpw, ypw)
-
-    z = [zero] * n
-    sink_set = set(op.sinks)
-    order = [(True, True), (False, True), (True, False), (False, False)]
-    solved: set = set()
-    for sector in order:
-        idx = [i for i in range(n) if _sector(op.states[i]) == sector]
-        if not idx:
-            continue
-        pos = {i: k for k, i in enumerate(idx)}
+    sector = np.array([_SECTOR_ORDER.index(st[1:3]) for st in op.states])
+    sink = np.zeros(n, dtype=bool)
+    sink[list(op.sinks)] = True
+    pos = np.zeros(n, dtype=np.intp)
+    z = np.full(n, zero)
+    for s in range(len(_SECTOR_ORDER)):
+        idx = np.flatnonzero(sector == s)
         m = len(idx)
-        # rhs: sink indicator plus already-solved cross-sector flow
-        rhs = []
-        for i in idx:
-            r = one if i in sink_set else zero
-            for j, w in rows[i].items():
-                if j in solved:
-                    r = r + w * z[j]
-            rhs.append(r)
-        A = [[zero] * m for _ in range(m)]
-        for i in idx:
-            A[pos[i]][pos[i]] = A[pos[i]][pos[i]] + one
-            for j, w in rows[i].items():
-                if j in pos:
-                    A[pos[i]][pos[j]] = A[pos[i]][pos[j]] - w
-        sol = _gauss(A, rhs)
-        for i in idx:
-            z[i] = sol[pos[i]]
-        solved.update(idx)
+        pos[idx] = np.arange(m)
+        mine = sector[row] == s
+        inner = mine & (sector[col] == s)
+        cross = mine & ~inner
+        A = np.full((m, m), zero)
+        A[pos[row[inner]], pos[col[inner]]] = -w[inner]
+        A.flat[:: m + 1] += one
+        b = np.where(sink[idx], one, zero)
+        np.add.at(b, pos[row[cross]], w[cross] * z[col[cross]])
+        z[idx] = solve(A, b)
     return z
 
 
 def _gauss(A, b):
     """Dense exact Gaussian elimination over the field."""
     m = len(A)
-    A = [row[:] for row in A]
-    b = b[:]
+    A = [list(row) for row in A]
+    b = list(b)
     for col in range(m):
         piv = next(r for r in range(col, m) if A[r][col])
         A[col], A[piv] = A[piv], A[col]
@@ -609,20 +593,18 @@ def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
     if mode == "exact":
         if T > T_CAP_EXACT:
             raise CapacityError(f"exact solve capped at T = {T_CAP_EXACT}")
-        c = constants(0, "dilute")
-        yv = Cyclo48.from_rational(y)
-        z = _exact_solve(op, c.x_c, yv, kind)
-        total = Cyclo48.from_rational(1 if kind == "walk" else 0)
-        for s in op.sources:
-            total = total + z[s]
-        return StripValue(T, y, kind, total, "exact")
-    rhs = np.zeros(op.state_count)
-    rhs[list(op.sinks)] = 1.0
-    z = np.linalg.solve(_float_matrix(op, 1.0 / MU_BULK, float(y), kind).identity_minus(), rhs)
-    total = float(sum(z[list(op.sources)]))
+        one = Cyclo48.from_rational(1)
+        w = _exact_weights(op, constants(0, "dilute").x_c, Cyclo48.from_rational(y), kind)
+        solve = _gauss
+    else:
+        one = 1.0
+        w = _float_matrix(op, 1.0 / MU_BULK, float(y), kind).w
+        solve = np.linalg.solve
+    z = _sector_solve(op, kind, w, one, solve)
+    total = sum(z[list(op.sources)].tolist(), one * 0)
     if kind == "walk":
-        total += 1.0
-    return StripValue(T, y, kind, total, "float")
+        total = total + one
+    return StripValue(T, y, kind, total, mode)
 
 
 def check_strip_identity(T: int, y, mode: str = "auto"):

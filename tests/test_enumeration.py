@@ -89,6 +89,7 @@ def test_pure_kernel_walks_past_recursion_limit():
     hist = _dfs_py.tally_class(en.build_tables(domain), 1300)
     assert hist.sum() == 5199
     assert hist[:, 1300].sum() > 0
+    assert sum(1 for _ in en.iter_saws(domain, 1300)) == 5199
 
 
 def test_c_kernel_rejects_malformed_tables(c_kernel):

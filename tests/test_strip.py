@@ -1,5 +1,7 @@
 """Strip transfer operator, growth rates and the bridge/arch identities."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -123,10 +125,24 @@ def test_growth_mu_monotone_and_bounded():
     assert abs(mus[0] - 1.0) < 1e-9  # T=1, y=1 walks grow linearly
 
 
+def _series_ratio_mu(op, y, N=36):
+    """mu_T from the exact series: two-step ratios (the counts wobble
+    with period 2), with the geometric tail accelerated by one Aitken
+    step; returns (mu, error)."""
+    c = [0.0] * (N + 1)
+    for (n, k), cnt in sp.series_counts(op, N).items():
+        c[n] += cnt * y**k
+    est = [math.sqrt(c[n] / c[n - 2]) for n in range(N - 5, N + 1)]
+    r0, r1, r2 = est[-5], est[-3], est[-1]
+    denom = (r2 - r1) - (r1 - r0)
+    mu = r2 - (r2 - r1) ** 2 / denom if abs(denom) > 1e-15 else r2
+    return mu, max(abs(mu - r2), 1e-12) * 2
+
+
 def test_growth_methods_agree():
-    e = sp.growth_mu(2, 1, method="eigen")
-    s = sp.growth_mu(2, 1, method="series-ratio")
-    assert abs(e.mu - s.mu) < 3 * s.error
+    e = sp.growth_mu(2, 1)
+    mu, error = _series_ratio_mu(sp.build_transfer(2, "top"), 1.0)
+    assert abs(e.mu - mu) < 3 * error
 
 
 def test_surface_side_counts():
@@ -154,12 +170,40 @@ def test_solve_yT_sequence():
     assert all(y > y_star for y in ys)
 
 
-def _dense_from_transitions(op, x, y):
+def _dense_from_transitions(op, x, y, kind="walk"):
     """M(x, y) straight from the transition list, as an independent oracle."""
     M = np.zeros((op.state_count, op.state_count))
-    for si, sj, xp, yp, _ in op.transitions:
-        M[si, sj] += x**xp * y**yp
+    for si, sj, xp, yp, ek in op.transitions:
+        if ek is None or ek in sp._KINDS[kind]:
+            M[si, sj] += x**xp * y**yp
     return M
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 6])
+def test_float_strip_gf_matches_dense_solve(T):
+    """The flag-sector block solve against one dense solve of I - M."""
+    op = sp.build_transfer(T, "top")
+    sink = np.zeros(op.state_count)
+    sink[list(op.sinks)] = 1.0
+    for kind in ("arch", "bridge", "walk"):
+        for y in (1, 2):
+            M = _dense_from_transitions(op, 1.0 / sp.MU_BULK, float(y), kind)
+            z = np.linalg.solve(np.eye(op.state_count) - M, sink)
+            want = z[list(op.sources)].sum() + (kind == "walk")
+            got = sp.strip_gf(T, y, kind, mode="float").value
+            assert got == pytest.approx(want, rel=1e-12), (kind, y)
+
+
+def test_float_strip_gf_never_forms_the_whole_matrix():
+    """The float solve's memory stays below one dense n x n matrix."""
+    op = sp.build_transfer(7, "top")
+    tracemalloc.start()
+    try:
+        sp.strip_gf.__wrapped__(7, 1, "bridge", mode="float")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < op.state_count**2 * 8
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
