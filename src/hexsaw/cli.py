@@ -329,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("y-seq", help="critical strip fugacities y_T")
     _add_common(p)
     p.add_argument("--Tmax", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="width of the final bracket on each y_T, in [0, 1e-2]; "
+                        "0 runs to adjacent floats (default 1e-8)")
     p.set_defaults(func=_cmd_y_seq)
 
     p = sub.add_parser("strip-identity", help="arch/bridge identity in a strip")

@@ -22,7 +22,7 @@ class CapacityError(HexsawError):
 
 
 class NonConvergenceError(HexsawError):
-    """An iterative solve (power iteration, bisection) failed to converge."""
+    """An iterative solve (power iteration, root search) failed to converge."""
 
 
 class ClassificationError(HexsawError):

@@ -39,8 +39,10 @@ A strip generating function is the resolvent (I - M)^-1 * sink summed
 over the sources.  Flags are never cleared, so I - M is block-triangular
 over the four flag sectors (start inserted, end placed), and one solver
 eliminates one diagonal block at a time: over Q(zeta_48) for T <= 4,
-in floats up to T = 7.  Growth rates mu_T and the fugacities y_T come
-from the spectral radius of M by matrix-free power iteration.
+in floats up to T = 7.  Growth rates mu_T and the fugacities y_T are
+roots of (spectral radius of M) - 1, found by a secant (Illinois
+regula falsi) search whose matrix-free power iterations each start from
+the previous one's last iterate.
 """
 
 from __future__ import annotations
@@ -267,14 +269,20 @@ class TransferOperator:
         return len(self.states)
 
 
-@lru_cache(maxsize=16)
 def build_transfer(T: int, surface: str = "top") -> TransferOperator:
+    """The height-T transfer operator with contacts on ``surface``, built
+    once per (T, surface) however the arguments are spelled."""
     if T < 1:
         raise InvalidParameterError(f"need T >= 1, got T={T}")
     if T > T_CAP_FLOAT:
         raise CapacityError(f"strip height {T} outside supported range 1..{T_CAP_FLOAT}")
     if surface not in ("top", "bottom"):
         raise InvalidParameterError(f"bad surface {surface!r}")
+    return _build_transfer(T, surface)
+
+
+@lru_cache(maxsize=16)
+def _build_transfer(T: int, surface: str) -> TransferOperator:
     empty = EMPTY * T
     sources = [(empty, False, False, 0), (empty, False, False, 1)]
     index: dict = {}
@@ -391,16 +399,22 @@ def _float_matrix(op: TransferOperator, x: float, y: float, kind: str = "walk") 
     return _FloatMatrix(op.state_count, row, col, w)
 
 
-def _spectral_radius(M: _FloatMatrix, tol: float = 1e-13, iters: int = 20000) -> float:
+def _spectral_radius(M: _FloatMatrix, tol: float = 1e-13, iters: int = 20000,
+                     start: np.ndarray | None = None) -> float:
+    """Spectral radius of M by power iteration, from the uniform vector
+    or from ``start``, which then receives the last (unit-norm) iterate
+    so the next radius of a root search can start warm."""
     # Column parity makes the spectrum symmetric under negation, so
     # iterate with M^2 and take a square root at the end.
-    v = np.full(M.n, 1.0 / M.n)
+    v = np.full(M.n, 1.0 / M.n) if start is None else start
     lam = 0.0
     for _ in range(iters):
         w = M.vecmat(M.vecmat(v)) + 1e-300
         nlam = float(np.linalg.norm(w))
         w = w / nlam
         if abs(nlam - lam) < tol * max(nlam, 1.0):
+            if start is not None:
+                start[:] = w
             return math.sqrt(nlam)
         lam, v = nlam, w
     raise NonConvergenceError("power iteration did not settle")
@@ -414,17 +428,35 @@ class GrowthEstimate:
     error: float
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Halve [lo, hi] around the sign change of f (f(lo) < 0 <= f(hi))
-    until it is no wider than tol or its midpoint rounds to an end."""
+def _find_root(f, lo: float, hi: float, flo: float, fhi: float,
+               tol: float) -> tuple[float, float]:
+    """Shrink [lo, hi] around the sign change of f (flo = f(lo) < 0 <=
+    f(hi) = fhi) until it is no wider than tol or the next point rounds
+    to an end.
+
+    Illinois regula falsi: the next point is the secant root of the two
+    ends, and an end kept twice in a row has its value halved so both
+    ends converge.  A secant point off the open bracket is replaced by
+    the midpoint.
+    """
+    kept = 0  # +1 when lo was kept by the last step, -1 when hi was
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # adjacent floats: the interval cannot shrink further
-        if f(mid) < 0:
-            lo = mid
+        mid = lo - flo * (hi - lo) / (fhi - flo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # adjacent floats: the interval cannot shrink further
+        fmid = f(mid)
+        if fmid < 0:
+            lo, flo = mid, fmid
+            if kept < 0:
+                fhi *= 0.5
+            kept = -1
         else:
-            hi = mid
+            hi, fhi = mid, fmid
+            if kept > 0:
+                flo *= 0.5
+            kept = 1
     return lo, hi
 
 
@@ -435,16 +467,17 @@ def growth_mu(T: int, y) -> GrowthEstimate:
     if yf <= 0:
         raise InvalidParameterError("need y > 0")
     op = build_transfer(T, "top")
+    v = np.full(op.state_count, 1.0 / op.state_count)  # warm start, reused
 
     def f(x):
-        return _spectral_radius(_float_matrix(op, x, yf)) - 1.0
+        return _spectral_radius(_float_matrix(op, x, yf), start=v) - 1.0
 
     # T=1 is degenerate (mu=1 at y=1), so the upper end sits past x=1
     lo, hi = 0.15, 1.25
     flo, fhi = f(lo), f(hi)
     if not (flo < 0 < fhi):
         raise NonConvergenceError(f"growth bracket failed: {flo}, {fhi}")
-    lo, hi = _bisect(f, lo, hi, 0.0)
+    lo, hi = _find_root(f, lo, hi, flo, fhi, 0.0)
     return GrowthEstimate(T, yf, 2.0 / (lo + hi), hi - lo)
 
 
@@ -452,13 +485,18 @@ MU_BULK = math.sqrt(2.0 + math.sqrt(2.0))
 
 
 def solve_yT(T: int, tol: float = 1e-8) -> float:
-    """The fugacity y_T where the strip growth rate hits the bulk mu."""
+    """The fugacity y_T where the strip growth rate hits the bulk mu,
+    as the midpoint of a bracket no wider than tol (0 <= tol <= 1e-2; 0
+    runs to adjacent floats)."""
+    if not 0.0 <= tol <= 1e-2:  # also refuses NaN
+        raise InvalidParameterError(f"need 0 <= tol <= 1e-2, got tol={tol}")
     lo, hi = 1.0, MU_BULK**2
     op = build_transfer(T, "top")
     x_c = 1.0 / MU_BULK
+    v = np.full(op.state_count, 1.0 / op.state_count)  # warm start, reused
 
     def f(y):
-        return _spectral_radius(_float_matrix(op, x_c, y)) - 1.0
+        return _spectral_radius(_float_matrix(op, x_c, y), start=v) - 1.0
 
     flo, fhi = f(lo), f(hi)
     if fhi <= 0:
@@ -473,7 +511,7 @@ def solve_yT(T: int, tol: float = 1e-8) -> float:
         raise NonConvergenceError(
             f"y_T bracket [1, mu^2] failed for T={T}: f={flo}, {fhi}"
         )
-    lo, hi = _bisect(f, lo, hi, tol)
+    lo, hi = _find_root(f, lo, hi, flo, fhi, tol)
     return 0.5 * (lo + hi)
 
 

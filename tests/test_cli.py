@@ -168,6 +168,13 @@ def test_usage_errors(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "10"])
+def test_y_seq_bad_tol_is_a_usage_error(capsys, tol):
+    """A tolerance that bounds nothing is bad input, not a failed check."""
+    assert main(["y-seq", "--Tmax", "3", "--tol", tol]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
 def test_argparse_errors_become_exit_codes(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

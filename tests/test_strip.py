@@ -57,6 +57,13 @@ def test_transfer_sizes():
         assert (op.state_count, len(op.transitions)) == size, T
 
 
+def test_transfer_cache_ignores_argument_spelling():
+    """The default surface and the spelled-out one share one build."""
+    op = sp.build_transfer(3)
+    assert op is sp.build_transfer(3, "top") is sp.build_transfer(3, surface="top")
+    assert op is not sp.build_transfer(3, "bottom")
+
+
 def test_transfer_arch_bridge_split():
     """Arch/bridge filtered series agree with walk classification."""
     T, max_len = 2, 12
@@ -217,6 +224,23 @@ def test_spectral_radius_matches_dense_eigvals(T):
         assert got == pytest.approx(want, rel=1e-10), (x, y)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+def test_warm_spectral_radius_matches_dense_eigvals(T):
+    """Each radius starts from the last iterate of the radius before, at
+    a different (x, y), and still matches LAPACK."""
+    op = sp.build_transfer(T, "top")
+    x_c = 1.0 / sp.MU_BULK
+    points = ((x_c, 1.0), (x_c, 2.5), (0.6, 0.5), (0.45, 3.0))
+    v = np.full(op.state_count, 1.0 / op.state_count)
+    sp._spectral_radius(sp._float_matrix(op, *points[-1]), start=v)
+    for x, y in points:
+        start = v.copy()
+        want = max(abs(np.linalg.eigvals(_dense_from_transitions(op, x, y))))
+        got = sp._spectral_radius(sp._float_matrix(op, x, y), start=v)
+        assert got == pytest.approx(want, rel=1e-10), (x, y)
+        assert not np.array_equal(v, start)  # v now holds this radius' iterate
+
+
 def test_spectral_radius_nonconvergence():
     op = sp.build_transfer(3, "top")
     with pytest.raises(NonConvergenceError):
@@ -235,27 +259,48 @@ def test_float_values_T5_T6():
 def _counting_radius(monkeypatch):
     calls = []
     real = sp._spectral_radius
-    monkeypatch.setattr(sp, "_spectral_radius", lambda M: calls.append(M) or real(M))
+    monkeypatch.setattr(sp, "_spectral_radius",
+                        lambda M, **kw: calls.append(M) or real(M, **kw))
     return calls
+
+
+def _cold_bisection(op, weights, lo, hi, halvings):
+    """Halve [lo, hi] around the root of (spectral radius of
+    M(*weights(t))) - 1, every radius from the uniform vector."""
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        if sp._spectral_radius(sp._float_matrix(op, *weights(mid))) - 1.0 < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 @pytest.mark.parametrize("T", [2, 3, 4, 5])
 def test_growth_mu_bisection_stops_when_interval_cannot_shrink(T, monkeypatch):
-    """Same mu_T and bracket, bit for bit, as 60 unconditional halvings,
-    with fewer spectral radii."""
+    """The root search runs x to adjacent floats and agrees with 60
+    cold-start halvings, in fewer than 30 spectral radii."""
     op = sp.build_transfer(T, "top")
-    lo, hi = 0.15, 1.25
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if sp._spectral_radius(sp._float_matrix(op, mid, 1.75)) - 1.0 < 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _cold_bisection(op, lambda x: (x, 1.75), 0.15, 1.25, halvings=60)
     calls = _counting_radius(monkeypatch)
     est = sp.growth_mu(T, Fraction(7, 4))
-    assert est.mu.hex() == (2.0 / (lo + hi)).hex()
-    assert est.error.hex() == (hi - lo).hex()
-    assert len(calls) < 62
+    assert est.error <= 2 * math.ulp(1.0)
+    assert abs(est.mu - 2.0 / (lo + hi)) <= est.error + 1e-12 * est.mu
+    assert len(calls) < 30
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 5])
+def test_solve_yT_matches_cold_bisection(T, monkeypatch):
+    """y_T within tol of a cold-start bisection to the same tol, in at
+    most 12 spectral radii."""
+    tol = 1e-8
+    lo, hi = 1.0, sp.MU_BULK**2
+    lo, hi = _cold_bisection(sp.build_transfer(T, "top"), lambda y: (1.0 / sp.MU_BULK, y),
+                             lo, hi, math.ceil(math.log2((hi - lo) / tol)))
+    assert hi - lo <= tol
+    calls = _counting_radius(monkeypatch)
+    assert abs(sp.solve_yT(T, tol) - 0.5 * (lo + hi)) <= tol
+    assert len(calls) <= 12
 
 
 def test_convergence_guard_runs_once_per_T_and_y(monkeypatch):
