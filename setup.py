@@ -1,4 +1,7 @@
-"""Build script: compiles the DFS kernel extension from hand-written C.
+"""Build script: compiles the kernel extension from hand-written C.
+
+The one extension holds the depth-first walk enumerator and the strip
+transfer-operator builder.
 
 A source checkout that was never built still runs (a pure-Python kernel
 with the same interface is selected at import time), but a build that

@@ -1,9 +1,18 @@
-/* Compiled depth-first enumeration kernel: the C twin of _dfs_py.
+/* The compiled kernel: the C twin of _dfs_py, with the same two functions.
 
-tally_class(tables, max_len) reads the KernelTables arrays through the
-buffer protocol (no numpy headers), checks every size and entry so that
-malformed tables raise ValueError, and returns counts[class, length,
-contacts] as an int64 numpy array. */
+tally_class(tables, max_len) is the depth-first walk enumerator.  It reads
+the KernelTables arrays through the buffer protocol (no numpy headers),
+checks every size and entry so that malformed tables raise ValueError,
+and returns counts[class, length, contacts] as an int64 numpy array.
+
+transfer(T, top) builds the height-T strip transfer operator: the column
+moves of each parity, then a breadth-first search over cut states that
+composes each state with each move its mask and flags allow.  It returns
+(codes, src, dst, xpow, ypow, end) as int64 numpy arrays, with the state
+codes, numbering and transition order of _dfs_py.transfer, whose
+docstrings describe the moves and the composition step by step.  The
+module exports the same layout constants as _dfs_py: T_MAX, FLAG_SHIFT,
+SLOT_CHARS and END_KINDS. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
@@ -145,14 +154,457 @@ done:
     return counts;
 }
 
+/* ---- strip transfer operator ---- */
+
+#define T_MAX 10
+#define FLAG_SHIFT (3 * T_MAX)   /* start-inserted, end-placed, parity bits */
+#define MAX_OPTIONS 216          /* 3 left x 3 right x 3 bottom x 2 top x 4 vertical */
+
+enum { EMPTY, OPEN, CLOSE, SLOT_S, SLOT_E };           /* cut slots, as SLOT_CHARS */
+enum { END_NONE, END_INTERIOR, END_BOTTOM, END_TOP };  /* end kinds, as END_KINDS */
+enum { V_NONE, V_FULL, V_END_LO, V_END_HI };           /* the level's vertical edge */
+
+typedef struct {
+    int lb, rb, start, kind, v, neps, eps[2];
+} Option;
+
+typedef struct {
+    int16_t locc, rocc;
+    uint8_t xpow, ypow, start, end;
+    int8_t match[2 * T_MAX + 2];
+} Move;
+
+typedef struct {
+    int32_t src, dst;
+    uint8_t xpow, ypow, end;
+} Transition;
+
+/* Grow *buf (of *cap items of the given size) to hold n + 1 items. */
+static int reserve(void **buf, Py_ssize_t *cap, Py_ssize_t n, size_t size)
+{
+    if (n < *cap)
+        return 0;
+    Py_ssize_t c = *cap ? 2 * *cap : 64;
+    void *p = PyMem_Realloc(*buf, (size_t)c * size);
+    if (p == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *buf = p;
+    *cap = c;
+    return 0;
+}
+
+/* The options of level k in a parity-p column, as _dfs_py._level_options. */
+static int level_options(int T, int p, int k, Option *out)
+{
+    const int S = 2 * T, E = 2 * T + 1;
+    const int lbit[3] = {0, 0, 1 << k}, lp[3] = {-1, E, k};
+    const int le[3] = {END_NONE, END_INTERIOR, END_NONE};
+    const int rp[3] = {-1, T + k, E}, re[3] = {END_NONE, END_NONE, END_INTERIOR};
+    const int bp[3] = {-1, S, E}, be[3] = {END_NONE, END_NONE, END_BOTTOM};
+    const int tp[2] = {-1, E}, te[2] = {END_NONE, END_TOP};
+    int nb = k == 0 && p % 2 == 0 ? 3 : 1, nt = k == T - 1 && p % 2 == T % 2 ? 2 : 1;
+    int nv = k + 1 < T && (k + 1) % 2 == p % 2 ? 4 : 1, n = 0;
+    for (int a = 0; a < 3; a++)
+        for (int b = 0; b < 3; b++)
+            for (int c = 0; c < nb; c++)
+                for (int d = 0; d < nt; d++)
+                    for (int v = 0; v < nv; v++) {
+                        const int ports[4] = {lp[a], rp[b], bp[c], tp[d]};
+                        const int kinds[4] = {le[a], re[b], be[c], te[d]};
+                        int nk = 0, ne = 0, kind = END_NONE, eps[5];
+                        for (int i = 0; i < 4; i++) {
+                            if (kinds[i] && nk++ == 0)
+                                kind = kinds[i];
+                            if (ports[i] >= 0)
+                                eps[ne++] = ports[i];
+                        }
+                        if ((v == V_END_LO || v == V_END_HI) && nk++ == 0)
+                            kind = END_INTERIOR;
+                        if (v == V_END_LO)
+                            eps[ne++] = E;
+                        if (nk >= 2 || ne >= 3)
+                            continue;
+                        Option o = {lbit[a], (rp[b] == T + k) << k, bp[c] == S, kind, v, ne,
+                                    {ne > 0 ? eps[0] : -1, ne > 1 ? eps[1] : -1}};
+                        out[n++] = o;
+                    }
+    return n;
+}
+
+typedef struct {
+    int T, contact;
+    int nopt[T_MAX];
+    Option opt[T_MAX][MAX_OPTIONS];
+    int npairs, pairs[T_MAX + 1][2];
+    Move *moves;
+    Py_ssize_t n, cap;
+} Column;
+
+/* Fill levels k.. of a column, as rec in _dfs_py._column_moves: carry is
+   the endpoint at the lower end of the strand entering level k (-1 for
+   none) and ek the end kind placed so far. */
+static int column_rec(Column *g, int k, int carry, int ek, int locc, int rocc, int xpow,
+                      int ypow, int start)
+{
+    const int T = g->T;
+    if (k == T) {
+        if (!xpow)  /* an unoccupied column is padding, not a step */
+            return 0;
+        if (reserve((void **)&g->moves, &g->cap, g->n, sizeof(Move)) < 0)
+            return -1;
+        Move *m = &g->moves[g->n++];
+        *m = (Move){(int16_t)locc, (int16_t)rocc, (uint8_t)xpow, (uint8_t)ypow,
+                    (uint8_t)start, (uint8_t)ek, {0}};
+        memset(m->match, -1, sizeof m->match);
+        for (int i = 0; i < g->npairs; i++) {
+            m->match[g->pairs[i][0]] = (int8_t)g->pairs[i][1];
+            m->match[g->pairs[i][1]] = (int8_t)g->pairs[i][0];
+        }
+        return 0;
+    }
+    for (int i = 0; i < g->nopt[k]; i++) {
+        const Option *o = &g->opt[k][i];
+        int eps[3], ne = 0, up = -1, closed = 0;
+        if (o->kind && ek)
+            continue;
+        if (carry >= 0)
+            eps[ne++] = carry;
+        for (int j = 0; j < o->neps; j++)
+            eps[ne++] = o->eps[j];
+        if (o->v == V_FULL) {
+            if (ne != 1)
+                continue;
+            up = eps[0];
+        } else if (ne == 2) {
+            closed = 1;
+        } else if (ne) {
+            continue;
+        }
+        if (o->v == V_END_HI)
+            up = 2 * T + 1;
+        int visit = o->v == V_FULL || ne;
+        if (closed) {
+            g->pairs[g->npairs][0] = eps[0];
+            g->pairs[g->npairs++][1] = eps[1];
+        }
+        int rc = column_rec(g, k + 1, up, o->kind ? o->kind : ek, locc | o->lb, rocc | o->rb,
+                            xpow + visit, ypow + (k == g->contact ? visit : 0),
+                            start || o->start);
+        g->npairs -= closed;
+        if (rc < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* The moves of one column parity in enumeration order, and first[mask] ..
+   first[mask + 1] - 1 indexing, through order[], those with left mask. */
+typedef struct {
+    Move *moves;
+    Py_ssize_t *order, *first;
+} Columns;
+
+static int column_moves(int T, int p, int top, Columns *out)
+{
+    Column *g = PyMem_Calloc(1, sizeof(Column));
+    if (g == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    g->T = T;
+    if (top)
+        g->contact = p % 2 == T % 2 ? T - 1 : -1;
+    else
+        g->contact = p % 2 == 0 ? 0 : -1;
+    for (int k = 0; k < T; k++)
+        g->nopt[k] = level_options(T, p, k, g->opt[k]);
+    int rc = column_rec(g, 0, -1, END_NONE, 0, 0, 0, 0, 0);
+    out->moves = g->moves;
+    Py_ssize_t n = g->n, masks = (Py_ssize_t)1 << T;
+    PyMem_Free(g);
+    if (rc < 0)
+        return -1;
+    out->order = PyMem_Malloc((size_t)(n + 1) * sizeof(Py_ssize_t));
+    out->first = PyMem_Calloc((size_t)masks + 1, sizeof(Py_ssize_t));
+    if (out->order == NULL || out->first == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    /* a stable counting sort by left mask keeps each mask's moves in order */
+    for (Py_ssize_t i = 0; i < n; i++)
+        out->first[out->moves[i].locc + 1]++;
+    for (Py_ssize_t m = 0; m < masks; m++)
+        out->first[m + 1] += out->first[m];
+    for (Py_ssize_t i = 0; i < n; i++)
+        out->order[out->first[out->moves[i].locc]++] = i;
+    for (Py_ssize_t m = masks; m > 0; m--)
+        out->first[m] = out->first[m - 1];
+    out->first[0] = 0;
+    return 0;
+}
+
+/* From column endpoint e, alternate left arcs and column paths to the far
+   end of the strand: a right port, S (2T) or E (2T + 1). */
+static int trace(int e, const int *part, const int8_t *match, uint8_t *seen, int T)
+{
+    while (0 <= e && e < T) {
+        seen[e] = 1;
+        e = part[e];
+        if (e >= T)
+            return e;
+        seen[e] = 1;
+        e = match[e];
+    }
+    return e;
+}
+
+/* The right-hand cut after one column move, as slots packed 3 bits each,
+   or -1 if the move closes a loop or leaves an invalid cut. */
+static int64_t compose(const int *part, int occupied, int s_port, const Move *m, int T)
+{
+    const int S = 2 * T;
+    uint8_t seen[2 * T_MAX + 2] = {0};
+    int slot[T_MAX] = {0}, completed = 0, t;
+    for (int k = 0; k < T; k++) {
+        if (!(m->rocc >> k & 1) || seen[T + k])
+            continue;
+        if ((t = trace(m->match[T + k], part, m->match, seen, T)) < 0)
+            return -1;
+        seen[t] = 1;
+        if (t < S) {
+            slot[k] = OPEN;
+            slot[t - T] = CLOSE;
+        } else {
+            slot[k] = t == S ? SLOT_S : SLOT_E;
+        }
+    }
+    if (!seen[S] && (m->start || s_port >= 0)) {
+        int e = m->start ? S : s_port;
+        seen[e] = 1;
+        completed = trace(m->match[e], part, m->match, seen, T) == S + 1;
+    }
+    for (int k = 0; k < T; k++)
+        occupied -= seen[k];
+    if (occupied)
+        return -1;  /* an occupied left port off every path lies on a loop */
+    if (completed && m->rocc)
+        return -1;
+    int64_t code = 0;
+    int depth = 0, below_s = 1;
+    for (int k = 0; k < T; k++) {
+        code |= (int64_t)slot[k] << 3 * k;
+        if (slot[k] == SLOT_S)
+            below_s = 0;
+        depth += below_s * ((slot[k] == OPEN) - (slot[k] == CLOSE));
+    }
+    /* planarity sanity: S may not be nested inside a pairing arc */
+    return below_s || !depth ? code : -1;
+}
+
+/* Codes of the states found so far, and an open-addressing index on them. */
+typedef struct {
+    int64_t *code;
+    Py_ssize_t n, cap;
+    int32_t *slot;   /* state index or -1, size mask + 1 */
+    uint64_t mask;
+} States;
+
+static uint64_t hash_code(int64_t code, uint64_t mask)
+{
+    return ((uint64_t)code * 0x9E3779B97F4A7C15ull >> 17) & mask;
+}
+
+/* The index of state code, numbered on first sight; -1 on error. */
+static Py_ssize_t intern(States *s, int64_t code)
+{
+    uint64_t h = hash_code(code, s->mask);
+    for (; s->slot[h] >= 0; h = (h + 1) & s->mask)
+        if (s->code[s->slot[h]] == code)
+            return s->slot[h];
+    if (s->n >= INT32_MAX || reserve((void **)&s->code, &s->cap, s->n, sizeof(int64_t)) < 0) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_OverflowError, "too many transfer states");
+        return -1;
+    }
+    s->code[s->n] = code;
+    s->slot[h] = (int32_t)s->n;
+    if ((uint64_t)(++s->n) * 2 > s->mask) {  /* keep the load below 1/2 */
+        uint64_t mask = 2 * s->mask + 1;
+        int32_t *slot = PyMem_Malloc((size_t)(mask + 1) * sizeof(int32_t));
+        if (slot == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        memset(slot, -1, (size_t)(mask + 1) * sizeof(int32_t));
+        for (Py_ssize_t i = 0; i < s->n; i++) {
+            uint64_t g = hash_code(s->code[i], mask);
+            while (slot[g] >= 0)
+                g = (g + 1) & mask;
+            slot[g] = (int32_t)i;
+        }
+        PyMem_Free(s->slot);
+        s->slot = slot;
+        s->mask = mask;
+    }
+    return s->n - 1;
+}
+
+/* The breadth-first search from the two empty sources: states in index
+   order are the frontiers of _dfs_py.transfer one after another. */
+static int search(int T, const Columns *col, States *st, Transition **tr, Py_ssize_t *ntr)
+{
+    Py_ssize_t cap = 0;
+    const int64_t labels_mask = ((int64_t)1 << FLAG_SHIFT) - 1;
+    if (intern(st, 0) < 0 || intern(st, (int64_t)1 << (FLAG_SHIFT + 2)) < 0)
+        return -1;
+    for (Py_ssize_t si = 0; si < st->n; si++) {
+        int64_t code = st->code[si];
+        int a_done = code >> FLAG_SHIFT & 1, end_done = code >> (FLAG_SHIFT + 1) & 1;
+        int p = code >> (FLAG_SHIFT + 2) & 1;
+        if (!(code & labels_mask) && a_done && end_done)
+            continue;  /* accepting state, no outgoing transitions */
+        int part[T_MAX], stack[T_MAX], depth = 0, occupied = 0, s_port = -1, mask = 0;
+        for (int i = 0; i < T; i++) {
+            int c = code >> 3 * i & 7;
+            part[i] = -1;
+            if (c == OPEN) {
+                stack[depth++] = i;
+            } else if (c == CLOSE && depth > 0) {
+                int j = stack[--depth];
+                part[i] = j;
+                part[j] = i;
+            } else if (c == SLOT_S || c == SLOT_E) {
+                part[i] = 2 * T + (c == SLOT_E);
+                if (c == SLOT_S && s_port < 0)
+                    s_port = i;
+            }
+            if (c != EMPTY) {
+                occupied++;
+                mask |= 1 << i;
+            }
+        }
+        int may_start = !a_done && p == 0, may_end = !end_done;
+        const Columns *c = &col[p];
+        for (Py_ssize_t i = c->first[mask]; i < c->first[mask + 1]; i++) {
+            const Move *m = &c->moves[c->order[i]];
+            if ((m->start && !may_start) || (m->end && !may_end))
+                continue;
+            int64_t next = compose(part, occupied, s_port, m, T);
+            if (next < 0)
+                continue;
+            /* a completed walk joined an S end and an E end, so both flags
+               are already set */
+            next |= (int64_t)(a_done || m->start) << FLAG_SHIFT
+                    | (int64_t)(end_done || m->end) << (FLAG_SHIFT + 1)
+                    | (int64_t)(1 - p) << (FLAG_SHIFT + 2);
+            Py_ssize_t sj = intern(st, next);
+            if (sj < 0 || reserve((void **)tr, &cap, *ntr, sizeof(Transition)) < 0)
+                return -1;
+            (*tr)[(*ntr)++] = (Transition){(int32_t)si, (int32_t)sj, m->xpow, m->ypow, m->end};
+        }
+    }
+    return 0;
+}
+
+/* A new int64 numpy array of n items with a writable buffer on it. */
+static PyObject *int64_array(PyObject *numpy, Py_ssize_t n, Py_buffer *view)
+{
+    PyObject *a = PyObject_CallMethod(numpy, "empty", "ns", n, "int64");
+    if (a != NULL && PyObject_GetBuffer(a, view, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE) < 0)
+        Py_CLEAR(a);
+    return a;
+}
+
+static PyObject *transfer(PyObject *self, PyObject *args)
+{
+    int T;
+    PyObject *top, *numpy = NULL, *out = NULL;
+    Columns col[2] = {{0}};
+    States st = {0};
+    Transition *tr = NULL;
+    Py_ssize_t ntr = 0;
+
+    if (!PyArg_ParseTuple(args, "iO:transfer", &T, &top))
+        return NULL;
+    if (T < 1 || T > T_MAX) {
+        PyErr_Format(PyExc_ValueError, "need 1 <= T <= %d, got T=%d", T_MAX, T);
+        return NULL;
+    }
+    if (!PyBool_Check(top)) {
+        PyErr_SetString(PyExc_ValueError, "top must be a bool");
+        return NULL;
+    }
+    st.mask = 1023;
+    if ((st.slot = PyMem_Malloc((st.mask + 1) * sizeof(int32_t))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memset(st.slot, -1, (st.mask + 1) * sizeof(int32_t));
+    if (column_moves(T, 0, top == Py_True, &col[0]) < 0
+        || column_moves(T, 1, top == Py_True, &col[1]) < 0
+        || search(T, col, &st, &tr, &ntr) < 0)
+        goto done;
+    for (int p = 0; p < 2; p++) {  /* the moves are not needed any more */
+        PyMem_Free(col[p].moves);
+        col[p].moves = NULL;
+    }
+    if ((numpy = PyImport_ImportModule("numpy")) == NULL || (out = PyTuple_New(6)) == NULL)
+        goto done;
+    for (int a = 0; a < 6; a++) {
+        Py_buffer view;
+        PyObject *arr = int64_array(numpy, a ? ntr : st.n, &view);
+        if (arr == NULL)
+            goto done;
+        PyTuple_SET_ITEM(out, a, arr);
+        int64_t *v = view.buf;
+        if (a == 0)
+            memcpy(v, st.code, (size_t)st.n * sizeof(int64_t));
+        for (Py_ssize_t i = 0; a && i < ntr; i++)
+            v[i] = a == 1 ? tr[i].src : a == 2 ? tr[i].dst : a == 3 ? tr[i].xpow
+                 : a == 4 ? tr[i].ypow : tr[i].end;
+        PyBuffer_Release(&view);
+    }
+done:
+    for (int p = 0; p < 2; p++) {
+        PyMem_Free(col[p].moves);
+        PyMem_Free(col[p].order);
+        PyMem_Free(col[p].first);
+    }
+    PyMem_Free(st.code);
+    PyMem_Free(st.slot);
+    PyMem_Free(tr);
+    Py_XDECREF(numpy);
+    if (PyErr_Occurred())
+        Py_CLEAR(out);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"tally_class", tally_class, METH_VARARGS,
      "Histogram of walk endpoints: counts[class, length, contacts]."},
+    {"transfer", transfer, METH_VARARGS,
+     "Strip transfer operator of height T: (codes, src, dst, xpow, ypow, end)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_dfs", "Compiled depth-first enumeration kernel.", -1, methods,
+    PyModuleDef_HEAD_INIT, "_dfs", "Compiled walk enumeration and strip transfer kernel.", -1, methods,
 };
 
-PyMODINIT_FUNC PyInit__dfs(void) { return PyModule_Create(&module); }
+/* The transfer operator's layout constants, as _dfs_py defines them. */
+PyMODINIT_FUNC PyInit__dfs(void)
+{
+    PyObject *m = PyModule_Create(&module), *kinds = NULL;
+    if (m == NULL || PyModule_AddIntConstant(m, "T_MAX", T_MAX) < 0
+        || PyModule_AddIntConstant(m, "FLAG_SHIFT", FLAG_SHIFT) < 0
+        || PyModule_AddStringConstant(m, "SLOT_CHARS", ".()SE") < 0
+        || (kinds = Py_BuildValue("(Osss)", Py_None, "interior", "bottom", "top")) == NULL
+        || PyModule_AddObject(m, "END_KINDS", kinds) < 0) {
+        Py_XDECREF(kinds);
+        Py_XDECREF(m);
+        return NULL;
+    }
+    return m;
+}

@@ -35,6 +35,13 @@ one x per visited vertex and one y per visited contact vertex.  End
 transitions are tagged 'bottom', 'top' or 'interior' so arches, bridges
 and unrestricted walks come from the same operator.
 
+The column moves, the breadth-first search over cut states and the
+composition run in the compiled kernel (``_dfs.c``) or its pure-Python
+twin (``_dfs_py.transfer``, which spells them out), whichever
+:mod:`hexsaw.enumeration` selected; both return the operator as int
+arrays with the same state codes and order.  This module wraps the
+arrays in a :class:`TransferOperator` and solves with it.
+
 A strip generating function is the resolvent (I - M)^-1 * sink summed
 over the sources.  Flags are never cleared, so I - M is block-triangular
 over the four flag sectors (start inserted, end placed), and one solver
@@ -51,11 +58,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .cyclo import Cyclo48
+from .enumeration import _kernel
 from .errors import (
     CapacityError,
     InvalidParameterError,
@@ -66,149 +73,6 @@ from .model import constants
 T_CAP_EXACT = 4
 T_CAP_FLOAT = 7
 
-EMPTY = "."
-_VERTICAL = ("none", "full", "end_lo", "end_hi")
-
-
-def _level_options(T: int, p: int, k: int) -> list:
-    """The ways level k of a parity-p column can meet its own edges:
-    (locc bit, endpoints, end kind, right bit, start, vertical), in the
-    fixed enumeration order."""
-    S, E = 2 * T, 2 * T + 1
-    none = ((None, None),)
-    left = ((0, None, None), (0, E, "interior"), (1 << k, k, None))
-    right = ((None, None), (T + k, None), (E, "interior"))
-    bottom = ((None, None), (S, None), (E, "bottom")) if k == 0 and p % 2 == 0 else none
-    top = ((None, None), (E, "top")) if k == T - 1 and p % 2 == T % 2 else none
-    vert = _VERTICAL if k + 1 < T and (k + 1) % 2 == p % 2 else ("none",)
-    out = []
-    for (lb, lp, le), (rp, re), (bp, be), (tp, te), v in product(left, right, bottom, top, vert):
-        kinds = [e for e in (le, re, be, te) if e] + (["interior"] if v[:3] == "end" else [])
-        eps = tuple(e for e in (lp, rp, bp, tp) if e is not None) + ((E,) if v == "end_lo" else ())
-        if len(kinds) < 2 and len(eps) < 3:
-            out.append((lb, eps, kinds[0] if kinds else None, int(rp == T + k) << k,
-                        bp == S, v))
-    return out
-
-
-def _column_moves(T: int, p: int, surface: str) -> dict:
-    """The nonempty column moves of parity p, keyed by (left-crossing
-    mask, may insert the start, may place the end).
-
-    Levels are filled bottom to top and a level is cut off as soon as its
-    vertex cannot have degree 0 or 2.  ``carry`` is the endpoint at the
-    lower end of the strand entering a level from below, so each path is
-    matched end to end where it closes.
-    """
-    E = 2 * T + 1
-    if surface == "top":
-        contact = T - 1 if p % 2 == T % 2 else None
-    else:
-        contact = 0 if p % 2 == 0 else None
-    levels = [_level_options(T, p, k) for k in range(T)]
-    moves: dict = {}
-
-    def rec(k, carry, ek, locc, rocc, xpow, ypow, start, pairs):
-        if k == T:
-            if xpow:  # an unoccupied column is padding, not a step
-                match = [-1] * (2 * T + 2)
-                for a, b in pairs:
-                    match[a], match[b] = b, a
-                moves.setdefault(locc, []).append((rocc, xpow, ypow, start, ek, tuple(match)))
-            return
-        for lb, eps, kind, rb, st, v in levels[k]:
-            if kind and ek:
-                continue
-            if carry is not None:
-                eps = (carry,) + eps
-            if v == "full":
-                if len(eps) != 1:
-                    continue
-                up, closed = eps[0], pairs
-            elif len(eps) == 2:
-                up, closed = None, pairs + (eps,)
-            elif not eps:
-                up, closed = None, pairs
-            else:
-                continue
-            if v == "end_hi":
-                up = E
-            visit = 1 if v == "full" or eps else 0
-            rec(k + 1, up, kind or ek, locc | lb, rocc | rb, xpow + visit,
-                ypow + (visit if k == contact else 0), start or st, closed)
-
-    rec(0, None, None, 0, 0, 0, 0, False, ())
-    return {
-        (locc, s, e): [m for m in ms if (s or not m[3]) and (e or m[4] is None)]
-        for locc, ms in moves.items()
-        for s in (False, True)
-        for e in (False, True)
-    }
-
-
-def _parse(labels: str, T: int):
-    """(part, occupied count, S port, occupied mask) of a cut state:
-    part[i] is the left port paired with i, or 2T / 2T + 1 for a strand
-    tied to S / E."""
-    part, stack = [-1] * T, []
-    for i, c in enumerate(labels):
-        if c == "(":
-            stack.append(i)
-        elif c == ")":
-            j = stack.pop()
-            part[i], part[j] = j, i
-        elif c != EMPTY:
-            part[i] = 2 * T + (c == "E")
-    return part, T - labels.count(EMPTY), labels.find("S"), sum(
-        1 << i for i in range(T) if part[i] >= 0)
-
-
-def _trace(e, part, match, seen, T):
-    """From column endpoint e, alternate left arcs and column paths to the
-    far end of the strand: a right port, S (2T) or E (2T + 1)."""
-    while e < T:
-        seen[e] = True
-        e = part[e]
-        if e >= T:
-            return e
-        seen[e] = True
-        e = match[e]
-    return e
-
-
-def _compose(parsed, move, T):
-    """The right-hand labels after one column move, or None if the move
-    closes a loop or leaves an invalid cut."""
-    part, occupied, s_port, _ = parsed
-    rocc, _, _, start, _, match = move
-    S = 2 * T
-    seen = [False] * (S + 2)
-    new = [EMPTY] * T
-    for k in range(T):
-        if rocc >> k & 1 and not seen[T + k]:
-            t = _trace(match[T + k], part, match, seen, T)
-            seen[t] = True
-            if t < S:
-                new[k], new[t - T] = "(", ")"
-            else:
-                new[k] = "S" if t == S else "E"
-    completed = False
-    if not seen[S] and (start or s_port >= 0):
-        e = S if start else s_port
-        seen[e] = True
-        completed = _trace(match[e], part, match, seen, T) == S + 1
-    if seen[:T].count(True) != occupied:
-        return None  # an occupied left port off every path lies on a loop
-    if completed and rocc:
-        return None
-    labels = "".join(new)
-    # planarity sanity: S may not be nested inside a pairing arc
-    i = labels.find("S")
-    if i > 0 and labels.count("(", 0, i) != labels.count(")", 0, i):
-        return None
-    return labels
-
-
 # End kinds each walk kind accepts; the other end transitions are dropped.
 _KINDS = {
     "walk": ("interior", "bottom", "top"),
@@ -216,57 +80,93 @@ _KINDS = {
     "bridge": ("top",),
 }
 # End-kind codes of the transition arrays: index = code.
-_END_KINDS = (None, "interior", "bottom", "top")
+_END_KINDS = _kernel.END_KINDS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferOperator:
     """Column-to-column transfer system for one strip height.
 
-    For the float layer ``transitions`` is also held column-wise as int
-    arrays ``src``, ``dst``, ``xpow``, ``ypow`` and ``end`` (the end kind
-    as its index in ``_END_KINDS``).  ``cells[kind]`` is
-    ``(keep, slot, row, col)``: the indices of the transitions the kind
-    keeps, and for each the slot of its matrix cell, cells being the
-    distinct (row, col) pairs in order of first use.
+    The compiled kernel or its twin ``_dfs_py.transfer`` builds it as
+    int arrays, and those arrays are the only transition representation:
+    transition k goes from state ``src[k]`` to ``dst[k]`` with weight
+    x**xpow[k] * y**ypow[k] and end kind ``_END_KINDS[end[k]]``.
+    ``transitions`` is a read-only view yielding the same transitions as
+    (src, dst, xpow, ypow, end_kind) tuples.  ``states`` decodes the
+    kernel's state codes into (labels, a_done, end_done, parity).
+    ``cells[kind]`` is ``(keep, slot, row, col)``: the indices of the
+    transitions the kind keeps, and for each the slot of its matrix
+    cell, cells being the distinct (row, col) pairs in order of first
+    use.
     """
 
     T: int
     surface: str
-    states: tuple           # (labels, a_done, end_done, parity)
-    transitions: tuple      # (src, dst, xpow, ypow, end_kind)
-    sources: tuple          # state indices with weight-1 initial amplitude
-    sinks: tuple            # accepting state indices
-    src: np.ndarray = field(init=False, repr=False, compare=False)
-    dst: np.ndarray = field(init=False, repr=False, compare=False)
-    xpow: np.ndarray = field(init=False, repr=False, compare=False)
-    ypow: np.ndarray = field(init=False, repr=False, compare=False)
-    end: np.ndarray = field(init=False, repr=False, compare=False)
-    cells: dict = field(init=False, repr=False, compare=False)
+    src: np.ndarray = field(repr=False)
+    dst: np.ndarray = field(repr=False)
+    xpow: np.ndarray = field(repr=False)
+    ypow: np.ndarray = field(repr=False)
+    end: np.ndarray = field(repr=False)
+    states: tuple = field(repr=False)  # (labels, a_done, end_done, parity)
+    sinks: tuple                       # accepting state indices
+    sources: tuple = (0, 1)            # state indices with weight-1 initial amplitude
+    cells: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        code = {k: i for i, k in enumerate(_END_KINDS)}
-        cols = np.array(
-            [(si, sj, xp, yp, code[ek]) for si, sj, xp, yp, ek in self.transitions],
-            dtype=np.intp,
-        ).reshape(-1, 5)
-        for name, col in zip(("src", "dst", "xpow", "ypow", "end"), cols.T):
-            object.__setattr__(self, name, np.ascontiguousarray(col))
+        for a in (self.src, self.dst, self.xpow, self.ypow, self.end):
+            a.flags.writeable = False  # the operator is cached and shared
+        n = self.state_count
         cells = {}
         for kind, allowed in _KINDS.items():
             ok = np.array([ek is None or ek in allowed for ek in _END_KINDS])
             keep = np.flatnonzero(ok[self.end])
-            index: dict = {}
-            slot = [index.setdefault(c, len(index))
-                    for c in zip(self.src[keep].tolist(), self.dst[keep].tolist())]
-            rc = np.array(list(index), dtype=np.intp).reshape(-1, 2)
-            cells[kind] = (keep, np.array(slot, dtype=np.intp),
-                           np.ascontiguousarray(rc[:, 0]), np.ascontiguousarray(rc[:, 1]))
+            # slots number the distinct cells by their first transition
+            cell, first, inverse = np.unique(self.src[keep] * n + self.dst[keep],
+                                             return_index=True, return_inverse=True)
+            # stable: the sort np.unique has run already, so no other sort
+            # code is paged in
+            order = np.argsort(first, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            cells[kind] = (keep, rank[inverse], cell[order] // n, cell[order] % n)
         object.__setattr__(self, "cells", cells)
 
     @property
     def state_count(self) -> int:
         return len(self.states)
+
+    @property
+    def transitions(self) -> _Transitions:
+        return _Transitions(self)
+
+
+class _Transitions:
+    """The transitions of a TransferOperator as (src, dst, xpow, ypow,
+    end_kind) tuples, read from its arrays."""
+
+    def __init__(self, op: TransferOperator):
+        self._op = op
+
+    def __len__(self) -> int:
+        return len(self._op.src)
+
+    def __iter__(self):
+        op = self._op
+        return zip(op.src.tolist(), op.dst.tolist(), op.xpow.tolist(), op.ypow.tolist(),
+                   [_END_KINDS[e] for e in op.end.tolist()])
+
+
+def _decode_states(codes: np.ndarray, T: int) -> tuple[tuple, tuple]:
+    """The (labels, a_done, end_done, parity) of each kernel state code,
+    and the accepting states: an empty cut with both flags set."""
+    chars, shift, empty = _kernel.SLOT_CHARS, _kernel.FLAG_SHIFT, "." * T
+    states = tuple(
+        ("".join(chars[c >> 3 * i & 7] for i in range(T)), bool(c >> shift & 1),
+         bool(c >> shift + 1 & 1), c >> shift + 2 & 1)
+        for c in codes.tolist()
+    )
+    sinks = tuple(i for i, (lb, a, e, _) in enumerate(states) if lb == empty and a and e)
+    return states, sinks
 
 
 def build_transfer(T: int, surface: str = "top") -> TransferOperator:
@@ -283,61 +183,8 @@ def build_transfer(T: int, surface: str = "top") -> TransferOperator:
 
 @lru_cache(maxsize=16)
 def _build_transfer(T: int, surface: str) -> TransferOperator:
-    empty = EMPTY * T
-    sources = [(empty, False, False, 0), (empty, False, False, 1)]
-    index: dict = {}
-    states: list = []
-    transitions = []
-    parsed: dict = {}
-    columns = [_column_moves(T, p, surface) for p in (0, 1)]
-
-    def intern(s):
-        if s not in index:
-            index[s] = len(states)
-            states.append(s)
-        return index[s]
-
-    for s in sources:
-        intern(s)
-    frontier = list(sources)
-    while frontier:
-        nxt = []
-        for st in frontier:
-            labels, a_done, end_done, p = st
-            if labels == empty and a_done and end_done:
-                continue  # accepting state, no outgoing transitions
-            if labels not in parsed:
-                parsed[labels] = _parse(labels, T)
-            cut = parsed[labels]
-            si = index[st]
-            for move in columns[p][cut[3], not a_done and p == 0, not end_done]:
-                new = _compose(cut, move, T)
-                if new is None:
-                    continue
-                _, xpow, ypow, start, ek, _ = move
-                # a completed walk joined an S end and an E end, so both
-                # flags are already set
-                tgt = (new, a_done or start, end_done or ek is not None, (p + 1) % 2)
-                if tgt not in index:
-                    nxt.append(tgt)
-                sj = intern(tgt)
-                transitions.append((si, sj, xpow, ypow, ek))
-        frontier = nxt
-    sinks = tuple(
-        i for i, (lb, a, e, _) in enumerate(states) if lb == empty and a and e
-    )
-    return TransferOperator(
-        T=T,
-        surface=surface,
-        states=tuple(states),
-        transitions=tuple(transitions),
-        sources=tuple(index[s] for s in sources),
-        sinks=sinks,
-    )
-
-
-def _filtered(op: TransferOperator, kind: str):
-    return [op.transitions[i] for i in op.cells[kind][0]]
+    codes, src, dst, xpow, ypow, end = _kernel.transfer(T, surface == "top")
+    return TransferOperator(T, surface, src, dst, xpow, ypow, end, *_decode_states(codes, T))
 
 
 def series_counts(op: TransferOperator, N: int, kind: str = "walk"):
@@ -347,9 +194,10 @@ def series_counts(op: TransferOperator, N: int, kind: str = "walk"):
     kind='walk'.  Used as the bridge between the operator and the DFS
     enumeration oracle.
     """
-    trans = _filtered(op, kind)
+    keep = op.cells[kind][0]
     by_src: dict = {}
-    for si, sj, xp, yp, ek in trans:
+    for si, sj, xp, yp in zip(op.src[keep].tolist(), op.dst[keep].tolist(),
+                              op.xpow[keep].tolist(), op.ypow[keep].tolist()):
         by_src.setdefault(si, []).append((sj, xp, yp))
     frontier = {s: {(0, 0): 1} for s in op.sources}
     out: dict = {}
@@ -437,7 +285,7 @@ def _find_root(f, lo: float, hi: float, flo: float, fhi: float,
     Illinois regula falsi: the next point is the secant root of the two
     ends, and an end kept twice in a row has its value halved so both
     ends converge.  A secant point off the open bracket is replaced by
-    the midpoint.
+    the midpoint.  A point where f is exactly 0 is returned as (mid, mid).
     """
     kept = 0  # +1 when lo was kept by the last step, -1 when hi was
     while hi - lo > tol:
@@ -447,6 +295,8 @@ def _find_root(f, lo: float, hi: float, flo: float, fhi: float,
             if mid == lo or mid == hi:
                 break  # adjacent floats: the interval cannot shrink further
         fmid = f(mid)
+        if fmid == 0:
+            return mid, mid
         if fmid < 0:
             lo, flo = mid, fmid
             if kept < 0:
@@ -472,8 +322,11 @@ def growth_mu(T: int, y) -> GrowthEstimate:
     def f(x):
         return _spectral_radius(_float_matrix(op, x, yf), start=v) - 1.0
 
-    # T=1 is degenerate (mu=1 at y=1), so the upper end sits past x=1
-    lo, hi = 0.15, 1.25
+    # For T >= 2, mu_T(1, y) > 1 and mu_T(1, y) >= sqrt(y) (the zigzag
+    # along the contact level), so the root x = 1/mu_T lies below
+    # 1/max(1, sqrt(y)).  T=1 attains the bound, so its upper end sits
+    # past x=1.
+    lo, hi = 0.15, 1.25 if T == 1 else 1.0 / max(1.0, math.sqrt(yf))
     flo, fhi = f(lo), f(hi)
     if not (flo < 0 < fhi):
         raise NonConvergenceError(f"growth bracket failed: {flo}, {fhi}")

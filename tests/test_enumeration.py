@@ -42,7 +42,8 @@ def test_kernels_agree(domain):
 @pytest.fixture(scope="module")
 def c_kernel(tmp_path_factory):
     """The C kernel built from src/hexsaw/_dfs.c into a temporary directory,
-    so it is tested even when no extension was built in place."""
+    so it is tested even when no extension was built in place; a compiler
+    warning fails the build."""
     if not (shutil.which("cc") or shutil.which("gcc")):
         pytest.skip("no C compiler (cc or gcc) found")
     tmp = tmp_path_factory.mktemp("c_kernel")
@@ -51,7 +52,9 @@ def c_kernel(tmp_path_factory):
          "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
         cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    log = proc.stdout + proc.stderr
+    assert proc.returncode == 0, log
+    assert ": warning:" not in log, log
     (path,) = (tmp / "lib" / "hexsaw").glob("_dfs.*")
     loader = importlib.machinery.ExtensionFileLoader("_dfs", str(path))
     module = importlib.util.module_from_spec(importlib.util.spec_from_loader("_dfs", loader))
@@ -108,6 +111,27 @@ def test_c_kernel_rejects_malformed_tables(c_kernel):
             c_kernel.tally_class(bad, 4)
     with pytest.raises(ValueError):
         c_kernel.tally_class(tables, -1)
+
+
+@pytest.mark.parametrize("top", [True, False], ids=["top", "bottom"])
+@pytest.mark.parametrize("T", range(1, 8))
+def test_c_transfer_matches_pure(c_kernel, T, top):
+    """Same layout, state codes, numbering and transitions, array for array."""
+    for name in ("T_MAX", "FLAG_SHIFT", "SLOT_CHARS", "END_KINDS"):
+        assert getattr(c_kernel, name) == getattr(_dfs_py, name), name
+    ref = _dfs_py.transfer(T, top)
+    got = c_kernel.transfer(T, top)
+    assert len(got) == len(ref) == 6
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
+        assert (a == b).all()
+
+
+@pytest.mark.parametrize("args", [(0, True), (11, True), (3, 1), (3, "top")])
+def test_transfer_rejects_bad_arguments(c_kernel, args):
+    for kernel in (c_kernel, _dfs_py):
+        with pytest.raises(ValueError):
+            kernel.transfer(*args)
 
 
 def test_histogram_matches_generator():

@@ -289,6 +289,27 @@ def test_growth_mu_bisection_stops_when_interval_cannot_shrink(T, monkeypatch):
     assert len(calls) < 30
 
 
+def test_growth_mu_T1_stops_on_exact_root(monkeypatch):
+    """At T=1 the secant lands on mu_1 = sqrt(y) exactly and the search
+    stops there instead of bisecting to adjacent floats."""
+    calls = _counting_radius(monkeypatch)
+    for y in ("1", "3/2", "5/3", "7/4", "9/5", "2", "11/5"):  # 1 and the perfbench weights
+        calls.clear()
+        est = sp.growth_mu(1, Fraction(y))
+        assert len(calls) <= 5, y
+        assert abs(est.mu - math.sqrt(Fraction(y))) <= 1e-12, y
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 5, 6])
+def test_growth_mu_upper_end_is_above_root(T):
+    """mu_T(1, y) > max(1, sqrt(y)) for T >= 2, so the upper bracket end
+    x = 1/max(1, sqrt(y)) has spectral radius above 1."""
+    op = sp.build_transfer(T, "top")
+    for y in (0.5, 1.0, 1.5, 2.0, 2.2):
+        hi = 1.0 / max(1.0, math.sqrt(y))
+        assert sp._spectral_radius(sp._float_matrix(op, hi, y)) > 1.0, y
+
+
 @pytest.mark.parametrize("T", [2, 3, 4, 5])
 def test_solve_yT_matches_cold_bisection(T, monkeypatch):
     """y_T within tol of a cold-start bisection to the same tol, in at
