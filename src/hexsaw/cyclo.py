@@ -17,13 +17,20 @@ denominator; complex conjugation is sigma_47.  Inverses use no rational
 Euclid: a tower of four quadratic steps through the Galois group turns
 a into its norm N(a), a positive rational, and a^-1 is the product of
 the four cofactors divided by N(a).
+
+Signs and float values of real elements come from exact integer
+enclosures: d * Re(a) = sum n_k cos(k*pi/24) is bracketed by
+sum n_k C_k / 2^p, where the integers C_k are within one unit of
+2^p cos(k*pi/24), and p doubles until the bracket excludes 0 (a nonzero
+element is bounded away from 0 by its norm, so this ends).
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 from numbers import Complex, Rational
 
 from .errors import ScalarModeError
@@ -285,13 +292,18 @@ class Cyclo48:
         return acc
 
     def to_float(self) -> float:
-        w = self.to_complex()
-        if abs(w.imag) > 1e-9:
+        """The value of a real element, within one ulp; realness is
+        tested exactly."""
+        if not self.is_real():
             raise ValueError(f"{self!r} is not real")
-        return w.real
+        if not self:
+            return 0.0
+        S, p = self._scaled_real(54)
+        return S / (self.d << p)   # int / int rounds correctly
 
     def eval_mp(self, dps: int = 60):
-        """High-precision complex value (for rigorous sign decisions)."""
+        """High-precision complex value, an independent check of the
+        integer enclosures of ``sign`` and ``to_float``."""
         import mpmath
 
         with mpmath.workdps(dps):
@@ -301,21 +313,34 @@ class Cyclo48:
                 acc = acc * z + mpmath.mpf(a)
             return acc / self.d
 
-    def sign(self) -> int:
-        """Sign of a real element, decided at 60-digit precision.
+    def _scaled_real(self, guard: int) -> tuple[int, int]:
+        """(S, p) with |S - 2^p * d * Re(self)| < |S| / 2^guard, for
+        Re(self) != 0.
 
-        Values encountered here are O(1) differences of model constants;
-        the magnitude guard rejects anything suspiciously close to zero
-        rather than silently guessing.
+        S = sum n_k C_k is within sum |n_k| of 2^p * d * Re(self) (see
+        :func:`_cos_table`).  The first p is 64 bits past the scale
+        max|n_k| / d of the value, rounded up to 64 * 2^j, and p doubles
+        until that error is below |S| / 2^guard.
         """
+        err = sum(abs(a) for a in self.n)
+        need = max(0, max(abs(a) for a in self.n).bit_length() - self.d.bit_length()) + 64
+        p = 64
+        while p < need:
+            p *= 2
+        while True:
+            S = sum(a * c for a, c in zip(self.n, _cos_table(p)))
+            if abs(S) > err << guard:
+                return S, p
+            p *= 2
+
+    def sign(self) -> int:
+        """Sign of a real element, decided exactly: from an integer
+        enclosure of its value that excludes 0."""
         if not self:
             return 0
         if not self.is_real():
             raise ValueError("sign() requires a real element")
-        val = self.eval_mp().real
-        if abs(val) < 1e-40:
-            raise ValueError(f"sign of {self!r} numerically ambiguous")
-        return 1 if val > 0 else -1
+        return 1 if self._scaled_real(0)[0] > 0 else -1
 
     def __lt__(self, other):
         o = _coerce(other)
@@ -345,6 +370,35 @@ class Cyclo48:
 
 ZERO = _rational(0)
 ONE = _rational(1)
+
+
+@lru_cache(maxsize=None)
+def _cos_table(p: int) -> tuple:
+    """Integers C_k with |C_k - 2^p cos(k*pi/24)| < 1, for k = 0..15.
+
+    Each cos(k * 7.5 deg) is a nested square root of integers: cos 15 and
+    cos 75 are (sqrt 6 +- sqrt 2) / 4, the odd multiples of 7.5 deg are
+    half angles of them, and cos 22.5, 30, 45 and 67.5 are sqrt(2 +- sqrt 2)
+    / 2, sqrt 3 / 2 and sqrt 2 / 2.  They are evaluated with floor square
+    roots at 16 guard bits, where the worst error, under 8 units from
+    sqrt((1 - cos 15) / 2), vanishes in the final rounding.  Callers use
+    p = 64 * 2^j only, so the cache stays small.
+    """
+    guard = 16
+    q = p + guard
+    one = 1 << q
+
+    def root(a: int) -> int:
+        """2^q sqrt(x), rounded down, from a = 2^q x."""
+        return isqrt(a << q)
+
+    r2, r6 = root(2 * one), root(6 * one)
+    c15, c75 = (r6 + r2) >> 2, (r6 - r2) >> 2
+    c = [one, root((one + c15) >> 1), c15, root(2 * one + r2) >> 1,
+         root(3 * one) >> 1, root((one + c75) >> 1), r2 >> 1, root((one - c75) >> 1),
+         one >> 1, root(2 * one - r2) >> 1, c75, root((one - c15) >> 1), 0]
+    c += [-c[24 - k] for k in range(13, _DEG)]    # cos(pi - t) = -cos t
+    return tuple((x + (1 << guard - 1)) >> guard for x in c)
 
 
 def two_cos(k: int) -> Cyclo48:

@@ -1,6 +1,7 @@
 """Renewal structure, Kesten partial sums, diamond points, unfolding,
 prime-arch factorization and the stickbreak perturbation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,16 @@ def test_kesten_partials_increase_below_one():
     # taller irreducible bridges first appear at length 12
     assert set(h for h, _ in br.kesten_partial(12).counts) == {1, 2}
     assert set(h for h, _ in br.kesten_partial(8).counts) == {1}
+
+
+def test_kesten_float_at_N26(monkeypatch):
+    """Past N_CAP, at N = 26, the exactly real Kesten sum converts to a
+    float within one ulp of a 60-digit evaluation."""
+    monkeypatch.setattr(br, "N_CAP", 26)
+    stats = br.kesten_partial(26)
+    want = float(stats.partial_sum.eval_mp().real)
+    assert abs(stats.partial_sum_float - want) <= math.ulp(want)
+    assert 0.9 < stats.partial_sum_float < 1
 
 
 def test_kesten_guard():

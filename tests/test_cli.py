@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hexsaw.cli import SCHEMA_VERSION, main
-from hexsaw.strip import T_CAP_FLOAT
+from hexsaw.strip import T_CAP_EXACT, T_CAP_FLOAT
 
 
 def run(capsys, *argv):
@@ -76,6 +76,12 @@ def test_strip_identity_and_mu(capsys):
     assert code == 0 and doc["ok"] is True
     mus = [r["mu_T"] for r in doc["results"]["rows"]]
     assert mus == sorted(mus)
+
+
+def test_strip_identity_T5_is_exact(capsys):
+    code, doc = run_json(capsys, "strip-identity", "--T", "5")
+    assert code == 0 and doc["ok"] is True
+    assert doc["results"]["mode"] == "exact" and doc["results"]["exact_zero"] is True
 
 
 def test_y_seq(capsys):
@@ -187,7 +193,7 @@ def test_solver_and_capacity_errors_exit_3(capsys):
     assert main(["strip-identity", "--T", str(T_CAP_FLOAT + 1)]) == 3
     capsys.readouterr()
     # exact solve above its cap
-    assert main(["strip-identity", "--T", "5", "--mode", "exact"]) == 3
+    assert main(["strip-identity", "--T", str(T_CAP_EXACT + 1), "--mode", "exact"]) == 3
     capsys.readouterr()
     # surface weight beyond y_1: the strip series diverges
     assert main(["strip-identity", "--T", "1", "--y", "8"]) == 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexsaw.cyclo import ONE, SQRT2, ZERO, Cyclo48, two_cos
+from hexsaw.cyclo import ONE, SQRT2, ZERO, Cyclo48, _cos_table, two_cos
 from hexsaw.errors import ScalarModeError
 
 small = st.fractions(
@@ -194,3 +194,60 @@ def test_float_mixing_raises(a, f):
             op()
     with pytest.raises(ScalarModeError):
         a ** 1.0
+
+
+# -- exact sign and float value ----------------------------------------
+
+
+def _pell_convergents(max_digits):
+    """(p, q) with p/q the convergents of sqrt 2, so p^2 - 2 q^2 = +-1."""
+    p, q = 1, 1
+    while len(str(p)) <= max_digits:
+        yield p, q
+        p, q = p + 2 * q, p + q
+
+
+def test_cos_table_within_one_unit():
+    import mpmath
+
+    for p in (64, 128, 512, 4096):
+        with mpmath.workdps(p // 3 + 40):
+            for k, C in enumerate(_cos_table(p)):
+                assert abs(C - mpmath.ldexp(mpmath.cos(k * mpmath.pi / 24), p)) < 1, (p, k)
+
+
+def test_sign_of_pell_differences():
+    """p - q*sqrt(2) = (p^2 - 2q^2) / (p + q*sqrt(2)) is about 1/(2p):
+    at 80 digits it is 1e-80 next to 80-digit coefficients."""
+    seen = 0
+    for p, q in _pell_convergents(80):
+        v = p - q * SQRT2
+        assert v.sign() == (1 if p * p > 2 * q * q else -1), len(str(p))
+        assert (-v).sign() == -v.sign()
+        seen += 1
+    assert seen > 100
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements, st.integers(min_value=0, max_value=400))
+def test_to_float_within_one_ulp(a, bits):
+    """Real values with coefficients of up to about 400 bits: to_float
+    is within one ulp of a 300-digit evaluation."""
+    v = (a + a.conjugate()) * (1 << bits) + Cyclo48.from_rational(Fraction(1, 3))
+    want = float(v.eval_mp(300).real)
+    got = v.to_float()
+    assert abs(got - want) <= math.ulp(want), (got, want)
+
+
+def test_to_float_tests_realness_exactly():
+    import mpmath
+
+    i = Cyclo48.zeta_pow(12)
+    with pytest.raises(ValueError, match="not real"):
+        (ONE + i * Fraction(1, 10**30)).to_float()
+    assert ZERO.to_float() == 0.0
+    # real, with coefficients of up to 80 digits cancelling to 1e-80
+    for p, q in _pell_convergents(80):
+        with mpmath.workdps(200):
+            want = float(mpmath.mpf(p) - q * mpmath.sqrt(2))
+        assert abs((p - q * SQRT2).to_float() - want) <= math.ulp(want), len(str(p))

@@ -11,7 +11,7 @@ from hexsaw import bridges as br
 from hexsaw import domains as dm
 from hexsaw import enumeration as en
 from hexsaw import strip as sp
-from hexsaw.cyclo import Cyclo48, ONE
+from hexsaw.cyclo import ONE, ZERO, Cyclo48
 from hexsaw.errors import CapacityError, InvalidParameterError, NonConvergenceError
 from hexsaw.model import constants
 
@@ -123,6 +123,101 @@ def test_exact_gf_values_T1():
     # B_1(x_c, 1): bridges in a height-1 strip are single vertical
     # crossings dressed by horizontal excursions
     assert b.sign() == 1 and (ONE - b).sign() == 1
+
+
+def _gauss(A, b):
+    """Dense exact Gaussian elimination over the field."""
+    m = len(A)
+    A = [list(row) for row in A]
+    b = list(b)
+    for col in range(m):
+        piv = next(r for r in range(col, m) if A[r][col])
+        A[col], A[piv] = A[piv], A[col]
+        b[col], b[piv] = b[piv], b[col]
+        inv = A[col][col].inverse()
+        A[col] = [a * inv for a in A[col]]
+        b[col] = b[col] * inv
+        for r in range(m):
+            if r != col and A[r][col]:
+                f = A[r][col]
+                A[r] = [a - f * p if p else a for a, p in zip(A[r], A[col])]
+                b[r] = b[r] - f * b[col]
+    return b
+
+
+def _gauss_solve(m, r, c, v, b):
+    """The sector solver interface over the dense oracle: (I - B) u = b."""
+    A = np.full((m, m), ZERO)
+    A[r, c] = -v
+    A.flat[:: m + 1] += ONE
+    return _gauss(A, b)
+
+
+def _exact_z(op, kind, y, solve):
+    w = sp._exact_weights(op, constants(0, "dilute").x_c, Cyclo48.from_rational(y), kind)
+    return sp._sector_solve(op, kind, w, ONE, solve)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_markowitz_solve_matches_dense_gauss(T):
+    """Sparse elimination in Markowitz order gives the dense oracle's
+    exact resolvent, state by state."""
+    op = sp.build_transfer(T, "top")
+    for kind in ("arch", "bridge", "walk"):
+        for y in (1, Fraction(7, 4), 2):
+            got = _exact_z(op, kind, y, sp._markowitz_solve)
+            want = _exact_z(op, kind, y, _gauss_solve)
+            assert list(got) == list(want), (kind, y)
+
+
+@pytest.mark.parametrize("kind", ["arch", "bridge"])
+def test_exact_T5_resolvent_certificate(kind):
+    """(I - M) z = sink holds exactly at T = 5, row by row in every flag
+    sector, with I - M rebuilt from the operator's cells and transitions."""
+    op = sp.build_transfer(5, "top")
+    y = Fraction(7, 4)
+    z = _exact_z(op, kind, y, sp._markowitz_solve)
+    keep, slot, row, col = op.cells[kind]
+    x_c, yc = constants(0, "dilute").x_c, Cyclo48.from_rational(y)
+    w = [ZERO] * len(row)
+    for k, i, j in zip(slot.tolist(), op.xpow[keep].tolist(), op.ypow[keep].tolist()):
+        w[k] = w[k] + x_c**i * yc**j
+    lhs = list(z)
+    for i, j, wk in zip(row.tolist(), col.tolist(), w):
+        lhs[i] = lhs[i] - wk * z[j]
+    sinks = set(op.sinks)
+    for sector in sp._SECTOR_ORDER:
+        rows = [i for i, st in enumerate(op.states) if st[1:3] == sector]
+        assert rows, sector
+        assert all(lhs[i] == (ONE if i in sinks else ZERO) for i in rows), sector
+    assert any(z[s] for s in op.sources)
+
+
+@pytest.mark.parametrize("y", [1, Fraction(7, 4)])
+def test_strip_identity_exact_T5(y):
+    rep = sp.check_strip_identity(5, y)
+    assert rep.mode == "exact" and rep.exact_zero
+
+
+def test_exact_vs_float_gf_T5():
+    for kind in ("arch", "bridge", "walk"):
+        e = sp.strip_gf(5, 1, kind, mode="exact")
+        f = sp.strip_gf(5, 1, kind, mode="float")
+        assert e.mode == "exact" and isinstance(e.value, Cyclo48)
+        assert abs(e.value.to_float() - f.value) < 1e-12, kind
+
+
+def test_markowitz_solve_refuses_a_zero_pivot():
+    """I - B singular on the diagonal: the series diverges, and the pivot
+    is not skipped."""
+    one = np.array([ONE], dtype=object)
+    with pytest.raises(sp.DivergenceError, match="zero pivot"):
+        sp._markowitz_solve(1, np.array([0]), np.array([0]), one, one)
+    # a 2-cycle of weight 1: the first diagonal pivot is 1, its Schur
+    # complement 1 - 1 = 0
+    with pytest.raises(sp.DivergenceError, match="zero pivot"):
+        sp._markowitz_solve(2, np.array([0, 1]), np.array([1, 0]),
+                            np.array([ONE, ONE], dtype=object), np.array([ONE, ZERO], dtype=object))
 
 
 def test_growth_mu_monotone_and_bounded():
@@ -291,9 +386,11 @@ def test_growth_mu_bisection_stops_when_interval_cannot_shrink(T, monkeypatch):
 
 def test_growth_mu_T1_stops_on_exact_root(monkeypatch):
     """At T=1 the secant lands on mu_1 = sqrt(y) exactly and the search
-    stops there instead of bisecting to adjacent floats."""
+    stops there instead of bisecting to adjacent floats.  Below y = 1 the
+    root x = 1/sqrt(y) lies past x = 1."""
     calls = _counting_radius(monkeypatch)
-    for y in ("1", "3/2", "5/3", "7/4", "9/5", "2", "11/5"):  # 1 and the perfbench weights
+    # 1, the perfbench weights, and weights below 1
+    for y in ("1", "3/2", "5/3", "7/4", "9/5", "2", "11/5", "1/2", "63/100", "1/10"):
         calls.clear()
         est = sp.growth_mu(1, Fraction(y))
         assert len(calls) <= 5, y
