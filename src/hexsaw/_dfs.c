@@ -366,19 +366,18 @@ static int64_t compose(const int *part, int occupied, int s_port, const Move *m,
 {
     const int S = 2 * T;
     uint8_t seen[2 * T_MAX + 2] = {0};
-    int slot[T_MAX] = {0}, completed = 0, t;
+    int64_t code = 0;
+    int completed = 0, t;
     for (int k = 0; k < T; k++) {
         if (!(m->rocc >> k & 1) || seen[T + k])
             continue;
         if ((t = trace(m->match[T + k], part, m->match, seen, T)) < 0)
             return -1;
         seen[t] = 1;
-        if (t < S) {
-            slot[k] = OPEN;
-            slot[t - T] = CLOSE;
-        } else {
-            slot[k] = t == S ? SLOT_S : SLOT_E;
-        }
+        if (t < S)
+            code |= (int64_t)OPEN << 3 * k | (int64_t)CLOSE << 3 * (t - T);
+        else
+            code |= (int64_t)(t == S ? SLOT_S : SLOT_E) << 3 * k;
     }
     if (!seen[S] && (m->start || s_port >= 0)) {
         int e = m->start ? S : s_port;
@@ -391,16 +390,9 @@ static int64_t compose(const int *part, int occupied, int s_port, const Move *m,
         return -1;  /* an occupied left port off every path lies on a loop */
     if (completed && m->rocc)
         return -1;
-    int64_t code = 0;
-    int depth = 0, below_s = 1;
-    for (int k = 0; k < T; k++) {
-        code |= (int64_t)slot[k] << 3 * k;
-        if (slot[k] == SLOT_S)
-            below_s = 0;
-        depth += below_s * ((slot[k] == OPEN) - (slot[k] == CLOSE));
-    }
-    /* planarity sanity: S may not be nested inside a pairing arc */
-    return below_s || !depth ? code : -1;
+    /* no nesting test for S: its strand runs to the start on the bottom
+       boundary, so it cannot begin inside a closed arc */
+    return code;
 }
 
 /* Codes of the states found so far, and an open-addressing index on them. */

@@ -202,12 +202,9 @@ def _compose(parsed, move, T):
         return None  # an occupied left port off every path lies on a loop
     if completed and rocc:
         return None
-    labels = "".join(new)
-    # planarity sanity: S may not be nested inside a pairing arc
-    i = labels.find("S")
-    if i > 0 and labels.count("(", 0, i) != labels.count(")", 0, i):
-        return None
-    return labels
+    # no nesting test for S: its strand runs to the start on the bottom
+    # boundary, so it cannot begin inside a closed arc
+    return "".join(new)
 
 
 def _code(state) -> int:

@@ -193,11 +193,7 @@ def _cmd_strip_identity(args):
 def _cmd_bounds(args):
     y_grid = tuple(_parse_rational(t) for t in args.y_grid.split(","))
     rep = sp.check_bounds(args.Tmax, y_grid, mode=args.mode)
-    rows = [
-        {"check": c["check"], "margin": c["margin"], "ok": c["ok"]}
-        for c in rep["checks"]
-    ]
-    return rep, rep["ok"], rows
+    return rep, rep["ok"], rep["checks"]
 
 
 def _cmd_kesten(args):
@@ -283,18 +279,20 @@ def _cmd_half_plane(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, *, model=False, TL=False):
+def _add_common(p, *, model=False, TL=False, rows=False, mode=False):
     if model:
         p.add_argument("--n", default="0", help="loop weight (rational or decimal)")
         p.add_argument("--regime", default="dilute", choices=["dilute", "dense"])
-        p.add_argument("--mode", default="auto", choices=["auto", "exact", "float"])
         p.add_argument("--with-loops", action="store_true",
                        help="include closed-loop configurations")
+    if model or mode:
+        p.add_argument("--mode", default="auto", choices=["auto", "exact", "float"])
     if TL:
         p.add_argument("--T", type=int, required=True, help="domain height")
         p.add_argument("--L", type=int, required=True, help="domain half-width")
     p.add_argument("--output", default=None, help="write report to this path")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
+    if rows:  # a subcommand without rows has no CSV form
+        p.add_argument("--format", default="json", choices=["json", "csv"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_rectangle)
 
     p = sub.add_parser("strip-mu", help="strip growth rates mu_T")
-    _add_common(p)
+    _add_common(p, rows=True)
     p.add_argument("--Tmax", type=int, default=4)
     p.add_argument("--y", default="1")
     p.set_defaults(func=_cmd_strip_mu)
 
     p = sub.add_parser("y-seq", help="critical strip fugacities y_T")
-    _add_common(p)
+    _add_common(p, rows=True)
     p.add_argument("--Tmax", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-8,
                    help="width of the final bracket on each y_T, in [0, 1e-2]; "
@@ -335,21 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_y_seq)
 
     p = sub.add_parser("strip-identity", help="arch/bridge identity in a strip")
-    _add_common(p)
+    _add_common(p, mode=True)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--y", default="1")
-    p.add_argument("--mode", default="auto", choices=["auto", "exact", "float"])
     p.set_defaults(func=_cmd_strip_identity)
 
-    p = sub.add_parser("bounds", help="exact strip inequality suite")
-    _add_common(p)
+    p = sub.add_parser("bounds", help="strip inequality suite")
+    _add_common(p, rows=True, mode=True)
     p.add_argument("--Tmax", type=int, default=3)
     p.add_argument("--y-grid", default="1,3/2,2")
-    p.add_argument("--mode", default="auto", choices=["auto", "exact", "float"])
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("kesten", help="truncated irreducible-bridge sums")
-    _add_common(p)
+    _add_common(p, rows=True)
     p.add_argument("--N", default="4,8,12,16", help="comma-separated truncations")
     p.set_defaults(func=_cmd_kesten)
 
@@ -366,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("half-plane", help="half-plane walk partition sums")
-    _add_common(p)
+    _add_common(p, rows=True)
     p.add_argument("--N", type=int, default=10, help="maximum length")
     p.add_argument("--y", default="1")
     p.set_defaults(func=_cmd_half_plane)

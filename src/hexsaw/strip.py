@@ -48,10 +48,13 @@ over the four flag sectors (start inserted, end placed), and the
 resolvent is solved one diagonal block at a time: over Q(zeta_48) for
 T <= 5 by sparse elimination in Markowitz order (the blocks hold about
 3.3 nonzero cells per row), in floats up to T = 7 by a dense LAPACK
-solve per block.  Growth rates mu_T and the fugacities y_T are
-roots of (spectral radius of M) - 1, found by a secant (Illinois
-regula falsi) search whose matrix-free power iterations each start from
-the previous one's last iterate.
+solve per block.  An end transition leads from an end-open sector to an
+end-placed one, so no block holds one, and one solve per (T, y) with a
+column per end kind gives arches (bottom), bridges (top) and walks (all
+three).  Growth rates mu_T and the fugacities y_T are roots of
+(spectral radius of M) - 1, found by a secant (Illinois regula falsi)
+search whose matrix-free power iterations each start from the previous
+one's last iterate.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from .model import constants
 T_CAP_EXACT = 5
 T_CAP_FLOAT = 7
 
-# End kinds each walk kind accepts; the other end transitions are dropped.
+# End kinds each walk kind accepts: the resolvent columns its value sums.
 _KINDS = {
     "walk": ("interior", "bottom", "top"),
     "arch": ("bottom",),
@@ -96,10 +99,10 @@ class TransferOperator:
     ``transitions`` is a read-only view yielding the same transitions as
     (src, dst, xpow, ypow, end_kind) tuples.  ``states`` decodes the
     kernel's state codes into (labels, a_done, end_done, parity).
-    ``cells[kind]`` is ``(keep, slot, row, col)``: the indices of the
-    transitions the kind keeps, and for each the slot of its matrix
-    cell, cells being the distinct (row, col) pairs in order of first
-    use.
+    ``cells`` is ``(slot, row, col, end)``: for each transition the slot
+    of its matrix cell, and for each cell its row, column and end-kind
+    code, cells being the distinct (src, dst, end) triples in order of
+    first use.
     """
 
     T: int
@@ -112,26 +115,23 @@ class TransferOperator:
     states: tuple = field(repr=False)  # (labels, a_done, end_done, parity)
     sinks: tuple                       # accepting state indices
     sources: tuple = (0, 1)            # state indices with weight-1 initial amplitude
-    cells: dict = field(init=False, repr=False)
+    cells: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for a in (self.src, self.dst, self.xpow, self.ypow, self.end):
             a.flags.writeable = False  # the operator is cached and shared
-        n = self.state_count
-        cells = {}
-        for kind, allowed in _KINDS.items():
-            ok = np.array([ek is None or ek in allowed for ek in _END_KINDS])
-            keep = np.flatnonzero(ok[self.end])
-            # slots number the distinct cells by their first transition
-            cell, first, inverse = np.unique(self.src[keep] * n + self.dst[keep],
-                                             return_index=True, return_inverse=True)
-            # stable: the sort np.unique has run already, so no other sort
-            # code is paged in
-            order = np.argsort(first, kind="stable")
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            cells[kind] = (keep, rank[inverse], cell[order] // n, cell[order] % n)
-        object.__setattr__(self, "cells", cells)
+        n, ends = self.state_count, len(_END_KINDS)
+        # slots number the distinct cells by their first transition
+        cell, first, inverse = np.unique((self.src * n + self.dst) * ends + self.end,
+                                         return_index=True, return_inverse=True)
+        # stable: the sort np.unique has run already, so no other sort
+        # code is paged in
+        order = np.argsort(first, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        cell = cell[order]
+        object.__setattr__(self, "cells", (rank[inverse], cell // ends // n,
+                                           cell // ends % n, cell % ends))
 
     @property
     def state_count(self) -> int:
@@ -196,7 +196,7 @@ def series_counts(op: TransferOperator, N: int, kind: str = "walk"):
     kind='walk'.  Used as the bridge between the operator and the DFS
     enumeration oracle.
     """
-    keep = op.cells[kind][0]
+    keep = np.flatnonzero(np.isin(op.end, [0] + [_END_KINDS.index(e) for e in _KINDS[kind]]))
     by_src: dict = {}
     for si, sj, xp, yp in zip(op.src[keep].tolist(), op.dst[keep].tolist(),
                               op.xpow[keep].tolist(), op.ypow[keep].tolist()):
@@ -239,13 +239,13 @@ class _FloatMatrix:
         return np.bincount(self.col, weights=v[self.row] * self.w, minlength=self.n)
 
 
-def _float_matrix(op: TransferOperator, x: float, y: float, kind: str = "walk") -> _FloatMatrix:
-    keep, slot, row, col = op.cells[kind]
+def _float_matrix(op: TransferOperator, x: float, y: float) -> _FloatMatrix:
+    slot, row, col, _ = op.cells
     # x**i * y**j as Python floats, one per exponent pair, gathered per
     # transition and summed into its cell in transition order
     xmax, ymax = int(op.xpow.max(initial=0)), int(op.ypow.max(initial=0))
     table = np.array([[x**i * y**j for j in range(ymax + 1)] for i in range(xmax + 1)])
-    w = np.bincount(slot, weights=table[op.xpow[keep], op.ypow[keep]], minlength=len(row))
+    w = np.bincount(slot, weights=table[op.xpow, op.ypow], minlength=len(row))
     return _FloatMatrix(op.state_count, row, col, w)
 
 
@@ -382,12 +382,12 @@ def solve_yT(T: int, tol: float = 1e-8) -> float:
 _SECTOR_ORDER = ((True, True), (False, True), (True, False), (False, False))
 
 
-def _exact_weights(op: TransferOperator, x, y, kind: str) -> np.ndarray:
-    """M(x, y) over Q(zeta_48) on the cells of ``op.cells[kind]``."""
-    keep, slot, row, _ = op.cells[kind]
+def _exact_weights(op: TransferOperator, x, y) -> np.ndarray:
+    """M(x, y) over Q(zeta_48) on the cells of ``op.cells``."""
+    slot, row, _, _ = op.cells
     power: dict = {}
     w = [x * 0] * len(row)
-    for k, i, j in zip(slot.tolist(), op.xpow[keep].tolist(), op.ypow[keep].tolist()):
+    for k, i, j in zip(slot.tolist(), op.xpow.tolist(), op.ypow.tolist()):
         if (i, j) not in power:
             power[i, j] = x**i * y**j
         w[k] = w[k] + power[i, j]
@@ -398,32 +398,38 @@ class DivergenceError(CapacityError):
     pass
 
 
-def _sector_solve(op: TransferOperator, kind: str, w: np.ndarray, one, solve) -> np.ndarray:
-    """z = (I - M)^-1 * sink, one flag-sector block at a time.
+def _sector_solve(op: TransferOperator, w: np.ndarray, one, solve) -> np.ndarray:
+    """Z = (I - M_e)^-1 * sink, one flag-sector block at a time, with a
+    column per end kind e (interior, bottom, top).
 
-    ``w`` holds M's entries on the cells of ``op.cells[kind]``, as floats
-    or as ``Cyclo48`` in an object array, and ``one`` is the unit of the
-    same scalars.  ``solve(m, r, c, v, b)`` solves (I - B) u = b for one
-    m x m diagonal block B given in coordinate form, B[r[k], c[k]] =
-    v[k] with distinct (r[k], c[k]): :func:`_dense_solve` in floats,
-    :func:`_markowitz_solve` over Q(zeta_48).
+    M_e keeps the cells without an end and those of end kind e.  No
+    diagonal block holds an end cell, so the columns share every block,
+    and an end-placed sector solves one column for all three.  ``w``
+    holds M's entries on ``op.cells``, as floats or as ``Cyclo48`` in an
+    object array, and ``one`` is the unit of the same scalars.
+    ``solve(m, r, c, v, b)`` solves (I - B) U = b for one m x m diagonal
+    block B given in coordinate form, B[r[k], c[k]] = v[k] with distinct
+    (r[k], c[k]), and an (m, k) right-hand side b: :func:`_dense_solve`
+    in floats, :func:`_markowitz_solve` over Q(zeta_48).
     """
-    _, _, row, col = op.cells[kind]
+    _, row, col, end = op.cells
     zero = one * 0
-    n = op.state_count
+    n, kinds = op.state_count, len(_END_KINDS) - 1
     sector = np.array([_SECTOR_ORDER.index(st[1:3]) for st in op.states])
-    sink = np.zeros(n, dtype=bool)
-    sink[list(op.sinks)] = True
+    # feed[k, e]: cell k feeds column e; a cell without an end feeds all
+    feed = (end[:, None] == 0) | (end[:, None] == np.arange(1, kinds + 1))
     pos = np.zeros(n, dtype=np.intp)
-    z = np.full(n, zero)
-    for s in range(len(_SECTOR_ORDER)):
+    z = np.full((n, kinds), zero)
+    for s, (_, end_done) in enumerate(_SECTOR_ORDER):
         idx = np.flatnonzero(sector == s)
         pos[idx] = np.arange(len(idx))
         mine = sector[row] == s
         inner = mine & (sector[col] == s)
-        cross = mine & ~inner
-        b = np.where(sink[idx], one, zero)
-        np.add.at(b, pos[row[cross]], w[cross] * z[col[cross]])
+        cols = 1 if end_done else kinds
+        k, e = np.nonzero((mine & ~inner)[:, None] & feed[:, :cols])
+        b = np.full((len(idx), cols), zero)
+        b[np.isin(idx, op.sinks)] = one
+        np.add.at(b, (pos[row[k]], e), w[k] * z[col[k], e])
         z[idx] = solve(len(idx), pos[row[inner]], pos[col[inner]], w[inner], b)
     return z
 
@@ -437,7 +443,8 @@ def _dense_solve(m: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.ndar
 
 
 def _markowitz_solve(m: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.ndarray):
-    """(I - B)^-1 b over Q(zeta_48), by sparse elimination on the diagonal.
+    """(I - B)^-1 b over Q(zeta_48), b of shape (m, k) or (m,), by sparse
+    elimination on the diagonal.
 
     The block is kept as one dict of nonzero entries per row.  Each step
     pivots on the diagonal entry of the active index k with the least
@@ -445,7 +452,7 @@ def _markowitz_solve(m: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.
     of row and column k among active indices, the lowest k on a tie, so
     the fill and the operation counts repeat from run to run.  A fill
     entry that cancels to exact zero is dropped.  Each pivot is inverted
-    once, and back-substitution in reverse pivot order gives u.
+    once, and back-substitution in reverse pivot order gives u, (m, k).
 
     Diagonal pivots suffice: where the strip series converges, I - B is
     a nonsingular M-matrix (B >= 0, spectral radius < 1; Berman &
@@ -461,7 +468,7 @@ def _markowitz_solve(m: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.
     for i, entries in enumerate(rows):
         for j in entries:
             cols[j].add(i)
-    b = list(b)
+    b = [list(bi) for bi in np.reshape(b, (m, -1))]
     active = set(range(m))
     order = []                          # (k, 1/pivot) in pivot order
     while active:
@@ -476,7 +483,7 @@ def _markowitz_solve(m: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.
         pivot_row = rows[k]
         for j in pivot_row:
             cols[j].discard(k)
-        bk = b[k]
+        bk = [(e, x) for e, x in enumerate(b[k]) if x]
         for i in cols[k]:
             target = rows[i]
             f = target.pop(k) * inv
@@ -493,16 +500,16 @@ def _markowitz_solve(m: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.
                 else:
                     target[j] = -(f * p)
                     cols[j].add(i)
-            if bk:
-                b[i] = b[i] - f * bk
+            for e, x in bk:
+                b[i][e] = b[i][e] - f * x
     u = [None] * m
     for k, inv in reversed(order):
         acc = b[k]
         for j, p in rows[k].items():
             if j != k:
-                acc = acc - p * u[j]
-        u[k] = acc * inv
-    return u
+                acc = [a - p * x if x else a for a, x in zip(acc, u[j])]
+        u[k] = [a * inv for a in acc]
+    return np.array(u, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -521,20 +528,22 @@ def _guard_radius(T: int, y: Fraction) -> float:
     return _spectral_radius(_float_matrix(build_transfer(T, "top"), 1.0 / MU_BULK, float(y)))
 
 
-@lru_cache(maxsize=128)
-def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
-    """Exact value of the strip generating function at x = x_c.
-
-    kind 'arch' is A_T(x_c, y), 'bridge' is B_T(x_c, y), 'walk' is
-    C_T(x_c, y) (empty walk included).  Requires y < y_T.
-    """
-    if kind not in _KINDS:
-        raise InvalidParameterError(f"unknown kind {kind!r}")
-    y = Fraction(y)
-    if y < 0:
-        raise InvalidParameterError("need y >= 0")
+def _resolve_mode(mode: str, T: int) -> str:
+    """The scalar mode of the solves up to strip height T: 'auto' is
+    exact iff T <= T_CAP_EXACT, and 'exact' above it raises."""
     if mode == "auto":
-        mode = "exact" if T <= T_CAP_EXACT else "float"
+        return "exact" if T <= T_CAP_EXACT else "float"
+    if mode not in ("exact", "float"):
+        raise InvalidParameterError(f"unknown mode {mode!r}")
+    if mode == "exact" and T > T_CAP_EXACT:
+        raise CapacityError(f"exact solve capped at T = {T_CAP_EXACT}")
+    return mode
+
+
+@lru_cache(maxsize=128)
+def _source_sums(T: int, y: Fraction, mode: str) -> tuple:
+    """The resolvent at x = x_c summed over the sources, one value per
+    end kind (interior, bottom, top), from one sector solve."""
     op = build_transfer(T, "top")
     # convergence guard: the series diverges at and beyond y_T
     if y > 1:
@@ -543,21 +552,36 @@ def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
             raise DivergenceError(
                 f"strip series diverges: y = {y} >= y_{T} (spectral radius {rho:.6f})"
             )
+    c = constants(0, "dilute", mode)
     if mode == "exact":
-        if T > T_CAP_EXACT:
-            raise CapacityError(f"exact solve capped at T = {T_CAP_EXACT}")
-        one = Cyclo48.from_rational(1)
-        w = _exact_weights(op, constants(0, "dilute").x_c, Cyclo48.from_rational(y), kind)
+        w = _exact_weights(op, c.x_c, c.surface_weight(y))
         solve = _markowitz_solve
     else:
-        one = 1.0
-        w = _float_matrix(op, 1.0 / MU_BULK, float(y), kind).w
+        w = _float_matrix(op, 1.0 / MU_BULK, float(y)).w
         solve = _dense_solve
-    z = _sector_solve(op, kind, w, one, solve)
-    total = sum(z[list(op.sources)].tolist(), one * 0)
+    z = _sector_solve(op, w, c.one(), solve)
+    return tuple(z[list(op.sources)].sum(axis=0).tolist())
+
+
+@lru_cache(maxsize=128)
+def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
+    """Exact value of the strip generating function at x = x_c.
+
+    kind 'arch' is A_T(x_c, y), 'bridge' is B_T(x_c, y), 'walk' is
+    C_T(x_c, y) (empty walk included).  Requires y < y_T.  All three
+    kinds at one (T, y, mode) read one cached solve.
+    """
+    if kind not in _KINDS:
+        raise InvalidParameterError(f"unknown kind {kind!r}")
+    y = Fraction(y)
+    if y < 0:
+        raise InvalidParameterError("need y >= 0")
+    mode = _resolve_mode(mode, T)
+    sums = _source_sums(T, y, mode)
+    value = sum(sums[_END_KINDS.index(e) - 1] for e in _KINDS[kind])
     if kind == "walk":
-        total = total + one
-    return StripValue(T, y, kind, total, mode)
+        value = value + 1
+    return StripValue(T, y, kind, value, mode)
 
 
 def check_strip_identity(T: int, y, mode: str = "auto"):
@@ -567,21 +591,15 @@ def check_strip_identity(T: int, y, mode: str = "auto"):
     y = Fraction(y)
     a = strip_gf(T, y, "arch", mode)
     b = strip_gf(T, y, "bridge", mode)
-    if a.mode == "exact":
-        c = constants(0, "dilute")
-        res = c.coeff_a * a.value + c.beta(y) * b.value - 1
-        exact_zero = not res
-    else:
-        c = constants(0.0, "dilute", mode="float")
-        res = c.coeff_a * a.value + c.beta(float(y)) * b.value - 1.0
-        exact_zero = False
+    c = constants(0, "dilute", a.mode)
+    res = c.coeff_a * a.value + c.beta(y) * b.value - 1
     return ResidualReport(
         kind="strip-identity",
         mode=a.mode,
         params={"T": T, "y": str(y)},
         residuals={"strip": res},
         max_abs=_abs(res),
-        exact_zero=exact_zero,
+        exact_zero=a.mode == "exact" and not res,
     )
 
 
@@ -595,12 +613,10 @@ def check_bounds(Tmax: int, y_grid=(1, Fraction(3, 2), 2), mode: str = "auto") -
     """
     if Tmax < 1:
         raise InvalidParameterError(f"need Tmax >= 1, got Tmax={Tmax}")
+    mode = _resolve_mode(mode, Tmax)
     A = {t: strip_gf(t, 1, "arch", mode).value for t in range(1, Tmax + 1)}
     B = {t: strip_gf(t, 1, "bridge", mode).value for t in range(1, Tmax + 1)}
-    if isinstance(B[1], Cyclo48):
-        c = constants(0, "dilute")
-    else:
-        c = constants(0.0, "dilute", mode="float")
+    c = constants(0, "dilute", mode)
     x_c, alpha = c.x_c, c.coeff_a
     checks = []
 
@@ -613,7 +629,6 @@ def check_bounds(Tmax: int, y_grid=(1, Fraction(3, 2), 2), mode: str = "auto") -
             ok = value >= -1e-12
             num = float(value)
         checks.append({"check": name, "margin": num, "ok": bool(ok)})
-        return ok
 
     for t in range(1, Tmax):
         sgn_ok(f"B_{t} > B_{t + 1}", B[t] - B[t + 1])
@@ -637,4 +652,4 @@ def check_bounds(Tmax: int, y_grid=(1, Fraction(3, 2), 2), mode: str = "auto") -
                 alpha * x_c + c.beta(yq) / B[t] - 1 / b2,
             )
     ok = all(ch["ok"] for ch in checks)
-    return {"ok": ok, "Tmax": Tmax, "checks": checks}
+    return {"ok": ok, "Tmax": Tmax, "mode": mode, "checks": checks}

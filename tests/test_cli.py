@@ -130,6 +130,31 @@ def test_csv_output(capsys, tmp_path):
     assert (rows[1]["states"], rows[1]["transitions"]) == ("18", "71")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-local", "--T", "1", "--L", "1"),
+    ("verify-global", "--T", "1", "--L", "1"),
+    ("verify-rectangle", "--T", "1", "--L", "1"),
+    ("strip-identity", "--T", "1"),
+    ("stickbreak-sweep",),
+    ("sample",),
+])
+def test_format_only_where_rows_exist(capsys, argv):
+    """A subcommand without rows has no --format: asking for CSV is a
+    usage error, not JSON under another name."""
+    assert main([*argv, "--format", "csv"]) == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_bounds_picks_one_mode_for_the_suite(capsys):
+    """Above T_CAP_EXACT the whole auto-mode suite runs in floats; below
+    it, all of it stays exact."""
+    code, doc = run_json(capsys, "bounds", "--Tmax", str(T_CAP_EXACT + 1), "--y-grid", "1")
+    assert code == 0 and doc["ok"] is True and doc["results"]["mode"] == "float"
+    assert all(isinstance(c["margin"], float) for c in doc["results"]["checks"])
+    code, doc = run_json(capsys, "bounds", "--Tmax", "3", "--y-grid", "1")
+    assert code == 0 and doc["ok"] is True and doc["results"]["mode"] == "exact"
+
+
 def test_output_file_json(capsys, tmp_path):
     out = tmp_path / "rep.json"
     code, printed = run(

@@ -146,51 +146,86 @@ def _gauss(A, b):
 
 
 def _gauss_solve(m, r, c, v, b):
-    """The sector solver interface over the dense oracle: (I - B) u = b."""
+    """The sector solver interface over the dense oracle: (I - B) U = b,
+    one column of b at a time."""
     A = np.full((m, m), ZERO)
     A[r, c] = -v
     A.flat[:: m + 1] += ONE
-    return _gauss(A, b)
+    return np.array([_gauss(A, bc) for bc in np.transpose(b)], dtype=object).T
 
 
-def _exact_z(op, kind, y, solve):
-    w = sp._exact_weights(op, constants(0, "dilute").x_c, Cyclo48.from_rational(y), kind)
-    return sp._sector_solve(op, kind, w, ONE, solve)
+def _exact_z(op, y, solve):
+    w = sp._exact_weights(op, constants(0, "dilute").x_c, Cyclo48.from_rational(y))
+    return sp._sector_solve(op, w, ONE, solve)
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4])
 def test_markowitz_solve_matches_dense_gauss(T):
     """Sparse elimination in Markowitz order gives the dense oracle's
-    exact resolvent, state by state."""
+    exact resolvent, state by state and end kind by end kind."""
     op = sp.build_transfer(T, "top")
-    for kind in ("arch", "bridge", "walk"):
-        for y in (1, Fraction(7, 4), 2):
-            got = _exact_z(op, kind, y, sp._markowitz_solve)
-            want = _exact_z(op, kind, y, _gauss_solve)
-            assert list(got) == list(want), (kind, y)
+    for y in (1, Fraction(7, 4), 2):
+        got = _exact_z(op, y, sp._markowitz_solve)
+        want = _exact_z(op, y, _gauss_solve)
+        assert got.shape == (op.state_count, 3)
+        assert got.tolist() == want.tolist(), y
 
 
-@pytest.mark.parametrize("kind", ["arch", "bridge"])
+@pytest.mark.parametrize("kind", ["arch", "bridge", "walk"])
 def test_exact_T5_resolvent_certificate(kind):
-    """(I - M) z = sink holds exactly at T = 5, row by row in every flag
-    sector, with I - M rebuilt from the operator's cells and transitions."""
+    """(I - M_e) z_e = sink holds exactly at T = 5, row by row in every
+    flag sector, for each end-kind column e the kind reads, with M_e
+    rebuilt from the transitions: those without an end and those of end
+    kind e.  strip_gf reads the kind from the same columns."""
     op = sp.build_transfer(5, "top")
     y = Fraction(7, 4)
-    z = _exact_z(op, kind, y, sp._markowitz_solve)
-    keep, slot, row, col = op.cells[kind]
+    z = _exact_z(op, y, sp._markowitz_solve)
     x_c, yc = constants(0, "dilute").x_c, Cyclo48.from_rational(y)
-    w = [ZERO] * len(row)
-    for k, i, j in zip(slot.tolist(), op.xpow[keep].tolist(), op.ypow[keep].tolist()):
-        w[k] = w[k] + x_c**i * yc**j
-    lhs = list(z)
-    for i, j, wk in zip(row.tolist(), col.tolist(), w):
-        lhs[i] = lhs[i] - wk * z[j]
+    power: dict = {}
     sinks = set(op.sinks)
-    for sector in sp._SECTOR_ORDER:
-        rows = [i for i, st in enumerate(op.states) if st[1:3] == sector]
-        assert rows, sector
-        assert all(lhs[i] == (ONE if i in sinks else ZERO) for i in rows), sector
-    assert any(z[s] for s in op.sources)
+    want = ONE if kind == "walk" else ZERO
+    for ek in sp._KINDS[kind]:
+        ze = z[:, sp._END_KINDS.index(ek) - 1]
+        lhs = list(ze)
+        for i, j, xp, yp, end in op.transitions:
+            if end is None or end == ek:
+                if (xp, yp) not in power:
+                    power[xp, yp] = x_c**xp * yc**yp
+                lhs[i] = lhs[i] - power[xp, yp] * ze[j]
+        for sector in sp._SECTOR_ORDER:
+            rows = [i for i, st in enumerate(op.states) if st[1:3] == sector]
+            assert rows, sector
+            assert all(lhs[i] == (ONE if i in sinks else ZERO) for i in rows), (ek, sector)
+        assert any(ze[s] for s in op.sources), ek
+        want = want + sum(ze[s] for s in op.sources)
+    assert sp.strip_gf(5, y, kind, mode="exact").value == want
+
+
+@pytest.mark.parametrize("mode, solver", [("exact", "_markowitz_solve"),
+                                          ("float", "_dense_solve")])
+def test_one_solve_serves_every_kind(mode, solver, monkeypatch):
+    """check_strip_identity makes one block solve per flag sector, and the
+    walk at the same (T, y) reads the same solve."""
+    calls = []
+    real = getattr(sp, solver)
+    monkeypatch.setattr(sp, solver, lambda *a: calls.append(a) or real(*a))
+    sp.strip_gf.cache_clear()
+    sp._source_sums.cache_clear()
+    for T, y in ((3, Fraction(3, 2)), (5, 1)):
+        calls.clear()
+        assert sp.check_strip_identity(T, y, mode=mode).ok
+        assert len(calls) == len(sp._SECTOR_ORDER) == 4
+        sp.strip_gf(T, y, "walk", mode=mode)
+        assert len(calls) == 4
+
+
+def test_unknown_mode_is_refused():
+    with pytest.raises(InvalidParameterError, match="mode"):
+        sp.strip_gf(2, 1, "arch", mode="exakt")
+    with pytest.raises(InvalidParameterError, match="mode"):
+        sp.check_strip_identity(2, 1, mode="exakt")
+    with pytest.raises(InvalidParameterError, match="mode"):
+        sp.check_bounds(2, mode="exakt")
 
 
 @pytest.mark.parametrize("y", [1, Fraction(7, 4)])
@@ -299,6 +334,7 @@ def test_float_strip_gf_matches_dense_solve(T):
 def test_float_strip_gf_never_forms_the_whole_matrix():
     """The float solve's memory stays below one dense n x n matrix."""
     op = sp.build_transfer(7, "top")
+    sp._source_sums.cache_clear()  # measure a solve, not a cache hit
     tracemalloc.start()
     try:
         sp.strip_gf.__wrapped__(7, 1, "bridge", mode="float")
