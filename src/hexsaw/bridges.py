@@ -143,6 +143,8 @@ def iter_bridges(max_len: int, irreducible: bool | None = None) -> Iterator[Walk
     leaves their highest vertex straight up."""
     if max_len < 0:
         raise InvalidParameterError(f"need max_len >= 0, got {max_len}")
+    if max_len > N_CAP:
+        raise CapacityError(f"bridge enumeration capped at length {N_CAP}")
     for v in en.iter_saws(en.half_plane_domain(max_len), max_len):
         if not v.vertices:
             continue

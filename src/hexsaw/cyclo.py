@@ -301,18 +301,6 @@ class Cyclo48:
         S, p = self._scaled_real(54)
         return S / (self.d << p)   # int / int rounds correctly
 
-    def eval_mp(self, dps: int = 60):
-        """High-precision complex value, an independent check of the
-        integer enclosures of ``sign`` and ``to_float``."""
-        import mpmath
-
-        with mpmath.workdps(dps):
-            z = mpmath.exp(1j * mpmath.pi / 24)
-            acc = mpmath.mpc(0)
-            for a in reversed(self.n):
-                acc = acc * z + mpmath.mpf(a)
-            return acc / self.d
-
     def _scaled_real(self, guard: int) -> tuple[int, int]:
         """(S, p) with |S - 2^p * d * Re(self)| < |S| / 2^guard, for
         Re(self) != 0.

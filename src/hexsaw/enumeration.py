@@ -302,8 +302,7 @@ def boundary_tallies(
 
 def _tally_sum(consts, y):
     """A function summing count * x_c^len * y^contacts * n^loops over a
-    tally.  The powers are memoised across calls; loop terms vanish at
-    n = 0."""
+    tally.  The powers are memoised across calls."""
     x, yv, n = consts.x_c, consts.surface_weight(y), consts.n
     zero = consts.one() * 0
     xpow: dict = {}
@@ -312,8 +311,6 @@ def _tally_sum(consts, y):
     def total(tally: dict):
         acc = zero
         for (ln, ct, lp), cnt in sorted(tally.items()):
-            if lp and n == 0:
-                continue
             if ln not in xpow:
                 xpow[ln] = x**ln
             if ct not in ypow:
@@ -340,9 +337,11 @@ def observable_f(domain: dm.Domain, consts, y, with_loops: bool = False) -> dict
 
     One walk pass groups the walks by (end, penultimate, winding), and
     each group's tally is weighed once per (length, contacts, loops).
+    At n = 0 every loop term is 0, so ``with_loops`` then dresses nothing.
     """
     total = _tally_sum(consts, y)
-    groups = _walk_tallies(domain, lambda v: (v.end, v.prev, v.winding), with_loops)
+    groups = _walk_tallies(domain, lambda v: (v.end, v.prev, v.winding),
+                           with_loops and consts.n != 0)
     phases: dict = {}
     out: dict = {}
     for (end, prev, wind), tally in groups.items():

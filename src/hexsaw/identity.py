@@ -141,7 +141,8 @@ def _report(kind, consts, params, residuals) -> ResidualReport:
 
 
 def _class_values(domain, consts, y, with_loops):
-    tallies = en.boundary_tallies(domain, with_loops=with_loops)
+    # at n = 0 every loop term is 0: no loop search, whatever the domain size
+    tallies = en.boundary_tallies(domain, with_loops=with_loops and consts.n != 0)
     return {
         cls: en.evaluate_tally(tallies[cls], consts, y)
         for cls in en.CLASS_ORDER
@@ -156,13 +157,14 @@ def check_global_trapezoid(
     with_loops: bool = False,
 ) -> ResidualReport:
     """A° = coeff_a*A + coeff_e*E + beta(y)*B on the trapezoid D(T, L)."""
+    beta = consts.beta(y)  # refuses a bad y before the walk pass
     domain = dm.build_trapezoid(T, L)
     vals = _class_values(domain, consts, y, with_loops)
     a_ring = vals[dm.A_START]
     a_val = vals[dm.A_BOTTOM]
     b_val = vals[dm.B_TOP]
     e_val = vals[dm.E_RIGHT] + vals[dm.E_LEFT]
-    rhs = consts.coeff_a * a_val + consts.coeff_e * e_val + consts.beta(y) * b_val
+    rhs = consts.coeff_a * a_val + consts.coeff_e * e_val + beta * b_val
     residuals = {"global": a_ring - rhs}
     rep = _report("global-trapezoid", consts,
                   {"T": T, "L": L, "y": str(y)}, residuals)

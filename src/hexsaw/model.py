@@ -55,17 +55,25 @@ class ModelConstants:
         return (self.y_star - y) / (y * (self.y_star - 1))
 
     def surface_weight(self, y) -> Scalar:
-        """Coerce a surface fugacity into this constant set's scalar mode."""
-        if self.mode == "exact":
-            if not isinstance(y, Rational):
-                raise ScalarModeError(
-                    "exact mode needs a rational surface weight, got "
-                    f"{type(y).__name__}"
-                )
-            return Cyclo48.from_rational(Fraction(y))
-        if isinstance(y, Rational):
-            return float(Fraction(y))
-        return float(y)
+        """Coerce a surface fugacity into this constant set's scalar mode.
+
+        The package's one admissibility rule for y: its float value must
+        be positive and finite (beta has its pole at y = 0), or
+        ``InvalidParameterError`` is raised.
+        """
+        if self.mode == "exact" and not isinstance(y, Rational):
+            raise ScalarModeError(
+                "exact mode needs a rational surface weight, got "
+                f"{type(y).__name__}"
+            )
+        try:
+            yf = float(y)
+        except OverflowError:
+            yf = math.inf if y > 0 else -math.inf
+        if not 0 < yf < math.inf:
+            raise InvalidParameterError(
+                f"surface weight must be positive and finite, got {yf:.6g}")
+        return Cyclo48.from_rational(Fraction(y)) if self.mode == "exact" else yf
 
 
 def constants(n, regime: Regime = "dilute", mode: str = "auto") -> ModelConstants:
@@ -79,9 +87,9 @@ def constants(n, regime: Regime = "dilute", mode: str = "auto") -> ModelConstant
         return _exact_n0(regime)
     if mode != "float":
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    n = float(n)
-    if not -2.0 <= n <= 2.0:
+    if not -2 <= n <= 2:  # before float(n), which overflows past 1e308
         raise InvalidParameterError(f"n = {n} outside [-2, 2]")
+    n = float(n)
     theta = math.acos(n / 2.0)
     if regime == "dilute":
         sigma = (math.pi + 3 * theta) / (4 * math.pi)

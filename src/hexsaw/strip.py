@@ -48,10 +48,12 @@ over the four flag sectors (start inserted, end placed), and the
 resolvent is solved one diagonal block at a time: over Q(zeta_48) for
 T <= 5 by sparse elimination in Markowitz order (the blocks hold about
 3.3 nonzero cells per row), in floats up to T = 7 by a dense LAPACK
-solve per block.  An end transition leads from an end-open sector to an
-end-placed one, so no block holds one, and one solve per (T, y) with a
-column per end kind gives arches (bottom), bridges (top) and walks (all
-three).  Growth rates mu_T and the fugacities y_T are roots of
+solve per block.  In both scalar modes ``ModelConstants.surface_weight``
+checks and coerces y, and one builder (:func:`_cell_weights`) gives the
+weights of M(x, y).  An end transition leads from an end-open sector to
+an end-placed one, so no block holds one, and one solve per (T, y) with
+a column per end kind gives arches (bottom), bridges (top) and walks
+(all three).  Growth rates mu_T and the fugacities y_T are roots of
 (spectral radius of M) - 1, found by a secant (Illinois regula falsi)
 search whose matrix-free power iterations each start from the previous
 one's last iterate.
@@ -239,14 +241,21 @@ class _FloatMatrix:
         return np.bincount(self.col, weights=v[self.row] * self.w, minlength=self.n)
 
 
-def _float_matrix(op: TransferOperator, x: float, y: float) -> _FloatMatrix:
-    slot, row, col, _ = op.cells
-    # x**i * y**j as Python floats, one per exponent pair, gathered per
-    # transition and summed into its cell in transition order
+def _cell_weights(op: TransferOperator, x, y) -> np.ndarray:
+    """M(x, y) on the cells of ``op.cells``, as floats or, for ``Cyclo48``
+    x and y, in an object array: x**i * y**j once per exponent pair,
+    gathered per transition and summed into its cell in transition order."""
+    slot, row, _, _ = op.cells
     xmax, ymax = int(op.xpow.max(initial=0)), int(op.ypow.max(initial=0))
     table = np.array([[x**i * y**j for j in range(ymax + 1)] for i in range(xmax + 1)])
-    w = np.bincount(slot, weights=table[op.xpow, op.ypow], minlength=len(row))
-    return _FloatMatrix(op.state_count, row, col, w)
+    w = np.full(len(row), x * 0)
+    np.add.at(w, slot, table[op.xpow, op.ypow])
+    return w
+
+
+def _float_matrix(op: TransferOperator, x: float, y: float) -> _FloatMatrix:
+    _, row, col, _ = op.cells
+    return _FloatMatrix(op.state_count, row, col, _cell_weights(op, x, y))
 
 
 def _spectral_radius(M: _FloatMatrix, tol: float = 1e-13, iters: int = 20000,
@@ -275,6 +284,8 @@ class GrowthEstimate:
     T: int
     y: float
     mu: float
+    # width of the final bracket on x = 1/mu_T, not an error bound: each
+    # spectral radius is settled only to about 1e-13 relative
     error: float
 
 
@@ -315,9 +326,7 @@ def _find_root(f, lo: float, hi: float, flo: float, fhi: float,
 def growth_mu(T: int, y) -> GrowthEstimate:
     """mu_T(1, y): growth rate of strip walk counts with contact weight y,
     as 1/x at the x where the spectral radius of M(x, y) is 1."""
-    yf = float(Fraction(y)) if not isinstance(y, float) else y
-    if yf <= 0:
-        raise InvalidParameterError("need y > 0")
+    yf = constants(0, "dilute", "float").surface_weight(y)
     op = build_transfer(T, "top")
     v = np.full(op.state_count, 1.0 / op.state_count)  # warm start, reused
 
@@ -346,7 +355,12 @@ MU_BULK = math.sqrt(2.0 + math.sqrt(2.0))
 def solve_yT(T: int, tol: float = 1e-8) -> float:
     """The fugacity y_T where the strip growth rate hits the bulk mu,
     as the midpoint of a bracket no wider than tol (0 <= tol <= 1e-2; 0
-    runs to adjacent floats)."""
+    runs to adjacent floats).
+
+    The bracket holds the root of the computed radius, whose power
+    iteration settles only to about 1e-13 relative; summing the cells in
+    another order moved y_7 by 2.1e-14 relative.  So a tol below that is
+    not an error bound on y_T."""
     if not 0.0 <= tol <= 1e-2:  # also refuses NaN
         raise InvalidParameterError(f"need 0 <= tol <= 1e-2, got tol={tol}")
     lo, hi = 1.0, MU_BULK**2
@@ -380,18 +394,6 @@ def solve_yT(T: int, tol: float = 1e-8) -> float:
 # are never cleared, so I - M is block-triangular over the sectors and a
 # sector, solved in this order, only reads sectors solved before it.
 _SECTOR_ORDER = ((True, True), (False, True), (True, False), (False, False))
-
-
-def _exact_weights(op: TransferOperator, x, y) -> np.ndarray:
-    """M(x, y) over Q(zeta_48) on the cells of ``op.cells``."""
-    slot, row, _, _ = op.cells
-    power: dict = {}
-    w = [x * 0] * len(row)
-    for k, i, j in zip(slot.tolist(), op.xpow.tolist(), op.ypow.tolist()):
-        if (i, j) not in power:
-            power[i, j] = x**i * y**j
-        w[k] = w[k] + power[i, j]
-    return np.array(w, dtype=object)
 
 
 class DivergenceError(CapacityError):
@@ -545,6 +547,8 @@ def _source_sums(T: int, y: Fraction, mode: str) -> tuple:
     """The resolvent at x = x_c summed over the sources, one value per
     end kind (interior, bottom, top), from one sector solve."""
     op = build_transfer(T, "top")
+    c = constants(0, "dilute", mode)
+    yc = c.surface_weight(y)
     # convergence guard: the series diverges at and beyond y_T
     if y > 1:
         rho = _guard_radius(T, y)
@@ -552,14 +556,8 @@ def _source_sums(T: int, y: Fraction, mode: str) -> tuple:
             raise DivergenceError(
                 f"strip series diverges: y = {y} >= y_{T} (spectral radius {rho:.6f})"
             )
-    c = constants(0, "dilute", mode)
-    if mode == "exact":
-        w = _exact_weights(op, c.x_c, c.surface_weight(y))
-        solve = _markowitz_solve
-    else:
-        w = _float_matrix(op, 1.0 / MU_BULK, float(y)).w
-        solve = _dense_solve
-    z = _sector_solve(op, w, c.one(), solve)
+    solve = _markowitz_solve if mode == "exact" else _dense_solve
+    z = _sector_solve(op, _cell_weights(op, c.x_c, yc), c.one(), solve)
     return tuple(z[list(op.sources)].sum(axis=0).tolist())
 
 
@@ -568,14 +566,12 @@ def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
     """Exact value of the strip generating function at x = x_c.
 
     kind 'arch' is A_T(x_c, y), 'bridge' is B_T(x_c, y), 'walk' is
-    C_T(x_c, y) (empty walk included).  Requires y < y_T.  All three
+    C_T(x_c, y) (empty walk included).  Requires 0 < y < y_T.  All three
     kinds at one (T, y, mode) read one cached solve.
     """
     if kind not in _KINDS:
         raise InvalidParameterError(f"unknown kind {kind!r}")
     y = Fraction(y)
-    if y < 0:
-        raise InvalidParameterError("need y >= 0")
     mode = _resolve_mode(mode, T)
     sums = _source_sums(T, y, mode)
     value = sum(sums[_END_KINDS.index(e) - 1] for e in _KINDS[kind])
@@ -614,9 +610,11 @@ def check_bounds(Tmax: int, y_grid=(1, Fraction(3, 2), 2), mode: str = "auto") -
     if Tmax < 1:
         raise InvalidParameterError(f"need Tmax >= 1, got Tmax={Tmax}")
     mode = _resolve_mode(mode, Tmax)
+    c = constants(0, "dilute", mode)
+    # beta(y) first, so a bad weight is refused before any solve, at any Tmax
+    betas = [(yq, c.beta(yq)) for yq in map(Fraction, y_grid)]
     A = {t: strip_gf(t, 1, "arch", mode).value for t in range(1, Tmax + 1)}
     B = {t: strip_gf(t, 1, "bridge", mode).value for t in range(1, Tmax + 1)}
-    c = constants(0, "dilute", mode)
     x_c, alpha = c.x_c, c.coeff_a
     checks = []
 
@@ -636,8 +634,7 @@ def check_bounds(Tmax: int, y_grid=(1, Fraction(3, 2), 2), mode: str = "auto") -
     for t in range(1, Tmax + 1):
         sgn_ok(f"B_{t} > 0", B[t])
         sgn_ok(f"A_{t} < 1/alpha", 1 / alpha - A[t])
-    for y in y_grid:
-        yq = Fraction(y)
+    for yq, beta in betas:
         for t in range(1, Tmax):
             a2 = strip_gf(t + 1, yq, "arch", mode).value
             b2 = strip_gf(t + 1, yq, "bridge", mode).value
@@ -649,7 +646,7 @@ def check_bounds(Tmax: int, y_grid=(1, Fraction(3, 2), 2), mode: str = "auto") -
             # 1/B_{T+1}(y) <= alpha x_c + beta(y)/B_T(1)
             sgn_ok(
                 f"inverse-bridge-bound T={t} y={yq}",
-                alpha * x_c + c.beta(yq) / B[t] - 1 / b2,
+                alpha * x_c + beta / B[t] - 1 / b2,
             )
     ok = all(ch["ok"] for ch in checks)
     return {"ok": ok, "Tmax": Tmax, "mode": mode, "checks": checks}

@@ -17,6 +17,7 @@ from hexsaw.errors import (
     InvalidParameterError,
 )
 from hexsaw.lattice import Walk, classify_walk
+from mp_oracle import eval_mp
 
 X_C = ONE / two_cos(3)
 
@@ -122,7 +123,7 @@ def test_kesten_float_at_N26(monkeypatch):
     float within one ulp of a 60-digit evaluation."""
     monkeypatch.setattr(br, "N_CAP", 26)
     stats = br.kesten_partial(26)
-    want = float(stats.partial_sum.eval_mp().real)
+    want = float(eval_mp(stats.partial_sum).real)
     assert abs(stats.partial_sum_float - want) <= math.ulp(want)
     assert 0.9 < stats.partial_sum_float < 1
 
@@ -141,6 +142,15 @@ def test_kesten_guard():
     with pytest.raises(InvalidParameterError, match="N >= 0"):
         en.half_plane_counts(-1)
     assert br.bridge_height_length_counts(1) == {}
+
+
+def test_iter_bridges_guard():
+    """The bridge generator behind stickbreak-sweep and the sampler's
+    pool stops at N_CAP, as the counts do: each +2 in length costs about
+    3x the time."""
+    with pytest.raises(CapacityError, match="capped"):
+        next(br.iter_bridges(br.N_CAP + 1))
+    assert len(next(br.iter_bridges(br.N_CAP))) <= br.N_CAP  # the cap itself runs
 
 
 def _per_walk_bridge_counts(N):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hexsaw.bridges import N_CAP
 from hexsaw.cli import SCHEMA_VERSION, main
 from hexsaw.strip import T_CAP_EXACT, T_CAP_FLOAT
 
@@ -197,6 +198,43 @@ def test_usage_errors(capsys):
     ):
         assert main(list(argv)) == 2, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("half-plane", "--N", "4", "--y", "nan"),
+    ("half-plane", "--N", "4", "--y", "inf"),
+    ("strip-mu", "--Tmax", "2", "--y", "nan"),
+    ("strip-mu", "--Tmax", "2", "--y", "inf"),
+    ("verify-global", "--T", "1", "--L", "1", "--y", "nan", "--mode", "float"),
+    ("bounds", "--Tmax", "2", "--y-grid", "0"),
+    ("bounds", "--Tmax", "6", "--y-grid", "0"),
+    ("strip-identity", "--T", "2", "--y", "1e400"),
+    ("verify-local", "--T", "1", "--L", "1", "--n", "1e400", "--mode", "float"),
+])
+def test_bad_numbers_are_usage_errors(capsys, argv):
+    """nan, inf and a surface weight that is not positive and finite are
+    bad input: exit 2 and one error line, not a traceback, a failed check
+    or a solver that did not converge."""
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_loops_at_n0_change_nothing(capsys):
+    """At n = 0 every loop term is 0: --with-loops searches no loops
+    (D(3,3) has 51 vertices, past the loop search cap) and leaves the
+    residual as it is."""
+    argv = ("verify-global", "--T", "3", "--L", "3")
+    code, plain = run_json(capsys, *argv)
+    code_loops, dressed = run_json(capsys, *argv, "--with-loops")
+    assert code == code_loops == 0
+    assert dressed["results"] == plain["results"]
+
+
+def test_stickbreak_sweep_is_capped(capsys):
+    assert main(["stickbreak-sweep", "--max-len", str(N_CAP + 1)]) == 3
+    assert "capped" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "10"])

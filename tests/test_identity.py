@@ -107,6 +107,19 @@ def test_check_local_walks_once(monkeypatch, with_loops):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_loops_at_n0_are_not_searched(monkeypatch, mode):
+    """At n = 0 every loop term is 0, so with_loops enumerates no loops
+    (a loop search would hit the zero cap) and changes no value."""
+    monkeypatch.setattr(en, "LOOP_VERTEX_CAP", 0)
+    c, y = constants(0, "dilute", mode), Fraction(3, 2)
+    d = dm.build_trapezoid(1, 2)
+    assert (idn.check_local(d, c, y, with_loops=True).residuals
+            == idn.check_local(d, c, y).residuals)
+    assert (idn.check_global_trapezoid(1, 2, c, y, with_loops=True).residuals
+            == idn.check_global_trapezoid(1, 2, c, y).residuals)
+
+
 def test_local_identity_exact_D32():
     # the surface correction on a domain with 38,723 walks, three rows deep
     rep = idn.check_local(dm.build_trapezoid(3, 2), constants(0, "dilute"), Fraction(3, 2))

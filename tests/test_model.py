@@ -75,3 +75,20 @@ def test_guards():
     with pytest.raises(ScalarModeError):
         constants(0, "dilute").surface_weight(1.5)
     assert constants(0.5, "dilute").mode == "float"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("y", [0, -1, Fraction(-1, 2), Fraction(10**400),
+                               Fraction(-(10**400)), Fraction(1, 10**400)])
+def test_surface_weight_is_positive_and_finite(mode, y):
+    """The one admissibility rule for y, in both scalar modes; the
+    message names the value briefly, not as a 400-digit integer."""
+    with pytest.raises(InvalidParameterError, match="positive and finite") as exc:
+        constants(0, "dilute", mode).surface_weight(y)
+    assert len(str(exc.value)) < 80
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, 0.0, -2.5])
+def test_float_surface_weight_refuses_nan_and_inf(y):
+    with pytest.raises(InvalidParameterError):
+        constants(1.0, "dilute", "float").surface_weight(y)

@@ -155,7 +155,7 @@ def _gauss_solve(m, r, c, v, b):
 
 
 def _exact_z(op, y, solve):
-    w = sp._exact_weights(op, constants(0, "dilute").x_c, Cyclo48.from_rational(y))
+    w = sp._cell_weights(op, constants(0, "dilute").x_c, Cyclo48.from_rational(y))
     return sp._sector_solve(op, w, ONE, solve)
 
 
@@ -491,6 +491,21 @@ def test_guards():
             sp.strip_gf(T, 1, "bridge")
     with pytest.raises(InvalidParameterError, match="Tmax >= 1"):
         sp.check_bounds(0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sp.check_strip_identity(2, 0),
+    lambda: sp.check_strip_identity(2, Fraction(10**400), mode="float"),
+    lambda: sp.check_bounds(2, y_grid=(0,)),
+    lambda: sp.check_bounds(1, y_grid=(1, -1)),
+    lambda: sp.growth_mu(2, math.nan),
+    lambda: sp.growth_mu(2, math.inf),
+], ids=["identity-y0", "identity-y1e400", "bounds-y0", "bounds-Tmax1", "mu-nan", "mu-inf"])
+def test_surface_weight_outside_0_inf_is_refused(call):
+    """y = 0 is the pole of beta(y); nan, inf and weights past the float
+    range are bad input too, in both scalar modes."""
+    with pytest.raises(InvalidParameterError, match="surface weight"):
+        call()
 
 
 def test_check_bounds_small():
