@@ -11,8 +11,8 @@ composes each state with each move its mask and flags allow.  It returns
 (codes, src, dst, xpow, ypow, end) as int64 numpy arrays, with the state
 codes, numbering and transition order of _dfs_py.transfer, whose
 docstrings describe the moves and the composition step by step.  The
-module exports the same layout constants as _dfs_py: T_MAX, FLAG_SHIFT,
-SLOT_CHARS and END_KINDS. */
+module exports the layout constants T_MAX, FLAG_SHIFT and END_KINDS, as
+_dfs_py defines them. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
@@ -160,7 +160,7 @@ done:
 #define FLAG_SHIFT (3 * T_MAX)   /* start-inserted, end-placed, parity bits */
 #define MAX_OPTIONS 216          /* 3 left x 3 right x 3 bottom x 2 top x 4 vertical */
 
-enum { EMPTY, OPEN, CLOSE, SLOT_S, SLOT_E };           /* cut slots, as SLOT_CHARS */
+enum { EMPTY, OPEN, CLOSE, SLOT_S, SLOT_E };           /* cut slots, as _dfs_py.SLOT_CHARS */
 enum { END_NONE, END_INTERIOR, END_BOTTOM, END_TOP };  /* end kinds, as END_KINDS */
 enum { V_NONE, V_FULL, V_END_LO, V_END_HI };           /* the level's vertical edge */
 
@@ -591,7 +591,6 @@ PyMODINIT_FUNC PyInit__dfs(void)
     PyObject *m = PyModule_Create(&module), *kinds = NULL;
     if (m == NULL || PyModule_AddIntConstant(m, "T_MAX", T_MAX) < 0
         || PyModule_AddIntConstant(m, "FLAG_SHIFT", FLAG_SHIFT) < 0
-        || PyModule_AddStringConstant(m, "SLOT_CHARS", ".()SE") < 0
         || (kinds = Py_BuildValue("(Osss)", Py_None, "interior", "bottom", "top")) == NULL
         || PyModule_AddObject(m, "END_KINDS", kinds) < 0) {
         Py_XDECREF(kinds);

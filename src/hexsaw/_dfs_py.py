@@ -60,7 +60,7 @@ def tally_class(tables, max_len: int):
 # column parity in bits FLAG_SHIFT, FLAG_SHIFT + 1 and FLAG_SHIFT + 2.
 # States are numbered in first-discovery order, transitions come in
 # state x move order, and end[k] is the end kind's index in END_KINDS.
-# The C kernel exports the same four constants.
+# The C kernel exports the same T_MAX, FLAG_SHIFT and END_KINDS.
 
 T_MAX = 10
 SLOT_CHARS = ".()SE"
@@ -94,7 +94,17 @@ def _level_options(T: int, p: int, k: int) -> list:
 
 def _column_moves(T: int, p: int, surface: str) -> dict:
     """The nonempty column moves of parity p, keyed by (left-crossing
-    mask, may insert the start, may place the end).
+    mask, may insert the start, may place the end), each list in a fixed
+    order.
+
+    A column is a set of disjoint paths, and a move keeps only how they
+    join the column's endpoints, numbered L_k = k (left crossing at level
+    k), R_k = T + k (right crossing), S = 2T (the start) and E = 2T + 1
+    (the free end).  A move is ``(rocc, xpow, ypow, start, end_kind,
+    match)``: the bitmask of occupied right crossings, the visited
+    vertices and contact vertices, whether the column inserts the start,
+    where it places the end (None, 'interior', 'bottom' or 'top'), and
+    ``match[e]``, the endpoint the column joins e to (-1 when unused).
 
     Levels are filled bottom to top and a level is cut off as soon as its
     vertex cannot have degree 0 or 2.  ``carry`` is the endpoint at the

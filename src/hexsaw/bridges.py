@@ -539,34 +539,26 @@ def check_prime_arch_series(T: int, max_len: int) -> dict:
 # truncated renewal sampler
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Truncated stand-in for the infinite irreducible-bridge measure."""
-
-    N: int
-    k: int
-    seed: int
-
-
-def sample_renewal(cfg: SamplerConfig) -> tuple[Walk, dict]:
-    """Concatenate ``cfg.k`` independent draws from the irreducible
-    bridges of length <= N, drawn with probability x_c^|gamma| / Z_N."""
-    if cfg.k < 1:
+def sample_renewal(N: int, k: int, seed: int) -> tuple[Walk, dict]:
+    """Concatenate k independent draws from the irreducible bridges of
+    length <= N, drawn with probability x_c^|gamma| / Z_N: a truncated
+    stand-in for the infinite irreducible-bridge measure."""
+    if k < 1:
         raise InvalidParameterError("need at least one factor")
-    stats = kesten_partial(cfg.N)
-    pool = list(iter_bridges(cfg.N, irreducible=True))
+    stats = kesten_partial(N)
+    pool = list(iter_bridges(N, irreducible=True))
     x_c = constants(0, "dilute").x_c.to_float()
     weights = [x_c ** len(b) for b in pool]
-    rng = random.Random(cfg.seed)
-    picks = rng.choices(range(len(pool)), weights=weights, k=cfg.k)
+    rng = random.Random(seed)
+    picks = rng.choices(range(len(pool)), weights=weights, k=k)
     factors = [pool[p] for p in picks]
     bridge = concat_bridges(factors)
     heights = [int(height_width(f)[0]) for f in factors]
     h_total, w_total = height_width(bridge)
     report = {
-        "truncation_N": cfg.N,
-        "factors": cfg.k,
-        "seed": cfg.seed,
+        "truncation_N": N,
+        "factors": k,
+        "seed": seed,
         "length": len(bridge),
         "height": int(h_total),
         "width": str(w_total),

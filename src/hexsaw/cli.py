@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -227,8 +228,7 @@ def _cmd_stickbreak_sweep(args):
 
 
 def _cmd_sample(args):
-    cfg = br.SamplerConfig(N=args.N, k=args.k, seed=args.seed)
-    bridge, report = br.sample_renewal(cfg)
+    bridge, report = br.sample_renewal(args.N, args.k, args.seed)
     report["turns"] = "".join(bridge.turns)
     ok = report["renewal_points"] == args.k + 1
     return report, ok, None
@@ -241,8 +241,14 @@ def _cmd_half_plane(args):
     ok = True
     for n in range(args.N + 1):
         total = sum(c for (m, i), c in counts.items() if m == n)
-        weighted = sum(c * y ** i for (m, i), c in counts.items() if m == n)
-        bound = y ** (n // 2)
+        try:
+            weighted = sum(c * y ** i for (m, i), c in counts.items() if m == n)
+            bound = y ** (n // 2)
+        except OverflowError:  # y ** i past the float range
+            weighted = math.inf
+        if weighted == math.inf:  # or a product c * y ** i past it
+            raise CapacityError(f"C_{n}^+ at y = {y:.6g} is past the float range "
+                                f"(max {sys.float_info.max:.6g})")
         if n and weighted < bound - 1e-12:
             ok = False
         rows.append({"n": n, "walks": total, "C_n_plus": weighted,

@@ -7,27 +7,19 @@ columns crosses exactly T slanted edges, one per level.  The sweep moves
 left to right.  A cut state records, for each of the T crossing slots,
 whether the walk crosses there and how the crossing strands connect up
 on the left: a noncrossing pairing plus at most one strand tied to the
-start mid-edge a (label S, never nested under a pairing arc, since a
-sits on the bottom boundary) and at most one tied to the already-placed
-free end (label E).  Two flags track whether the start has been inserted
-and the end placed; a parity bit tracks the column parity relative to
-the start column.
+start mid-edge a (never nested under a pairing arc, since a sits on the
+bottom boundary) and at most one tied to the already-placed free end.
+Two flags track whether the start has been inserted and the end placed;
+a parity bit tracks the column parity relative to the start column.
+The kernel packs all of it into one int64 state code (layout in
+``_dfs_py``), and the codes are the only form of the states here: the
+flag sector and the accepting states are read from their bits.
 
-One column is a set of disjoint paths, and a column move keeps only how
-they join the column's endpoints, numbered L_k = k (left crossing at
-level k), R_k = T + k (right crossing), S* = 2T (the start) and
-E* = 2T + 1 (the free end).  A move is
-``(rocc, xpow, ypow, start, end_kind, match)``: the bitmask of occupied
-right crossings, the visited vertices and contact vertices, whether the
-column inserts the start, where it places the end (None, 'interior',
-'bottom' or 'top'), and ``match[e]``, the endpoint the column joins e
-to (-1 when e is unused).  The moves of one (parity, left mask) come in
-a fixed order, split into four lists by whether a state may still
-insert the start and place the end, so a state only meets moves its
-flags allow.  A transition follows paths through the state's left
-pairing and the move from each right port, then from an S or E end not
-yet reached; an occupied left port that no path visits lies on a closed
-loop and rejects the move.
+A column move keeps only how the column's paths join its endpoints:
+the left and right crossings, the start and the free end.  A transition
+follows paths through the state's left pairing and the move; an
+occupied left port that no path visits lies on a closed loop and
+rejects the move.
 
 Every walk corresponds to exactly one accepted transition path from an
 all-empty state (flags 00) to the all-empty state with flags 11, with
@@ -37,7 +29,8 @@ and unrestricted walks come from the same operator.
 
 The column moves, the breadth-first search over cut states and the
 composition run in the compiled kernel (``_dfs.c``) or its pure-Python
-twin (``_dfs_py.transfer``, which spells them out), whichever
+twin (``_dfs_py.transfer``, whose docstrings give the moves and the
+composition step by step), whichever
 :mod:`hexsaw.enumeration` selected; both return the operator as int
 arrays with the same state codes and order.  This module wraps the
 arrays in a :class:`TransferOperator` and solves with it.
@@ -54,9 +47,9 @@ weights of M(x, y).  An end transition leads from an end-open sector to
 an end-placed one, so no block holds one, and one solve per (T, y) with
 a column per end kind gives arches (bottom), bridges (top) and walks
 (all three).  Growth rates mu_T and the fugacities y_T are roots of
-(spectral radius of M) - 1, found by a secant (Illinois regula falsi)
-search whose matrix-free power iterations each start from the previous
-one's last iterate.
+(spectral radius of M) - 1, found by one search (:func:`_radius_root`):
+secant steps (Illinois regula falsi) over matrix-free power iterations
+that each start from the previous one's last iterate.
 """
 
 from __future__ import annotations
@@ -99,8 +92,9 @@ class TransferOperator:
     transition k goes from state ``src[k]`` to ``dst[k]`` with weight
     x**xpow[k] * y**ypow[k] and end kind ``_END_KINDS[end[k]]``.
     ``transitions`` is a read-only view yielding the same transitions as
-    (src, dst, xpow, ypow, end_kind) tuples.  ``states`` decodes the
-    kernel's state codes into (labels, a_done, end_done, parity).
+    (src, dst, xpow, ypow, end_kind) tuples.  ``states`` holds the
+    kernel's int64 state codes (layout in ``_dfs_py``), and ``sinks``,
+    the accepting states, are those with an empty cut and both flags set.
     ``cells`` is ``(slot, row, col, end)``: for each transition the slot
     of its matrix cell, and for each cell its row, column and end-kind
     code, cells being the distinct (src, dst, end) triples in order of
@@ -114,14 +108,19 @@ class TransferOperator:
     xpow: np.ndarray = field(repr=False)
     ypow: np.ndarray = field(repr=False)
     end: np.ndarray = field(repr=False)
-    states: tuple = field(repr=False)  # (labels, a_done, end_done, parity)
-    sinks: tuple                       # accepting state indices
+    states: np.ndarray = field(repr=False)  # kernel state codes
     sources: tuple = (0, 1)            # state indices with weight-1 initial amplitude
+    sinks: tuple = field(init=False)   # accepting state indices
     cells: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        for a in (self.src, self.dst, self.xpow, self.ypow, self.end):
+        for a in (self.states, self.src, self.dst, self.xpow, self.ypow, self.end):
             a.flags.writeable = False  # the operator is cached and shared
+        # the code below the parity bit is both flags over an empty cut;
+        # read with % and >>, as numpy's bitwise_and loop pages in 64 kB
+        flags = _kernel.FLAG_SHIFT
+        object.__setattr__(self, "sinks", tuple(np.flatnonzero(
+            self.states % (4 << flags) == 3 << flags).tolist()))
         n, ends = self.state_count, len(_END_KINDS)
         # slots number the distinct cells by their first transition
         cell, first, inverse = np.unique((self.src * n + self.dst) * ends + self.end,
@@ -160,19 +159,6 @@ class _Transitions:
                    [_END_KINDS[e] for e in op.end.tolist()])
 
 
-def _decode_states(codes: np.ndarray, T: int) -> tuple[tuple, tuple]:
-    """The (labels, a_done, end_done, parity) of each kernel state code,
-    and the accepting states: an empty cut with both flags set."""
-    chars, shift, empty = _kernel.SLOT_CHARS, _kernel.FLAG_SHIFT, "." * T
-    states = tuple(
-        ("".join(chars[c >> 3 * i & 7] for i in range(T)), bool(c >> shift & 1),
-         bool(c >> shift + 1 & 1), c >> shift + 2 & 1)
-        for c in codes.tolist()
-    )
-    sinks = tuple(i for i, (lb, a, e, _) in enumerate(states) if lb == empty and a and e)
-    return states, sinks
-
-
 def build_transfer(T: int, surface: str = "top") -> TransferOperator:
     """The height-T transfer operator with contacts on ``surface``, built
     once per (T, surface) however the arguments are spelled."""
@@ -188,7 +174,7 @@ def build_transfer(T: int, surface: str = "top") -> TransferOperator:
 @lru_cache(maxsize=16)
 def _build_transfer(T: int, surface: str) -> TransferOperator:
     codes, src, dst, xpow, ypow, end = _kernel.transfer(T, surface == "top")
-    return TransferOperator(T, surface, src, dst, xpow, ypow, end, *_decode_states(codes, T))
+    return TransferOperator(T, surface, src, dst, xpow, ypow, end, codes)
 
 
 def series_counts(op: TransferOperator, N: int, kind: str = "walk"):
@@ -323,29 +309,46 @@ def _find_root(f, lo: float, hi: float, flo: float, fhi: float,
     return lo, hi
 
 
+def _radius_root(T: int, point, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """[lo, hi] shrunk by :func:`_find_root` around the root of
+    f(t) = (spectral radius of M(*point(t))) - 1 on the height-T operator,
+    every radius after the first starting from the last one's iterate.
+
+    A radius at hi of at most 1 but within 1e-9 of it makes hi the root
+    (y_1 = mu^2 is one), returned as (hi, hi); otherwise f must change
+    sign from lo to hi."""
+    op = build_transfer(T, "top")
+    v = np.full(op.state_count, 1.0 / op.state_count)  # warm start, reused
+
+    def f(t):
+        return _spectral_radius(_float_matrix(op, *point(t)), start=v) - 1.0
+
+    flo, fhi = f(lo), f(hi)
+    if -1e-9 < fhi <= 0:
+        return hi, hi
+    if not flo < 0 < fhi:
+        raise NonConvergenceError(
+            f"no root of (spectral radius) - 1 in [{lo!r}, {hi!r}] for T={T}: "
+            f"f = {flo!r}, {fhi!r}")
+    return _find_root(f, lo, hi, flo, fhi, tol)
+
+
 def growth_mu(T: int, y) -> GrowthEstimate:
     """mu_T(1, y): growth rate of strip walk counts with contact weight y,
     as 1/x at the x where the spectral radius of M(x, y) is 1."""
     yf = constants(0, "dilute", "float").surface_weight(y)
-    op = build_transfer(T, "top")
-    v = np.full(op.state_count, 1.0 / op.state_count)  # warm start, reused
-
-    def f(x):
-        return _spectral_radius(_float_matrix(op, x, yf), start=v) - 1.0
-
-    # For T >= 2, mu_T(1, y) > 1 and mu_T(1, y) >= sqrt(y) (the zigzag
-    # along the contact level), so the root x = 1/mu_T lies below
-    # 1/max(1, sqrt(y)).  T=1 attains mu_1 = sqrt(y), so its upper end
-    # sits past x = 1/min(1, sqrt(y)).
+    # The root x = 1/mu_T lies in [lo, hi].  For T >= 2, mu_T(1, y) >
+    # max(1, sqrt(y)) (the zigzag along the contact level); T=1 attains
+    # mu_1 = sqrt(y), so its upper end sits past x = 1/min(1, sqrt(y)).
+    # Consecutive vertices of a walk lie on different sublattices, so at
+    # most every other one is a contact, and mu_T(1, y) <= mu_T(1, 1) *
+    # max(1, sqrt(y)) < 2 * max(1, sqrt(y)), as mu_T(1, 1) < mu < 2.
     if T == 1:
         hi = 1.25 / min(1.0, math.sqrt(yf))
     else:
         hi = 1.0 / max(1.0, math.sqrt(yf))
-    lo = 0.15
-    flo, fhi = f(lo), f(hi)
-    if not (flo < 0 < fhi):
-        raise NonConvergenceError(f"growth bracket failed: {flo}, {fhi}")
-    lo, hi = _find_root(f, lo, hi, flo, fhi, 0.0)
+    lo = 0.5 / max(1.0, math.sqrt(yf))
+    lo, hi = _radius_root(T, lambda x: (x, yf), lo, hi, 0.0)
     return GrowthEstimate(T, yf, 2.0 / (lo + hi), hi - lo)
 
 
@@ -363,37 +366,12 @@ def solve_yT(T: int, tol: float = 1e-8) -> float:
     not an error bound on y_T."""
     if not 0.0 <= tol <= 1e-2:  # also refuses NaN
         raise InvalidParameterError(f"need 0 <= tol <= 1e-2, got tol={tol}")
-    lo, hi = 1.0, MU_BULK**2
-    op = build_transfer(T, "top")
     x_c = 1.0 / MU_BULK
-    v = np.full(op.state_count, 1.0 / op.state_count)  # warm start, reused
-
-    def f(y):
-        return _spectral_radius(_float_matrix(op, x_c, y), start=v) - 1.0
-
-    flo, fhi = f(lo), f(hi)
-    if fhi <= 0:
-        # T=1 attains the bound y_1 = mu^2 exactly
-        if abs(fhi) < 1e-9:
-            return hi
-        raise NonConvergenceError(
-            f"y_T bracket [1, mu^2] failed for T={T}: f={flo}, {fhi} "
-            "(would contradict monotonicity in y)"
-        )
-    if flo >= 0:
-        raise NonConvergenceError(
-            f"y_T bracket [1, mu^2] failed for T={T}: f={flo}, {fhi}"
-        )
-    lo, hi = _find_root(f, lo, hi, flo, fhi, tol)
+    lo, hi = _radius_root(T, lambda y: (x_c, y), 1.0, MU_BULK**2, tol)
     return 0.5 * (lo + hi)
 
 
 # -- resolvent solve ---------------------------------------------------
-
-# A state's flag sector is its (start inserted, end placed) pair.  Flags
-# are never cleared, so I - M is block-triangular over the sectors and a
-# sector, solved in this order, only reads sectors solved before it.
-_SECTOR_ORDER = ((True, True), (False, True), (True, False), (False, False))
 
 
 class DivergenceError(CapacityError):
@@ -417,17 +395,21 @@ def _sector_solve(op: TransferOperator, w: np.ndarray, one, solve) -> np.ndarray
     _, row, col, end = op.cells
     zero = one * 0
     n, kinds = op.state_count, len(_END_KINDS) - 1
-    sector = np.array([_SECTOR_ORDER.index(st[1:3]) for st in op.states])
+    # A state's flag sector is 3 - (start inserted + 2 * end placed), so
+    # sectors 0 and 1 have the end placed.  Flags are never cleared, so
+    # I - M is block-triangular over the sectors, and a sector, solved in
+    # increasing order, only reads sectors solved before it.
+    sector = 3 - (op.states >> _kernel.FLAG_SHIFT) % 4
     # feed[k, e]: cell k feeds column e; a cell without an end feeds all
     feed = (end[:, None] == 0) | (end[:, None] == np.arange(1, kinds + 1))
     pos = np.zeros(n, dtype=np.intp)
     z = np.full((n, kinds), zero)
-    for s, (_, end_done) in enumerate(_SECTOR_ORDER):
+    for s in range(4):
         idx = np.flatnonzero(sector == s)
         pos[idx] = np.arange(len(idx))
         mine = sector[row] == s
         inner = mine & (sector[col] == s)
-        cols = 1 if end_done else kinds
+        cols = 1 if s < 2 else kinds
         k, e = np.nonzero((mine & ~inner)[:, None] & feed[:, :cols])
         b = np.full((len(idx), cols), zero)
         b[np.isin(idx, op.sinks)] = one
@@ -561,7 +543,14 @@ def _source_sums(T: int, y: Fraction, mode: str) -> tuple:
     return tuple(z[list(op.sources)].sum(axis=0).tolist())
 
 
-@lru_cache(maxsize=128)
+def _weight(y) -> Fraction:
+    """y as the Fraction the solves are keyed by, once the float
+    ``surface_weight`` has refused it unless positive and finite (a float
+    nan or inf never reaches ``Fraction``)."""
+    constants(0, "dilute", "float").surface_weight(y)
+    return Fraction(y)
+
+
 def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
     """Exact value of the strip generating function at x = x_c.
 
@@ -571,7 +560,7 @@ def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
     """
     if kind not in _KINDS:
         raise InvalidParameterError(f"unknown kind {kind!r}")
-    y = Fraction(y)
+    y = _weight(y)
     mode = _resolve_mode(mode, T)
     sums = _source_sums(T, y, mode)
     value = sum(sums[_END_KINDS.index(e) - 1] for e in _KINDS[kind])
@@ -584,7 +573,7 @@ def check_strip_identity(T: int, y, mode: str = "auto"):
     """alpha*A_T(x_c,y) + beta(y)*B_T(x_c,y) = 1 for y < y_T."""
     from .identity import ResidualReport, _abs
 
-    y = Fraction(y)
+    y = _weight(y)
     a = strip_gf(T, y, "arch", mode)
     b = strip_gf(T, y, "bridge", mode)
     c = constants(0, "dilute", a.mode)
@@ -612,7 +601,7 @@ def check_bounds(Tmax: int, y_grid=(1, Fraction(3, 2), 2), mode: str = "auto") -
     mode = _resolve_mode(mode, Tmax)
     c = constants(0, "dilute", mode)
     # beta(y) first, so a bad weight is refused before any solve, at any Tmax
-    betas = [(yq, c.beta(yq)) for yq in map(Fraction, y_grid)]
+    betas = [(yq, c.beta(yq)) for yq in map(_weight, y_grid)]
     A = {t: strip_gf(t, 1, "arch", mode).value for t in range(1, Tmax + 1)}
     B = {t: strip_gf(t, 1, "bridge", mode).value for t in range(1, Tmax + 1)}
     x_c, alpha = c.x_c, c.coeff_a

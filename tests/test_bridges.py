@@ -349,24 +349,23 @@ def test_prime_arch_series_identity(T):
 
 
 def test_sampler_deterministic_and_renewed():
-    cfg = br.SamplerConfig(N=8, k=5, seed=7)
-    b1, rep1 = br.sample_renewal(cfg)
-    b2, rep2 = br.sample_renewal(cfg)
+    b1, rep1 = br.sample_renewal(8, 5, 7)
+    b2, rep2 = br.sample_renewal(8, 5, 7)
     assert b1 == b2 and rep1 == rep2
     assert classify_walk(b1) == "bridge"
     # the construction forces at least the k+1 seams to be renewals
-    assert rep1["renewal_points"] >= cfg.k + 1
+    assert rep1["renewal_points"] >= 5 + 1
     assert rep1["height"] == sum(
         int(h) for h in br.irreducible_factors(b1).heights
     )
-    b3, _ = br.sample_renewal(br.SamplerConfig(N=8, k=5, seed=8))
+    b3, _ = br.sample_renewal(8, 5, 8)
     assert b3 != b1
 
 
 def test_sampler_guards():
     with pytest.raises(InvalidParameterError):
-        br.sample_renewal(br.SamplerConfig(N=4, k=0, seed=1))
+        br.sample_renewal(4, 0, 1)
     with pytest.raises(InvalidParameterError, match="N >= 2"):
-        br.sample_renewal(br.SamplerConfig(N=1, k=2, seed=1))
+        br.sample_renewal(1, 2, 1)
     with pytest.raises(CapacityError):
-        br.sample_renewal(br.SamplerConfig(N=br.N_CAP + 1, k=1, seed=1))
+        br.sample_renewal(br.N_CAP + 1, 1, 1)

@@ -221,6 +221,28 @@ def test_bad_numbers_are_usage_errors(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("strip-mu", "--Tmax", "3", "--y", "100"),
+    ("strip-mu", "--Tmax", "2", "--y", "1e6"),
+    ("half-plane", "--N", "4", "--y", "1e100"),
+])
+def test_large_surface_weights_are_admissible(capsys, argv):
+    """Weights that put mu_T's root below x = 0.15, and a half-plane
+    weight whose powers stay in the float range: exit 0, checks holding."""
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["ok"] is True
+
+
+@pytest.mark.parametrize("y", ["1e200", "1e154"])
+def test_half_plane_past_the_float_range_is_a_capacity_error(capsys, y):
+    """y ** i past the float range (1e200) or a count times it past it
+    (1e154): exit 3 and one error line, not a traceback or an inf row."""
+    assert main(["half-plane", "--N", "4", "--y", y]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "float range" in err
+
+
 def test_loops_at_n0_change_nothing(capsys):
     """At n = 0 every loop term is 0: --with-loops searches no loops
     (D(3,3) has 51 vertices, past the loop search cap) and leaves the

@@ -117,7 +117,7 @@ def test_c_kernel_rejects_malformed_tables(c_kernel):
 @pytest.mark.parametrize("T", range(1, 8))
 def test_c_transfer_matches_pure(c_kernel, T, top):
     """Same layout, state codes, numbering and transitions, array for array."""
-    for name in ("T_MAX", "FLAG_SHIFT", "SLOT_CHARS", "END_KINDS"):
+    for name in ("T_MAX", "FLAG_SHIFT", "END_KINDS"):
         assert getattr(c_kernel, name) == getattr(_dfs_py, name), name
     ref = _dfs_py.transfer(T, top)
     got = c_kernel.transfer(T, top)

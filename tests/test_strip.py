@@ -192,8 +192,9 @@ def test_exact_T5_resolvent_certificate(kind):
                 if (xp, yp) not in power:
                     power[xp, yp] = x_c**xp * yc**yp
                 lhs[i] = lhs[i] - power[xp, yp] * ze[j]
-        for sector in sp._SECTOR_ORDER:
-            rows = [i for i, st in enumerate(op.states) if st[1:3] == sector]
+        sectors = 3 - (op.states >> en._kernel.FLAG_SHIFT & 3)
+        for sector in range(4):
+            rows = np.flatnonzero(sectors == sector).tolist()
             assert rows, sector
             assert all(lhs[i] == (ONE if i in sinks else ZERO) for i in rows), (ek, sector)
         assert any(ze[s] for s in op.sources), ek
@@ -209,12 +210,11 @@ def test_one_solve_serves_every_kind(mode, solver, monkeypatch):
     calls = []
     real = getattr(sp, solver)
     monkeypatch.setattr(sp, solver, lambda *a: calls.append(a) or real(*a))
-    sp.strip_gf.cache_clear()
     sp._source_sums.cache_clear()
     for T, y in ((3, Fraction(3, 2)), (5, 1)):
         calls.clear()
         assert sp.check_strip_identity(T, y, mode=mode).ok
-        assert len(calls) == len(sp._SECTOR_ORDER) == 4
+        assert len(calls) == 4
         sp.strip_gf(T, y, "walk", mode=mode)
         assert len(calls) == 4
 
@@ -337,7 +337,7 @@ def test_float_strip_gf_never_forms_the_whole_matrix():
     sp._source_sums.cache_clear()  # measure a solve, not a cache hit
     tracemalloc.start()
     try:
-        sp.strip_gf.__wrapped__(7, 1, "bridge", mode="float")
+        sp.strip_gf(7, 1, "bridge", mode="float")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -443,6 +443,18 @@ def test_growth_mu_upper_end_is_above_root(T):
         assert sp._spectral_radius(sp._float_matrix(op, hi, y)) > 1.0, y
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_growth_mu_lower_end_is_below_root(T):
+    """mu_T(1, y) < 2 * max(1, sqrt(y)), as at most every other vertex of
+    a walk is a contact, so the lower bracket end x = 1/(2 * max(1,
+    sqrt(y))) has spectral radius below 1, at weights far past the
+    bulk ones too."""
+    op = sp.build_transfer(T, "top")
+    for y in (0.1, 1.0, 1.75, 44.0, 100.0, 1e6):
+        lo = 0.5 / max(1.0, math.sqrt(y))
+        assert sp._spectral_radius(sp._float_matrix(op, lo, y)) < 1.0, y
+
+
 @pytest.mark.parametrize("T", [2, 3, 4, 5])
 def test_solve_yT_matches_cold_bisection(T, monkeypatch):
     """y_T within tol of a cold-start bisection to the same tol, in at
@@ -500,7 +512,14 @@ def test_guards():
     lambda: sp.check_bounds(1, y_grid=(1, -1)),
     lambda: sp.growth_mu(2, math.nan),
     lambda: sp.growth_mu(2, math.inf),
-], ids=["identity-y0", "identity-y1e400", "bounds-y0", "bounds-Tmax1", "mu-nan", "mu-inf"])
+    lambda: sp.strip_gf(2, math.nan),
+    lambda: sp.strip_gf(2, math.inf),
+    lambda: sp.check_strip_identity(2, math.nan),
+    lambda: sp.check_strip_identity(2, math.inf),
+    lambda: sp.check_bounds(2, y_grid=(1, math.nan)),
+    lambda: sp.check_bounds(2, y_grid=(math.inf,)),
+], ids=["identity-y0", "identity-y1e400", "bounds-y0", "bounds-Tmax1", "mu-nan", "mu-inf",
+        "gf-nan", "gf-inf", "identity-nan", "identity-inf", "bounds-nan", "bounds-inf"])
 def test_surface_weight_outside_0_inf_is_refused(call):
     """y = 0 is the pole of beta(y); nan, inf and weights past the float
     range are bad input too, in both scalar modes."""

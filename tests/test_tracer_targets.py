@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 from hexsaw.cyclo import Cyclo48
+from hexsaw.strip import build_transfer
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -26,3 +27,13 @@ def test_traced_names_resolve():
     ]
     missing += [f"Cyclo48.{op}" for op in tracer.CYCLO_OPS if op not in vars(Cyclo48)]
     assert not missing
+
+
+def test_transfer_hook_counts_the_operator():
+    """--trace 1 counts each operator built: its states and transitions."""
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    op = build_transfer(3)
+    tracer._HOOKS["strip.build_transfer"](tr, (3,), {}, op, 0.0, 0.0)
+    assert tr.counts["strip.transfer.states"] == op.state_count
+    assert tr.counts["strip.transfer.transitions"] == len(op.src)
