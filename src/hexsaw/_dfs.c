@@ -5,14 +5,14 @@ the KernelTables arrays through the buffer protocol (no numpy headers),
 checks every size and entry so that malformed tables raise ValueError,
 and returns counts[class, length, contacts] as an int64 numpy array.
 
-transfer(T, top) builds the height-T strip transfer operator: the column
-moves of each parity, then a breadth-first search over cut states that
-composes each state with each move its mask and flags allow.  It returns
-(codes, src, dst, xpow, ypow, end) as int64 numpy arrays, with the state
-codes, numbering and transition order of _dfs_py.transfer, whose
-docstrings describe the moves and the composition step by step.  The
-module exports the layout constants T_MAX, FLAG_SHIFT and END_KINDS, as
-_dfs_py defines them. */
+transfer(T) builds the height-T strip transfer operator, its contacts on
+the top row: the column moves of each parity, then a breadth-first
+search over cut states that composes each state with each move its mask
+and flags allow.  It returns (codes, src, dst, xpow, ypow, end) as int64
+numpy arrays, with the state codes, numbering and transition order of
+_dfs_py.transfer, whose docstrings describe the moves and the
+composition step by step.  The module exports the layout constants
+T_MAX, FLAG_SHIFT and END_KINDS, as _dfs_py defines them. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
@@ -306,7 +306,7 @@ typedef struct {
     Py_ssize_t *order, *first;
 } Columns;
 
-static int column_moves(int T, int p, int top, Columns *out)
+static int column_moves(int T, int p, Columns *out)
 {
     Column *g = PyMem_Calloc(1, sizeof(Column));
     if (g == NULL) {
@@ -314,10 +314,7 @@ static int column_moves(int T, int p, int top, Columns *out)
         return -1;
     }
     g->T = T;
-    if (top)
-        g->contact = p % 2 == T % 2 ? T - 1 : -1;
-    else
-        g->contact = p % 2 == 0 ? 0 : -1;
+    g->contact = p % 2 == T % 2 ? T - 1 : -1;
     for (int k = 0; k < T; k++)
         g->nopt[k] = level_options(T, p, k, g->opt[k]);
     int rc = column_rec(g, 0, -1, END_NONE, 0, 0, 0, 0, 0);
@@ -512,20 +509,16 @@ static PyObject *int64_array(PyObject *numpy, Py_ssize_t n, Py_buffer *view)
 static PyObject *transfer(PyObject *self, PyObject *args)
 {
     int T;
-    PyObject *top, *numpy = NULL, *out = NULL;
+    PyObject *numpy = NULL, *out = NULL;
     Columns col[2] = {{0}};
     States st = {0};
     Transition *tr = NULL;
     Py_ssize_t ntr = 0;
 
-    if (!PyArg_ParseTuple(args, "iO:transfer", &T, &top))
+    if (!PyArg_ParseTuple(args, "i:transfer", &T))
         return NULL;
     if (T < 1 || T > T_MAX) {
         PyErr_Format(PyExc_ValueError, "need 1 <= T <= %d, got T=%d", T_MAX, T);
-        return NULL;
-    }
-    if (!PyBool_Check(top)) {
-        PyErr_SetString(PyExc_ValueError, "top must be a bool");
         return NULL;
     }
     st.mask = 1023;
@@ -534,8 +527,8 @@ static PyObject *transfer(PyObject *self, PyObject *args)
         goto done;
     }
     memset(st.slot, -1, (st.mask + 1) * sizeof(int32_t));
-    if (column_moves(T, 0, top == Py_True, &col[0]) < 0
-        || column_moves(T, 1, top == Py_True, &col[1]) < 0
+    if (column_moves(T, 0, &col[0]) < 0
+        || column_moves(T, 1, &col[1]) < 0
         || search(T, col, &st, &tr, &ntr) < 0)
         goto done;
     for (int p = 0; p < 2; p++) {  /* the moves are not needed any more */

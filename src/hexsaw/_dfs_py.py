@@ -54,10 +54,11 @@ def tally_class(tables, max_len: int):
 
 # -- strip transfer operator -------------------------------------------
 #
-# transfer(T, top) returns (codes, src, dst, xpow, ypow, end) as int64
-# arrays.  A state code holds cut slot i in bits 3i..3i+2 (its index in
-# SLOT_CHARS) and the start-inserted flag, the end-placed flag and the
-# column parity in bits FLAG_SHIFT, FLAG_SHIFT + 1 and FLAG_SHIFT + 2.
+# transfer(T) returns (codes, src, dst, xpow, ypow, end) as int64 arrays,
+# contacts lying on the top row.  A state code holds cut slot i in bits
+# 3i..3i+2 (its index in SLOT_CHARS) and the start-inserted flag, the
+# end-placed flag and the column parity in bits FLAG_SHIFT, FLAG_SHIFT + 1
+# and FLAG_SHIFT + 2.
 # States are numbered in first-discovery order, transitions come in
 # state x move order, and end[k] is the end kind's index in END_KINDS.
 # The C kernel exports the same T_MAX, FLAG_SHIFT and END_KINDS.
@@ -92,7 +93,7 @@ def _level_options(T: int, p: int, k: int) -> list:
     return out
 
 
-def _column_moves(T: int, p: int, surface: str) -> dict:
+def _column_moves(T: int, p: int) -> dict:
     """The nonempty column moves of parity p, keyed by (left-crossing
     mask, may insert the start, may place the end), each list in a fixed
     order.
@@ -102,9 +103,10 @@ def _column_moves(T: int, p: int, surface: str) -> dict:
     k), R_k = T + k (right crossing), S = 2T (the start) and E = 2T + 1
     (the free end).  A move is ``(rocc, xpow, ypow, start, end_kind,
     match)``: the bitmask of occupied right crossings, the visited
-    vertices and contact vertices, whether the column inserts the start,
-    where it places the end (None, 'interior', 'bottom' or 'top'), and
-    ``match[e]``, the endpoint the column joins e to (-1 when unused).
+    vertices and top-row (contact) vertices, whether the column inserts
+    the start, where it places the end (None, 'interior', 'bottom' or
+    'top'), and ``match[e]``, the endpoint the column joins e to (-1 when
+    unused).
 
     Levels are filled bottom to top and a level is cut off as soon as its
     vertex cannot have degree 0 or 2.  ``carry`` is the endpoint at the
@@ -112,10 +114,7 @@ def _column_moves(T: int, p: int, surface: str) -> dict:
     matched end to end where it closes.
     """
     E = 2 * T + 1
-    if surface == "top":
-        contact = T - 1 if p % 2 == T % 2 else None
-    else:
-        contact = 0 if p % 2 == 0 else None
+    contact = T - 1 if p % 2 == T % 2 else None
     levels = [_level_options(T, p, k) for k in range(T)]
     moves: dict = {}
 
@@ -223,20 +222,18 @@ def _code(state) -> int:
     return code | a_done << FLAG_SHIFT | end_done << FLAG_SHIFT + 1 | p << FLAG_SHIFT + 2
 
 
-def transfer(T: int, top: bool):
-    """The height-T strip transfer operator with contacts on the top
-    (``top``) or bottom row, as (codes, src, dst, xpow, ypow, end)."""
+def transfer(T: int):
+    """The height-T strip transfer operator with contacts on the top row,
+    as (codes, src, dst, xpow, ypow, end)."""
     if not 1 <= T <= T_MAX:
         raise ValueError(f"need 1 <= T <= {T_MAX}, got T={T!r}")
-    if not isinstance(top, bool):
-        raise ValueError(f"top must be a bool, got {top!r}")
     empty = EMPTY * T
     sources = [(empty, False, False, 0), (empty, False, False, 1)]
     index: dict = {}
     states: list = []
     transitions = []
     parsed: dict = {}
-    columns = [_column_moves(T, p, "top" if top else "bottom") for p in (0, 1)]
+    columns = [_column_moves(T, p) for p in (0, 1)]
 
     def intern(s):
         if s not in index:

@@ -2,8 +2,8 @@
 package, with machine-readable JSON or CSV reports.
 
 Exit codes: 0 when every checked property holds, 1 when a check is
-falsified, 2 on usage errors, 3 when a solver did not converge or a
-size cap was hit.
+falsified, 2 on usage errors, 3 when a solver did not converge, a size
+cap was hit or a check asks for more precision than the solver has.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _cmd_verify_rectangle(args):
 
 def _operator_size(T: int) -> dict:
     """Size of the height-T transfer operator the solvers' cached build has."""
-    op = sp.build_transfer(T, "top")
+    op = sp.build_transfer(T)
     return {"states": op.state_count, "transitions": len(op.transitions)}
 
 
@@ -137,6 +137,9 @@ def _cmd_strip_mu(args):
         est = sp.growth_mu(T, y)
         rows.append({"T": T, "y": est.y, "mu_T": est.mu, "error": est.error,
                      **_operator_size(T)})
+        if prev is not None and abs(est.mu - prev) <= sp.RADIUS_TOL * est.mu:
+            raise NonConvergenceError(f"mu_{T - 1} = {prev!r} and mu_{T} = {est.mu!r} agree "
+                                      "within the radius tolerance: increase cannot be decided")
         if prev is not None and not est.mu > prev:
             ok = False
         if y == 1 and not est.mu < sp.MU_BULK + 1e-12:

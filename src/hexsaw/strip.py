@@ -23,9 +23,9 @@ rejects the move.
 
 Every walk corresponds to exactly one accepted transition path from an
 all-empty state (flags 00) to the all-empty state with flags 11, with
-one x per visited vertex and one y per visited contact vertex.  End
-transitions are tagged 'bottom', 'top' or 'interior' so arches, bridges
-and unrestricted walks come from the same operator.
+one x per visited vertex and one y per visited top-row (contact) vertex.
+End transitions are tagged 'bottom', 'top' or 'interior' so arches,
+bridges and unrestricted walks come from the same operator.
 
 The column moves, the breadth-first search over cut states and the
 composition run in the compiled kernel (``_dfs.c``) or its pure-Python
@@ -41,12 +41,15 @@ over the four flag sectors (start inserted, end placed), and the
 resolvent is solved one diagonal block at a time: over Q(zeta_48) for
 T <= 5 by sparse elimination in Markowitz order (the blocks hold about
 3.3 nonzero cells per row), in floats up to T = 7 by a dense LAPACK
-solve per block.  In both scalar modes ``ModelConstants.surface_weight``
-checks and coerces y, and one builder (:func:`_cell_weights`) gives the
-weights of M(x, y).  An end transition leads from an end-open sector to
-an end-placed one, so no block holds one, and one solve per (T, y) with
-a column per end kind gives arches (bottom), bridges (top) and walks
-(all three).  Growth rates mu_T and the fugacities y_T are roots of
+solve per block.  M's spectral radius is its blocks' largest, and each
+block solve proves its block's below 1 (every exact pivot positive, or
+a float (I - B)^-1 * 1 > 0) or raises :class:`DivergenceError`, so the
+solves decide convergence.  In both scalar modes
+``ModelConstants.surface_weight`` checks and coerces y, and one builder
+(:func:`_cell_weights`) gives the weights of M(x, y).  An end transition
+leads from an end-open sector to an end-placed one, so no block holds
+one, and one solve per (T, y) with a column per end kind gives arches
+(bottom), bridges (top) and walks (all three).  Growth rates mu_T and the fugacities y_T are roots of
 (spectral radius of M) - 1, found by one search (:func:`_radius_root`):
 secant steps (Illinois regula falsi) over matrix-free power iterations
 that each start from the previous one's last iterate.
@@ -72,6 +75,7 @@ from .model import constants
 
 T_CAP_EXACT = 5
 T_CAP_FLOAT = 7
+RADIUS_TOL = 1e-13  # relative settling of a spectral radius: no finer gap is seen
 
 # End kinds each walk kind accepts: the resolvent columns its value sums.
 _KINDS = {
@@ -85,7 +89,7 @@ _END_KINDS = _kernel.END_KINDS
 
 @dataclass(frozen=True, eq=False)
 class TransferOperator:
-    """Column-to-column transfer system for one strip height.
+    """Column-to-column transfer system for one strip height, contacts on top.
 
     The compiled kernel or its twin ``_dfs_py.transfer`` builds it as
     int arrays, and those arrays are the only transition representation:
@@ -102,14 +106,13 @@ class TransferOperator:
     """
 
     T: int
-    surface: str
     src: np.ndarray = field(repr=False)
     dst: np.ndarray = field(repr=False)
     xpow: np.ndarray = field(repr=False)
     ypow: np.ndarray = field(repr=False)
     end: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)  # kernel state codes
-    sources: tuple = (0, 1)            # state indices with weight-1 initial amplitude
+    sources = (0, 1)                   # state indices with weight-1 initial amplitude
     sinks: tuple = field(init=False)   # accepting state indices
     cells: tuple = field(init=False, repr=False)
 
@@ -159,22 +162,20 @@ class _Transitions:
                    [_END_KINDS[e] for e in op.end.tolist()])
 
 
-def build_transfer(T: int, surface: str = "top") -> TransferOperator:
-    """The height-T transfer operator with contacts on ``surface``, built
-    once per (T, surface) however the arguments are spelled."""
+def build_transfer(T: int) -> TransferOperator:
+    """The height-T transfer operator, built once per T however the
+    argument is spelled."""
     if T < 1:
         raise InvalidParameterError(f"need T >= 1, got T={T}")
     if T > T_CAP_FLOAT:
         raise CapacityError(f"strip height {T} outside supported range 1..{T_CAP_FLOAT}")
-    if surface not in ("top", "bottom"):
-        raise InvalidParameterError(f"bad surface {surface!r}")
-    return _build_transfer(T, surface)
+    return _build_transfer(T)
 
 
 @lru_cache(maxsize=16)
-def _build_transfer(T: int, surface: str) -> TransferOperator:
-    codes, src, dst, xpow, ypow, end = _kernel.transfer(T, surface == "top")
-    return TransferOperator(T, surface, src, dst, xpow, ypow, end, codes)
+def _build_transfer(T: int) -> TransferOperator:
+    codes, src, dst, xpow, ypow, end = _kernel.transfer(T)
+    return TransferOperator(T, src, dst, xpow, ypow, end, codes)
 
 
 def series_counts(op: TransferOperator, N: int, kind: str = "walk"):
@@ -244,7 +245,7 @@ def _float_matrix(op: TransferOperator, x: float, y: float) -> _FloatMatrix:
     return _FloatMatrix(op.state_count, row, col, _cell_weights(op, x, y))
 
 
-def _spectral_radius(M: _FloatMatrix, tol: float = 1e-13, iters: int = 20000,
+def _spectral_radius(M: _FloatMatrix, tol: float = RADIUS_TOL, iters: int = 20000,
                      start: np.ndarray | None = None) -> float:
     """Spectral radius of M by power iteration, from the uniform vector
     or from ``start``, which then receives the last (unit-norm) iterate
@@ -317,7 +318,7 @@ def _radius_root(T: int, point, lo: float, hi: float, tol: float) -> tuple[float
     A radius at hi of at most 1 but within 1e-9 of it makes hi the root
     (y_1 = mu^2 is one), returned as (hi, hi); otherwise f must change
     sign from lo to hi."""
-    op = build_transfer(T, "top")
+    op = build_transfer(T)
     v = np.full(op.state_count, 1.0 / op.state_count)  # warm start, reused
 
     def f(t):
@@ -419,11 +420,21 @@ def _sector_solve(op: TransferOperator, w: np.ndarray, one, solve) -> np.ndarray
 
 
 def _dense_solve(m: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.ndarray):
-    """(I - B)^-1 b in floats, by one LAPACK solve of the dense block."""
+    """(I - B)^-1 b in floats by one LAPACK solve of the dense block, which
+    also gives u = (I - B)^-1 * 1.  u > 0 proves B's radius below 1, as
+    B u = u - 1 <= (1 - 1/max u) u (Collatz-Wielandt), and a radius below 1
+    gives u = sum_k B^k * 1 >= 1; so a u not positive, or a singular
+    block, raises."""
     A = np.zeros((m, m))
     A[r, c] = -v
     A.flat[:: m + 1] += 1.0
-    return np.linalg.solve(A, b)
+    try:
+        u = np.linalg.solve(A, np.column_stack((np.ones(m), b)))
+    except np.linalg.LinAlgError:
+        raise DivergenceError("I - B is singular") from None
+    if not (u[:, 0] > 0).all():
+        raise DivergenceError("(I - B)^-1 * 1 is not positive")
+    return u[:, 1:]
 
 
 def _markowitz_solve(m: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.ndarray):
@@ -438,10 +449,11 @@ def _markowitz_solve(m: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.
     entry that cancels to exact zero is dropped.  Each pivot is inverted
     once, and back-substitution in reverse pivot order gives u, (m, k).
 
-    Diagonal pivots suffice: where the strip series converges, I - B is
-    a nonsingular M-matrix (B >= 0, spectral radius < 1; Berman &
-    Plemmons, ch. 6), and every Schur complement of one keeps a positive
-    diagonal.  A zero pivot therefore proves divergence and raises.
+    The pivots certify convergence: I - B (B >= 0) is a Z-matrix in any
+    symmetric order, each pivot is the ratio of two successive leading
+    principal minors, and so all are positive iff I - B is a nonsingular
+    M-matrix, i.e. B's spectral radius is below 1 (Berman & Plemmons,
+    ch. 6).  A zero or negative pivot proves divergence and raises.
     """
     rows = [{i: ONE} for i in range(m)]
     for i, j, x in zip(r.tolist(), c.tolist(), v.tolist()):
@@ -459,9 +471,9 @@ def _markowitz_solve(m: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, b: np.
         k = min(active, key=lambda i: ((len(rows[i]) - 1) * (len(cols[i]) - 1), i))
         active.discard(k)
         piv = rows[k].get(k)
-        if not piv:
-            raise DivergenceError("zero pivot: I - M is not a nonsingular M-matrix, "
-                                  "so the strip series diverges")
+        if not piv or piv.sign() < 0:
+            raise DivergenceError(f"{'negative' if piv else 'zero'} pivot: I - B is not "
+                                  "a nonsingular M-matrix")
         inv = piv.inverse()
         order.append((k, inv))
         pivot_row = rows[k]
@@ -505,13 +517,6 @@ class StripValue:
     mode: str
 
 
-@lru_cache(maxsize=128)
-def _guard_radius(T: int, y: Fraction) -> float:
-    """Walk-kind spectral radius at x = x_c; the strip series of every
-    kind converges iff it is below 1."""
-    return _spectral_radius(_float_matrix(build_transfer(T, "top"), 1.0 / MU_BULK, float(y)))
-
-
 def _resolve_mode(mode: str, T: int) -> str:
     """The scalar mode of the solves up to strip height T: 'auto' is
     exact iff T <= T_CAP_EXACT, and 'exact' above it raises."""
@@ -528,18 +533,13 @@ def _resolve_mode(mode: str, T: int) -> str:
 def _source_sums(T: int, y: Fraction, mode: str) -> tuple:
     """The resolvent at x = x_c summed over the sources, one value per
     end kind (interior, bottom, top), from one sector solve."""
-    op = build_transfer(T, "top")
+    op = build_transfer(T)
     c = constants(0, "dilute", mode)
-    yc = c.surface_weight(y)
-    # convergence guard: the series diverges at and beyond y_T
-    if y > 1:
-        rho = _guard_radius(T, y)
-        if rho >= 1.0:
-            raise DivergenceError(
-                f"strip series diverges: y = {y} >= y_{T} (spectral radius {rho:.6f})"
-            )
     solve = _markowitz_solve if mode == "exact" else _dense_solve
-    z = _sector_solve(op, _cell_weights(op, c.x_c, yc), c.one(), solve)
+    try:
+        z = _sector_solve(op, _cell_weights(op, c.x_c, c.surface_weight(y)), c.one(), solve)
+    except DivergenceError as exc:
+        raise DivergenceError(f"strip series diverges: y = {y} >= y_{T} ({exc})") from None
     return tuple(z[list(op.sources)].sum(axis=0).tolist())
 
 
@@ -555,7 +555,8 @@ def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
     """Exact value of the strip generating function at x = x_c.
 
     kind 'arch' is A_T(x_c, y), 'bridge' is B_T(x_c, y), 'walk' is
-    C_T(x_c, y) (empty walk included).  Requires 0 < y < y_T.  All three
+    C_T(x_c, y) (empty walk included), for y < y_T: the solve certifies
+    it block by block or raises :class:`DivergenceError`.  All three
     kinds at one (T, y, mode) read one cached solve.
     """
     if kind not in _KINDS:

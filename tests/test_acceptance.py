@@ -96,7 +96,7 @@ def test_criterion_06_critical_fugacity_sequence():
     grid = np.linspace(1.0, 7.0, 100)
     changes = []
     for T in (1, 2, 3, 4):
-        op = sp.build_transfer(T, "top")
+        op = sp.build_transfer(T)
         sign = [sp._spectral_radius(sp._float_matrix(op, x_c, y)) - 1.0 < 0
                 for y in grid]
         changes.append(sum(1 for a, b in zip(sign, sign[1:]) if a != b))
@@ -142,7 +142,7 @@ def test_criterion_09_transfer_equals_dfs():
     ok = True
     total = 0
     for T in (1, 2, 3):
-        op = sp.build_transfer(T, "top")
+        op = sp.build_transfer(T)
         got = sp.series_counts(op, 14, kind="walk")
         ref = {(0, 0): 1}
         top_row = 3 * T - 1

@@ -233,6 +233,17 @@ def test_large_surface_weights_are_admissible(capsys, argv):
     assert code == 0 and doc["ok"] is True
 
 
+@pytest.mark.parametrize("Tmax, y", [("3", "1e6"), ("6", "1e4")])
+def test_strip_mu_tie_is_undecided(capsys, Tmax, y):
+    """mu_2 and mu_3 agree to within the spectral radius tolerance, which
+    leaves the strict-increase check without a verdict: exit 3 and one
+    error line naming both heights and values, not a falsified check."""
+    assert main(["strip-mu", "--Tmax", Tmax, "--y", y]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "mu_2 = 1" in err and "mu_3 = 1" in err and "cannot be decided" in err
+
+
 @pytest.mark.parametrize("y", ["1e200", "1e154"])
 def test_half_plane_past_the_float_range_is_a_capacity_error(capsys, y):
     """y ** i past the float range (1e200) or a count times it past it

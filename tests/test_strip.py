@@ -20,7 +20,7 @@ from hexsaw.model import constants
 def test_transfer_matches_dfs(T):
     """Operator series must equal direct walk enumeration, every y power."""
     max_len = 14 if T < 3 else 12
-    op = sp.build_transfer(T, "top")
+    op = sp.build_transfer(T)
     got = sp.series_counts(op, max_len, kind="walk")
     ref: dict = {(0, 0): 1}
     top_row = 3 * T - 1
@@ -37,13 +37,13 @@ def _as_counts(hist):
     return {(n, c): int(v) for (n, c), v in np.ndenumerate(hist) if v}
 
 
-@pytest.mark.parametrize("surface", ["top", "bottom"])
-@pytest.mark.parametrize("T", [4, 5, 6])
-def test_transfer_matches_kernel(T, surface):
+@pytest.mark.parametrize("T", [4, 5, 6], ids=lambda T: f"{T}-top")
+def test_transfer_matches_kernel(T):
     """Operator series against the DFS kernel's class histograms on a
-    strip prefix long enough that no walk of length <= 20 feels the cut."""
-    op = sp.build_transfer(T, surface)
-    hist = en.class_histogram(dm.build_strip_prefix(T, 11, surface), 20)
+    strip prefix long enough that no walk of length <= 20 feels the cut,
+    both weighing contacts on the top row."""
+    op = sp.build_transfer(T)
+    hist = en.class_histogram(dm.build_strip_prefix(T, 11), 20)
     assert sp.series_counts(op, 20, "walk") == _as_counts(hist.sum(axis=0))
     assert sp.series_counts(op, 20, "arch") == _as_counts(hist[en.CLASS_ID[dm.A_BOTTOM]])
     assert sp.series_counts(op, 20, "bridge") == _as_counts(hist[en.CLASS_ID[dm.B_TOP]])
@@ -53,21 +53,21 @@ def test_transfer_sizes():
     sizes = [(8, 16), (18, 71), (44, 274), (116, 1040), (314, 4069), (868, 15994),
              (2426, 63748)]
     for T, size in enumerate(sizes, start=1):
-        op = sp.build_transfer(T, "top")
+        op = sp.build_transfer(T)
         assert (op.state_count, len(op.transitions)) == size, T
 
 
 def test_transfer_cache_ignores_argument_spelling():
-    """The default surface and the spelled-out one share one build."""
+    """A positional and a keyword height share one build."""
     op = sp.build_transfer(3)
-    assert op is sp.build_transfer(3, "top") is sp.build_transfer(3, surface="top")
-    assert op is not sp.build_transfer(3, "bottom")
+    assert op is sp.build_transfer(T=3)
+    assert op is not sp.build_transfer(2)
 
 
 def test_transfer_arch_bridge_split():
     """Arch/bridge filtered series agree with walk classification."""
     T, max_len = 2, 12
-    op = sp.build_transfer(T, "top")
+    op = sp.build_transfer(T)
     arches = sp.series_counts(op, max_len, kind="arch")
     bridges_ = sp.series_counts(op, max_len, kind="bridge")
     from hexsaw.lattice import classify_walk
@@ -163,7 +163,7 @@ def _exact_z(op, y, solve):
 def test_markowitz_solve_matches_dense_gauss(T):
     """Sparse elimination in Markowitz order gives the dense oracle's
     exact resolvent, state by state and end kind by end kind."""
-    op = sp.build_transfer(T, "top")
+    op = sp.build_transfer(T)
     for y in (1, Fraction(7, 4), 2):
         got = _exact_z(op, y, sp._markowitz_solve)
         want = _exact_z(op, y, _gauss_solve)
@@ -177,7 +177,7 @@ def test_exact_T5_resolvent_certificate(kind):
     flag sector, for each end-kind column e the kind reads, with M_e
     rebuilt from the transitions: those without an end and those of end
     kind e.  strip_gf reads the kind from the same columns."""
-    op = sp.build_transfer(5, "top")
+    op = sp.build_transfer(5)
     y = Fraction(7, 4)
     z = _exact_z(op, y, sp._markowitz_solve)
     x_c, yc = constants(0, "dilute").x_c, Cyclo48.from_rational(y)
@@ -278,25 +278,8 @@ def _series_ratio_mu(op, y, N=36):
 
 def test_growth_methods_agree():
     e = sp.growth_mu(2, 1)
-    mu, error = _series_ratio_mu(sp.build_transfer(2, "top"), 1.0)
+    mu, error = _series_ratio_mu(sp.build_transfer(2), 1.0)
     assert abs(e.mu - mu) < 3 * error
-
-
-def test_surface_side_counts():
-    """Moving the weighted row cannot change the total number of walks,
-    only how contacts are distributed; in a height-1 strip the rows
-    alternate, fixing the contact count per length on each side."""
-    for T in (1, 2):
-        top = sp.series_counts(sp.build_transfer(T, "top"), 10)
-        bottom = sp.series_counts(sp.build_transfer(T, "bottom"), 10)
-        for n in range(11):
-            assert sum(c for (ln, _), c in top.items() if ln == n) == sum(
-                c for (ln, _), c in bottom.items() if ln == n
-            )
-    t1_top = sp.series_counts(sp.build_transfer(1, "top"), 9)
-    t1_bot = sp.series_counts(sp.build_transfer(1, "bottom"), 9)
-    assert all(ct == n // 2 for (n, ct) in t1_top)
-    assert all(ct == (n + 1) // 2 or n == 0 for (n, ct) in t1_bot)
 
 
 def test_solve_yT_sequence():
@@ -319,7 +302,7 @@ def _dense_from_transitions(op, x, y, kind="walk"):
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 6])
 def test_float_strip_gf_matches_dense_solve(T):
     """The flag-sector block solve against one dense solve of I - M."""
-    op = sp.build_transfer(T, "top")
+    op = sp.build_transfer(T)
     sink = np.zeros(op.state_count)
     sink[list(op.sinks)] = 1.0
     for kind in ("arch", "bridge", "walk"):
@@ -333,7 +316,7 @@ def test_float_strip_gf_matches_dense_solve(T):
 
 def test_float_strip_gf_never_forms_the_whole_matrix():
     """The float solve's memory stays below one dense n x n matrix."""
-    op = sp.build_transfer(7, "top")
+    op = sp.build_transfer(7)
     sp._source_sums.cache_clear()  # measure a solve, not a cache hit
     tracemalloc.start()
     try:
@@ -347,7 +330,7 @@ def test_float_strip_gf_never_forms_the_whole_matrix():
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
 def test_spectral_radius_matches_dense_eigvals(T):
     """Matrix-free power iteration against LAPACK eigenvalues."""
-    op = sp.build_transfer(T, "top")
+    op = sp.build_transfer(T)
     x_c = 1.0 / sp.MU_BULK
     for x, y in ((x_c, 1.0), (x_c, 2.5), (0.6, 0.5), (0.45, 3.0)):
         want = max(abs(np.linalg.eigvals(_dense_from_transitions(op, x, y))))
@@ -359,7 +342,7 @@ def test_spectral_radius_matches_dense_eigvals(T):
 def test_warm_spectral_radius_matches_dense_eigvals(T):
     """Each radius starts from the last iterate of the radius before, at
     a different (x, y), and still matches LAPACK."""
-    op = sp.build_transfer(T, "top")
+    op = sp.build_transfer(T)
     x_c = 1.0 / sp.MU_BULK
     points = ((x_c, 1.0), (x_c, 2.5), (0.6, 0.5), (0.45, 3.0))
     v = np.full(op.state_count, 1.0 / op.state_count)
@@ -373,7 +356,7 @@ def test_warm_spectral_radius_matches_dense_eigvals(T):
 
 
 def test_spectral_radius_nonconvergence():
-    op = sp.build_transfer(3, "top")
+    op = sp.build_transfer(3)
     with pytest.raises(NonConvergenceError):
         sp._spectral_radius(sp._float_matrix(op, 1.0 / sp.MU_BULK, 2.0), iters=1)
 
@@ -411,7 +394,7 @@ def _cold_bisection(op, weights, lo, hi, halvings):
 def test_growth_mu_bisection_stops_when_interval_cannot_shrink(T, monkeypatch):
     """The root search runs x to adjacent floats and agrees with 60
     cold-start halvings, in fewer than 30 spectral radii."""
-    op = sp.build_transfer(T, "top")
+    op = sp.build_transfer(T)
     lo, hi = _cold_bisection(op, lambda x: (x, 1.75), 0.15, 1.25, halvings=60)
     calls = _counting_radius(monkeypatch)
     est = sp.growth_mu(T, Fraction(7, 4))
@@ -437,7 +420,7 @@ def test_growth_mu_T1_stops_on_exact_root(monkeypatch):
 def test_growth_mu_upper_end_is_above_root(T):
     """mu_T(1, y) > max(1, sqrt(y)) for T >= 2, so the upper bracket end
     x = 1/max(1, sqrt(y)) has spectral radius above 1."""
-    op = sp.build_transfer(T, "top")
+    op = sp.build_transfer(T)
     for y in (0.5, 1.0, 1.5, 2.0, 2.2):
         hi = 1.0 / max(1.0, math.sqrt(y))
         assert sp._spectral_radius(sp._float_matrix(op, hi, y)) > 1.0, y
@@ -449,7 +432,7 @@ def test_growth_mu_lower_end_is_below_root(T):
     a walk is a contact, so the lower bracket end x = 1/(2 * max(1,
     sqrt(y))) has spectral radius below 1, at weights far past the
     bulk ones too."""
-    op = sp.build_transfer(T, "top")
+    op = sp.build_transfer(T)
     for y in (0.1, 1.0, 1.75, 44.0, 100.0, 1e6):
         lo = 0.5 / max(1.0, math.sqrt(y))
         assert sp._spectral_radius(sp._float_matrix(op, lo, y)) < 1.0, y
@@ -461,7 +444,7 @@ def test_solve_yT_matches_cold_bisection(T, monkeypatch):
     most 12 spectral radii."""
     tol = 1e-8
     lo, hi = 1.0, sp.MU_BULK**2
-    lo, hi = _cold_bisection(sp.build_transfer(T, "top"), lambda y: (1.0 / sp.MU_BULK, y),
+    lo, hi = _cold_bisection(sp.build_transfer(T), lambda y: (1.0 / sp.MU_BULK, y),
                              lo, hi, math.ceil(math.log2((hi - lo) / tol)))
     assert hi - lo <= tol
     calls = _counting_radius(monkeypatch)
@@ -470,15 +453,48 @@ def test_solve_yT_matches_cold_bisection(T, monkeypatch):
 
 
 def test_convergence_guard_runs_once_per_T_and_y(monkeypatch):
+    """The block solves certify convergence themselves: no strip_gf solve
+    computes a spectral radius, and arch and bridge both raise, naming T
+    and y, where the series diverges."""
     calls = _counting_radius(monkeypatch)
-    y = Fraction(21, 10)
-    rep = sp.check_strip_identity(3, y, mode="float")
-    assert rep.ok and len(calls) == 1
-    with pytest.raises(sp.DivergenceError):
-        sp.strip_gf(1, Fraction(17, 2), "arch")
-    with pytest.raises(sp.DivergenceError):
-        sp.strip_gf(1, Fraction(17, 2), "bridge")
-    assert len(calls) == 2
+    sp._source_sums.cache_clear()
+    assert sp.check_strip_identity(3, Fraction(21, 10), mode="float").ok
+    for mode in ("exact", "float"):
+        for kind in ("arch", "bridge"):
+            with pytest.raises(sp.DivergenceError, match="y = 17/2 >= y_1"):
+                sp.strip_gf(1, Fraction(17, 2), kind, mode)
+    assert not calls
+
+
+def test_solvers_refuse_a_block_of_radius_at_least_1():
+    """A 2-cycle of weight 2 has radius 2: the first pivot is 1, the next
+    1 - 2 * 2 = -3, and (I - B)^-1 * 1 = (-1, -1).  A 1 x 1 block of
+    weight 1 makes I - B singular."""
+    r, c = np.array([0, 1]), np.array([1, 0])
+    two = ONE + ONE
+    with pytest.raises(sp.DivergenceError, match="negative pivot"):
+        sp._markowitz_solve(2, r, c, np.array([two, two], dtype=object),
+                            np.array([ONE, ZERO], dtype=object))
+    with pytest.raises(sp.DivergenceError, match="not positive"):
+        sp._dense_solve(2, r, c, np.array([2.0, 2.0]), np.array([[1.0], [0.0]]))
+    with pytest.raises(sp.DivergenceError, match="singular"):
+        sp._dense_solve(1, np.array([0]), np.array([0]), np.array([1.0]), np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("mode, T", [("float", T) for T in range(1, 8)]
+                         + [("exact", T) for T in range(1, 5)])
+def test_divergence_is_decided_at_y_T(mode, T):
+    """The solve converges at y_T * (1 - 1e-6) and raises at
+    y_T * (1 + 1e-6), with y_T from the spectral radius of M, in floats
+    and, at rationals near those weights, exactly."""
+    y_T = sp.solve_yT(T)
+    below, above = (y_T * (1 + s * 1e-6) for s in (-1, 1))
+    if mode == "exact":
+        below, above = (Fraction(y).limit_denominator(10**9) for y in (below, above))
+    b = sp.strip_gf(T, below, "bridge", mode)
+    assert b.mode == mode and (b.value > 0 if mode == "float" else b.value.sign() > 0)
+    with pytest.raises(sp.DivergenceError, match=f"y_{T}"):
+        sp.strip_gf(T, above, "bridge", mode)
 
 
 def test_divergence_guard():
