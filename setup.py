@@ -3,9 +3,10 @@
 The one extension holds the depth-first walk enumerator and the strip
 transfer-operator builder.
 
-A source checkout that was never built still runs (a pure-Python kernel
-with the same interface is selected at import time), but a build that
-cannot compile the kernel fails instead of skipping it.
+The package requires the extension: importing it from a source checkout
+that was never built raises ImportError, and a build that cannot compile
+the kernel fails instead of skipping it.  In a checkout, build in place
+with ``python setup.py build_ext --inplace``.
 """
 
 from setuptools import Extension, setup

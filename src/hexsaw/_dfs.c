@@ -1,6 +1,7 @@
-/* The compiled kernel: the C twin of _dfs_py, with the same two functions.
+/* The compiled kernel, which the package requires: two functions.
 
-tally_class(tables, max_len) is the depth-first walk enumerator.  It reads
+tally_class(tables, max_len) is the depth-first walk enumerator, the
+histogram form of enumeration.iter_saws on the same tables.  It reads
 the KernelTables arrays through the buffer protocol (no numpy headers),
 checks every size and entry so that malformed tables raise ValueError,
 and returns counts[class, length, contacts] as an int64 numpy array.

@@ -237,46 +237,6 @@ def kesten_partial(N: int) -> RenewalStats:
     )
 
 
-def renewal_consistency(N: int, t_max: int) -> list[dict]:
-    """Renewal sequence v_T of the truncated height masses, compared with
-    the limit Z_N / sum(h*f_h) it converges to, and with the strip
-    bridge series B_T(x_c, 1).
-
-    No convergence of B_T to the truncated limit is asserted: the exact
-    mean height of irreducible bridges is infinite, so the truncated
-    expectation only grows with N.
-    """
-    from . import strip as sp
-
-    stats = kesten_partial(N)
-    z = stats.partial_sum_float
-    # normalized height distribution of the truncated irreducible pool
-    f = {h: v.to_float() / z for h, v in stats.f_h.items()}
-    limit = 1.0 / sum(h * v for h, v in f.items())      # = Z_N / sum h*f_h
-    inv_mean = limit / z                                # = 1 / sum h*f_h
-    v = [1.0]
-    rows = []
-    for t in range(1, t_max + 1):
-        v.append(sum(f.get(h, 0.0) * v[t - h] for h in range(1, t + 1)))
-        if t <= sp.T_CAP_FLOAT:
-            val = sp.strip_gf(t, 1, "bridge").value
-            b_t = val.to_float() if isinstance(val, Cyclo48) else float(val)
-        else:
-            b_t = None
-        rows.append(
-            {
-                "T": t,
-                "N": N,
-                "v_T": v[t],
-                "renewal_limit": limit,
-                "gap_vT_limit": abs(v[t] - limit),
-                "inverse_mean_height": inv_mean,
-                "B_T": b_t,
-            }
-        )
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # diamond points and stickbreak
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .lattice import classify_walk
 from .model import constants
 
 SCHEMA_VERSION = 1
-Y_STAR = 1.0 + 2.0**0.5
+Y_STAR = constants(0, "dilute", "float").y_star   # 1 + sqrt(2)
 
 
 def _number(text: str) -> Fraction:

@@ -2,9 +2,9 @@
 
 Both enumerators walk the same step tables (:func:`build_tables`).  The
 hot path (full endpoint histograms keyed by boundary class, length and
-surface contacts) runs through a step-table kernel: the compiled
-extension when available, otherwise a pure-Python twin with identical
-semantics; the kernel is chosen once, at import.  Everything that
+surface contacts) runs through the compiled kernel ``_dfs``, which must
+be built: importing the package without it raises ``ImportError``, and
+its histograms are checked against :func:`iter_saws`.  Everything that
 needs per-walk detail (turns, winding phases, penultimate mid-edges,
 loop decoration) uses :func:`iter_saws`, the package's one walk
 generator, and is only intended for small domains.  Such a pass is
@@ -30,12 +30,12 @@ from .errors import CapacityError, InvalidParameterError, TruncationError
 
 try:
     from . import _dfs as _kernel
-
-    COMPILED = True
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _dfs_py as _kernel
-
-    COMPILED = False
+except ImportError as exc:
+    raise ImportError(
+        "the compiled kernel hexsaw._dfs is not built; run "
+        "'python setup.py build_ext --inplace' in a source checkout, "
+        "or 'pip install -e .'"
+    ) from exc
 
 CLASS_ORDER = (dm.A_START, dm.A_BOTTOM, dm.B_TOP, dm.E_RIGHT, dm.E_LEFT,
                dm.E_PLUS, dm.E_MINUS, dm.INTERIOR)
@@ -45,7 +45,7 @@ LOOP_VERTEX_CAP = 40
 
 @dataclass(frozen=True, eq=False)
 class KernelTables:
-    """Flattened stepping tables consumed by both kernels."""
+    """Flattened stepping tables consumed by the kernel and iter_saws."""
 
     mids: tuple
     verts: tuple
@@ -119,7 +119,7 @@ def _resolve_max_len(domain: dm.Domain, max_len: int | None) -> int:
 
 
 def backend_name() -> str:
-    return "compiled" if COMPILED else "pure-python"
+    return "compiled"
 
 
 def class_histogram(domain: dm.Domain, max_len: int | None = None) -> np.ndarray:
@@ -266,14 +266,13 @@ def _loop_subsets(loops: list[Loop], busy) -> Iterator[tuple[int, int, int]]:
 Tallies = dict  # class -> {(length, contacts, loops): count}
 
 
-def _walk_tallies(domain: dm.Domain, key, with_loops: bool,
-                  max_len: int | None = None) -> dict:
+def _walk_tallies(domain: dm.Domain, key, with_loops: bool) -> dict:
     """One :func:`iter_saws` pass grouped as key(visit) -> {(length,
     contacts, loops): count}; with loops, each walk is dressed with every
     disjoint set of loops that avoids it."""
     loops = enumerate_loops(domain) if with_loops else None
     out: dict = {}
-    for visit in iter_saws(domain, max_len):
+    for visit in iter_saws(domain):
         tally = out.setdefault(key(visit), {})
         if loops is None:
             k = (visit.length, visit.contacts, 0)
@@ -285,18 +284,16 @@ def _walk_tallies(domain: dm.Domain, key, with_loops: bool,
     return out
 
 
-def boundary_tallies(
-    domain: dm.Domain, max_len: int | None = None, with_loops: bool = False
-) -> Tallies:
+def boundary_tallies(domain: dm.Domain, with_loops: bool = False) -> Tallies:
     """Configuration tallies keyed by boundary class of the walk's end."""
     out: Tallies = {c: {} for c in CLASS_ORDER}
     if not with_loops:
-        hist = class_histogram(domain, max_len)
+        hist = class_histogram(domain)
         nz = np.argwhere(hist)
         for ci, ln, ct in nz:
             out[CLASS_ORDER[ci]][(int(ln), int(ct), 0)] = int(hist[ci, ln, ct])
         return out
-    out.update(_walk_tallies(domain, lambda v: domain.boundary[v.end], True, max_len))
+    out.update(_walk_tallies(domain, lambda v: domain.boundary[v.end], True))
     return out
 
 

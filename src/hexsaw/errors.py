@@ -21,6 +21,10 @@ class CapacityError(HexsawError):
     """A size guard was exceeded (domain too large for the requested task)."""
 
 
+class DivergenceError(CapacityError):
+    """A strip series was summed where it diverges (y >= y_T)."""
+
+
 class NonConvergenceError(HexsawError):
     """An iterative solve (power iteration, root search) failed to converge."""
 

@@ -28,12 +28,12 @@ End transitions are tagged 'bottom', 'top' or 'interior' so arches,
 bridges and unrestricted walks come from the same operator.
 
 The column moves, the breadth-first search over cut states and the
-composition run in the compiled kernel (``_dfs.c``) or its pure-Python
-twin (``_dfs_py.transfer``, whose docstrings give the moves and the
-composition step by step), whichever
-:mod:`hexsaw.enumeration` selected; both return the operator as int
-arrays with the same state codes and order.  This module wraps the
-arrays in a :class:`TransferOperator` and solves with it.
+composition run in the compiled kernel (``_dfs.c``), read through
+:mod:`hexsaw.enumeration`, which returns the operator as int arrays.
+Its pure-Python twin ``_dfs_py.transfer`` (whose docstrings give the
+moves and the composition step by step) is the tests' oracle for the
+same arrays.  This module wraps the arrays in a
+:class:`TransferOperator` and solves with it.
 
 A strip generating function is the resolvent (I - M)^-1 * sink summed
 over the sources.  Flags are never cleared, so I - M is block-triangular
@@ -68,6 +68,7 @@ from .cyclo import ONE, ZERO, Cyclo48
 from .enumeration import _kernel
 from .errors import (
     CapacityError,
+    DivergenceError,
     InvalidParameterError,
     NonConvergenceError,
 )
@@ -91,10 +92,10 @@ _END_KINDS = _kernel.END_KINDS
 class TransferOperator:
     """Column-to-column transfer system for one strip height, contacts on top.
 
-    The compiled kernel or its twin ``_dfs_py.transfer`` builds it as
-    int arrays, and those arrays are the only transition representation:
-    transition k goes from state ``src[k]`` to ``dst[k]`` with weight
-    x**xpow[k] * y**ypow[k] and end kind ``_END_KINDS[end[k]]``.
+    The compiled kernel builds it as int arrays, and those arrays are
+    the only transition representation: transition k goes from state
+    ``src[k]`` to ``dst[k]`` with weight x**xpow[k] * y**ypow[k] and end
+    kind ``_END_KINDS[end[k]]``.
     ``transitions`` is a read-only view yielding the same transitions as
     (src, dst, xpow, ypow, end_kind) tuples.  ``states`` holds the
     kernel's int64 state codes (layout in ``_dfs_py``), and ``sinks``,
@@ -353,7 +354,7 @@ def growth_mu(T: int, y) -> GrowthEstimate:
     return GrowthEstimate(T, yf, 2.0 / (lo + hi), hi - lo)
 
 
-MU_BULK = math.sqrt(2.0 + math.sqrt(2.0))
+MU_BULK = 1.0 / constants(0, "dilute", "float").x_c   # sqrt(2 + sqrt(2))
 
 
 def solve_yT(T: int, tol: float = 1e-8) -> float:
@@ -373,10 +374,6 @@ def solve_yT(T: int, tol: float = 1e-8) -> float:
 
 
 # -- resolvent solve ---------------------------------------------------
-
-
-class DivergenceError(CapacityError):
-    pass
 
 
 def _sector_solve(op: TransferOperator, w: np.ndarray, one, solve) -> np.ndarray:

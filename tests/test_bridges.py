@@ -235,19 +235,6 @@ def test_truncated_bridge_sums_bound_strip_series():
         assert (sp.strip_gf(T, 1, "bridge").value - truncated).sign() > 0, T
 
 
-def test_renewal_consistency_rows():
-    rows = br.renewal_consistency(10, 8)
-    assert [r["T"] for r in rows] == list(range(1, 9))
-    # the renewal sequence approaches its own truncated limit
-    assert rows[-1]["gap_vT_limit"] < rows[0]["gap_vT_limit"]
-    assert rows[-1]["gap_vT_limit"] < 1e-3
-    # and the exact strip series stays below it (truncation discards
-    # mass at every height, inflating the renewal density)
-    for r in rows:
-        if r["B_T"] is not None:
-            assert r["B_T"] < r["renewal_limit"]
-
-
 def test_diamond_points_are_renewal_points():
     seen_interior = False
     for b in br.iter_bridges(8):

@@ -45,7 +45,7 @@ def test_reports_name_the_backend(capsys):
     ):
         code, doc = run_json(capsys, *argv)
         assert code == 0
-        assert doc["backend"] in ("compiled", "pure-python")
+        assert doc["backend"] == "compiled"
 
 
 def test_verify_global_y(capsys):
@@ -296,9 +296,16 @@ def test_solver_and_capacity_errors_exit_3(capsys):
     capsys.readouterr()
 
 
-def test_cli_import_stays_light():
+def test_cli_import_stays_light(c_kernel):
     """Every CLI run is a fresh process, so no heavy optional import at load."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import hexsaw.cli, sys; assert 'scipy' not in sys.modules"
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('hexsaw._dfs', {c_kernel.__file__!r})\n"
+        "sys.modules['hexsaw._dfs'] = kernel = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(kernel)\n"
+        "import hexsaw.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

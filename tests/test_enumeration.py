@@ -1,7 +1,11 @@
 """Walk and loop enumeration: kernels, tallies, half-plane counts."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,20 +21,21 @@ from hexsaw.model import constants
 
 
 def test_backend_flag():
-    assert en.backend_name() in ("compiled", "pure-python")
+    assert en.backend_name() == "compiled"
 
 
-@pytest.mark.parametrize(
-    "domain",
-    [dm.build_trapezoid(1, 2), dm.build_trapezoid(2, 1), dm.build_rectangle(2, 2)],
-    ids=lambda d: f"{d.kind}-{d.T}-{d.L}",
-)
-def test_kernels_agree(domain):
-    tables = en.build_tables(domain)
-    pure = _dfs_py.tally_class(tables, len(tables.mids) - 1)
-    auto = en.class_histogram(domain)
-    assert pure.shape == auto.shape
-    assert (pure == auto).all()
+def test_import_without_kernel_names_the_build():
+    """The compiled kernel is required: no fallback runs in its place."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys; sys.modules['hexsaw._dfs'] = None; import hexsaw"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: ")
+    assert "python setup.py build_ext --inplace" in last
+    assert "pip install -e ." in last
 
 
 @pytest.mark.parametrize(
@@ -50,20 +55,24 @@ def test_kernels_agree(domain):
     ids=lambda p: f"{p.kind}-{p.T}-{p.L}" if isinstance(p, dm.Domain) else f"len{p}",
 )
 def test_c_kernel_matches_pure(c_kernel, domain, max_len):
+    """The C kernel's histogram equals the pure-Python iter_saws one,
+    array for array, and class_histogram returns it."""
     tables = en.build_tables(domain)
     n = len(tables.mids) - 1 if max_len is None else max_len
-    ref = _dfs_py.tally_class(tables, n)
+    ref = np.zeros((tables.n_classes, n + 1, tables.n_surface + 1), dtype=np.int64)
+    for visit in en.iter_saws(domain, n):
+        ref[en.CLASS_ID[domain.boundary[visit.end]], visit.length, visit.contacts] += 1
     got = c_kernel.tally_class(tables, n)
     assert got.dtype == np.int64 and got.shape == ref.shape
     assert (got == ref).all()
+    assert (en.class_histogram(domain, max_len) == ref).all()
 
 
-def test_pure_kernel_walks_past_recursion_limit():
+def test_iter_saws_walks_past_recursion_limit():
     domain = dm.build_strip_prefix(1, 700, surface="bottom")
-    hist = _dfs_py.tally_class(en.build_tables(domain), 1300)
-    assert hist.sum() == 5199
-    assert hist[:, 1300].sum() > 0
-    assert sum(1 for _ in en.iter_saws(domain, 1300)) == 5199
+    lengths = [v.length for v in en.iter_saws(domain, 1300)]
+    assert len(lengths) == 5199
+    assert max(lengths) == 1300
 
 
 def test_c_kernel_rejects_malformed_tables(c_kernel):
@@ -103,16 +112,6 @@ def test_transfer_rejects_bad_arguments(c_kernel, args):
     for kernel in (c_kernel, _dfs_py):
         with pytest.raises(ValueError):
             kernel.transfer(*args)
-
-
-def test_histogram_matches_generator():
-    domain = dm.build_trapezoid(1, 2)
-    hist = en.class_histogram(domain)
-    ref = np.zeros_like(hist)
-    for visit in en.iter_saws(domain):
-        ci = en.CLASS_ID[domain.boundary[visit.end]]
-        ref[ci, visit.length, visit.contacts] += 1
-    assert (hist == ref).all()
 
 
 def _brute_force_saws(domain, n_max):
@@ -247,8 +246,8 @@ def test_half_plane_zigzag_bound():
             assert any(ln == n and i >= n // 2 for (ln, i) in counts)
 
 
-def test_half_plane_counts_against_direct_dfs():
-    N = 6
+@pytest.mark.parametrize("N", [5, 6])
+def test_half_plane_counts_against_direct_dfs(N):
     counts = en.half_plane_counts(N)
     # oracle: a tall bottom-surface strip prefix is the half-plane for
     # walks this short; count by hand from the generator
@@ -260,14 +259,6 @@ def test_half_plane_counts_against_direct_dfs():
         key = (visit.length, visit.contacts)
         ref[key] = ref.get(key, 0) + 1
     assert counts == ref
-
-
-def test_half_plane_backend_equivalence():
-    hist = _dfs_py.tally_class(en.build_tables(en.half_plane_domain(5)), 5)
-    keep = [i for i, c in enumerate(en.CLASS_ORDER) if c in en.HALF_PLANE_CLASSES]
-    agg = hist[keep].sum(axis=0)
-    pure = {(int(n), int(i)): int(agg[n, i]) for n, i in np.argwhere(agg)}
-    assert pure == en.half_plane_counts(5)
 
 
 def test_total_weight_is_positive_exact():
