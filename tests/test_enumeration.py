@@ -142,6 +142,35 @@ def test_iter_saws_matches_brute_force(domain):
     assert len(set(got)) == len(got)
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [dm.build_trapezoid(1, 2), dm.build_trapezoid(2, 1), dm.build_rectangle(2, 2)],
+    ids=lambda d: f"{d.kind}-{d.T}-{d.L}",
+)
+def test_kernels_agree(domain):
+    """class_histogram agrees with the turn-sequence brute force, a
+    reference that shares no code with either depth-first search."""
+    n_max = 10
+    hist = en.class_histogram(domain, n_max)
+    ref = np.zeros_like(hist)
+    for turns, end, _, contacts, _ in _brute_force_saws(domain, n_max):
+        ref[en.CLASS_ID[domain.boundary[end]], len(turns), contacts] += 1
+    assert (hist == ref).all()
+
+
+def test_histogram_matches_generator():
+    """Cut at every max_len, class_histogram is the iter_saws histogram
+    cut at the same length."""
+    domain = dm.build_trapezoid(1, 2)
+    full = en.class_histogram(domain)
+    ref = np.zeros_like(full)
+    for visit in en.iter_saws(domain):
+        ref[en.CLASS_ID[domain.boundary[visit.end]], visit.length, visit.contacts] += 1
+    assert (full == ref).all()
+    for m in range(full.shape[1]):
+        assert (en.class_histogram(domain, m) == ref[:, : m + 1]).all()
+
+
 def test_iter_saws_basics():
     domain = dm.build_trapezoid(1, 1)
     visits = list(en.iter_saws(domain))
