@@ -1,7 +1,10 @@
 """Build script: compiles the kernel extension from hand-written C.
 
-The one extension holds the depth-first walk enumerator and the strip
-transfer-operator builder.
+The one extension holds the depth-first walk enumerator, the strip
+transfer-operator builder and the float spectral radius's power
+iteration.  It compiles with ``-Wextra`` (less the unused-parameter
+warning every ``METH_VARARGS`` function's ``self`` would raise), so
+sign-compare and missing-initializer warnings show up in the build log.
 
 The package requires the extension: importing it from a source checkout
 that was never built raises ImportError, and a build that cannot compile
@@ -11,4 +14,5 @@ with ``python setup.py build_ext --inplace``.
 
 from setuptools import Extension, setup
 
-setup(ext_modules=[Extension("hexsaw._dfs", ["src/hexsaw/_dfs.c"])])
+setup(ext_modules=[Extension("hexsaw._dfs", ["src/hexsaw/_dfs.c"],
+                             extra_compile_args=["-Wextra", "-Wno-unused-parameter"])])

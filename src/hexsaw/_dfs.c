@@ -1,4 +1,4 @@
-/* The compiled kernel, which the package requires: two functions.
+/* The compiled kernel, which the package requires: three functions.
 
 tally_class(tables, max_len) is the depth-first walk enumerator, the
 histogram form of enumeration.iter_saws on the same tables.  It reads
@@ -13,10 +13,19 @@ and flags allow.  It returns (codes, src, dst, xpow, ypow, end) as int64
 numpy arrays, with the state codes, numbering and transition order of
 _dfs_py.transfer, whose docstrings describe the moves and the
 composition step by step.  The module exports the layout constants
-T_MAX, FLAG_SHIFT and END_KINDS, as _dfs_py defines them. */
+T_MAX, FLAG_SHIFT and END_KINDS, as _dfs_py defines them.
+
+spectral_radius(row, col, w, start, tol, iters) is strip._spectral_radius's
+power iteration with M^2 on M[row[k], col[k]] = w[k] (int64, int64 and
+float64 arrays, one k per cell), from start (float64, one entry per
+state).  It checks every length, format and index once per call
+(ValueError), and returns the radius after writing the last unit-norm
+iterate into start, or None, with start untouched, if iters steps do not
+settle. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -60,6 +69,27 @@ static int get_long(PyObject *tables, const char *name, int size_of, long *out)
     return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
+/* A C-contiguous buffer on obj of n items (any number if n < 0) of the
+   given size and one of the given formats, writable if asked. */
+static int get_buffer(PyObject *obj, const char *name, Py_buffer *buf, Py_ssize_t n,
+                      Py_ssize_t itemsize, const char *formats, int writable)
+{
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, buf, flags) < 0)
+        return -1;
+    if (buf->itemsize != itemsize || strlen(buf->format) != 1
+        || !strchr(formats, buf->format[0]) || (n >= 0 && buf->len != n * itemsize)) {
+        if (n >= 0)
+            PyErr_Format(PyExc_ValueError, "%s: need %zd items of format '%s'", name, n,
+                         formats);
+        else
+            PyErr_Format(PyExc_ValueError, "%s: need items of format '%s'", name, formats);
+        PyBuffer_Release(buf);
+        return -1;
+    }
+    return 0;
+}
+
 /* A C-contiguous table of n native ints of the given size and formats,
    every value in [lo, hi). */
 static int get_table(PyObject *tables, const char *name, Py_buffer *buf, long n,
@@ -68,17 +98,10 @@ static int get_table(PyObject *tables, const char *name, Py_buffer *buf, long n,
     PyObject *obj = PyObject_GetAttrString(tables, name);
     if (obj == NULL)
         return -1;
-    int rc = PyObject_GetBuffer(obj, buf, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT);
+    int rc = get_buffer(obj, name, buf, n, itemsize, formats, 0);
     Py_DECREF(obj);
     if (rc < 0)
         return -1;
-    if (buf->itemsize != itemsize || strlen(buf->format) != 1
-        || !strchr(formats, buf->format[0]) || buf->len != n * itemsize) {
-        PyErr_Format(PyExc_ValueError, "%s: need %ld items of format '%s'", name, n,
-                     formats);
-        PyBuffer_Release(buf);
-        return -1;
-    }
     for (long i = 0; i < n; i++) {
         long x = itemsize == 1 ? ((const uint8_t *)buf->buf)[i]
                                : ((const int32_t *)buf->buf)[i];
@@ -567,16 +590,104 @@ done:
     return out;
 }
 
+/* ---- float spectral radius ---- */
+
+/* out = v @ M for M in coordinate form, summed in cell order as
+   np.bincount(col, weights=v[row] * w) sums. */
+static void scatter_cells(const int64_t *row, const int64_t *col, const double *w,
+                          Py_ssize_t nnz, const double *v, double *out, Py_ssize_t n)
+{
+    memset(out, 0, (size_t)n * sizeof(double));
+    for (Py_ssize_t k = 0; k < nnz; k++)
+        out[col[k]] += v[row[k]] * w[k];
+}
+
+static PyObject *spectral_radius(PyObject *self, PyObject *args)
+{
+    PyObject *obj[4], *out = NULL;
+    double tol;
+    Py_ssize_t iters;
+    Py_buffer b[4];
+    int got = 0;
+    double *work = NULL;
+
+    if (!PyArg_ParseTuple(args, "OOOOdn:spectral_radius", &obj[0], &obj[1], &obj[2],
+                          &obj[3], &tol, &iters))
+        return NULL;
+    const struct { const char *name, *formats; } spec[4] = {
+        {"row", "lq"}, {"col", "lq"}, {"w", "d"}, {"start", "d"},
+    };
+    for (; got < 4; got++) {  /* col and w have row's length, start any */
+        Py_ssize_t len = got == 1 || got == 2 ? b[0].len / 8 : -1;
+        if (get_buffer(obj[got], spec[got].name, &b[got], len, 8, spec[got].formats,
+                       got == 3) < 0)
+            goto done;
+    }
+    const Py_ssize_t nnz = b[0].len / 8;
+    const Py_ssize_t n = b[3].len / 8;
+    const int64_t *row = b[0].buf, *col = b[1].buf;
+    const double *w = b[2].buf;
+    double *start = b[3].buf;
+    for (Py_ssize_t k = 0; k < nnz; k++) {
+        if (row[k] < 0 || row[k] >= n || col[k] < 0 || col[k] >= n) {
+            PyErr_Format(PyExc_ValueError, "cell %zd at (%lld, %lld) is outside %zd states", k,
+                         (long long)row[k], (long long)col[k], n);
+            goto done;
+        }
+    }
+    if ((work = PyMem_Malloc((size_t)(3 * n) * sizeof(double))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* Column parity makes the spectrum symmetric under negation, so
+       iterate with M^2 and take a square root at the end. */
+    double *v = work, *mid = work + n, *next = work + 2 * n, lam = 0.0;
+    memcpy(v, start, (size_t)n * sizeof(double));
+    for (Py_ssize_t it = 0; it < iters; it++) {
+        scatter_cells(row, col, w, nnz, v, mid, n);
+        scatter_cells(row, col, w, nnz, mid, next, n);
+        double sq = 0.0;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            next[i] += 1e-300;
+            sq += next[i] * next[i];
+        }
+        double nlam = sqrt(sq);
+        for (Py_ssize_t i = 0; i < n; i++)
+            next[i] /= nlam;
+        if (fabs(nlam - lam) < tol * (nlam > 1.0 ? nlam : 1.0)) {
+            memcpy(start, next, (size_t)n * sizeof(double));
+            out = PyFloat_FromDouble(sqrt(nlam));
+            goto done;
+        }
+        lam = nlam;
+        double *t = v;
+        v = next;
+        next = t;
+    }
+    out = Py_NewRef(Py_None);
+done:
+    PyMem_Free(work);
+    while (got > 0)
+        PyBuffer_Release(&b[--got]);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"tally_class", tally_class, METH_VARARGS,
      "Histogram of walk endpoints: counts[class, length, contacts]."},
     {"transfer", transfer, METH_VARARGS,
      "Strip transfer operator of height T: (codes, src, dst, xpow, ypow, end)."},
+    {"spectral_radius", spectral_radius, METH_VARARGS,
+     "Spectral radius of M = coo(row, col, w) by power iteration from start, or None."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_dfs", "Compiled walk enumeration and strip transfer kernel.", -1, methods,
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "_dfs",
+    .m_doc = "Compiled walk enumeration, strip transfer operator and spectral radius.",
+    .m_size = -1,
+    .m_methods = methods,
 };
 
 /* The transfer operator's layout constants, as _dfs_py defines them. */

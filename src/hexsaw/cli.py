@@ -209,6 +209,10 @@ def _cmd_kesten(args):
 
 
 def _cmd_stickbreak_sweep(args):
+    if args.max_len < 2:
+        # a check of no pair has no verdict
+        raise InvalidParameterError(
+            f"need --max-len >= 2, got {args.max_len}: no bridge is shorter than 2 steps")
     checked = failures = bridges_used = 0
     for b in br.iter_bridges(args.max_len):
         d = br.diamond_points(b)

@@ -51,8 +51,9 @@ leads from an end-open sector to an end-placed one, so no block holds
 one, and one solve per (T, y) with a column per end kind gives arches
 (bottom), bridges (top) and walks (all three).  Growth rates mu_T and the fugacities y_T are roots of
 (spectral radius of M) - 1, found by one search (:func:`_radius_root`):
-secant steps (Illinois regula falsi) over matrix-free power iterations
-that each start from the previous one's last iterate.
+secant steps (Illinois regula falsi) over matrix-free power iterations,
+run in the compiled kernel, that each start from the previous one's last
+iterate.
 """
 
 from __future__ import annotations
@@ -224,10 +225,6 @@ class _FloatMatrix:
     col: np.ndarray
     w: np.ndarray
 
-    def vecmat(self, v: np.ndarray) -> np.ndarray:
-        """The row vector v @ M."""
-        return np.bincount(self.col, weights=v[self.row] * self.w, minlength=self.n)
-
 
 def _cell_weights(op: TransferOperator, x, y) -> np.ndarray:
     """M(x, y) on the cells of ``op.cells``, as floats or, for ``Cyclo48``
@@ -243,28 +240,21 @@ def _cell_weights(op: TransferOperator, x, y) -> np.ndarray:
 
 def _float_matrix(op: TransferOperator, x: float, y: float) -> _FloatMatrix:
     _, row, col, _ = op.cells
-    return _FloatMatrix(op.state_count, row, col, _cell_weights(op, x, y))
+    return _FloatMatrix(op.state_count, row, col, _cell_weights(op, float(x), float(y)))
 
 
 def _spectral_radius(M: _FloatMatrix, tol: float = RADIUS_TOL, iters: int = 20000,
                      start: np.ndarray | None = None) -> float:
-    """Spectral radius of M by power iteration, from the uniform vector
-    or from ``start``, which then receives the last (unit-norm) iterate
-    so the next radius of a root search can start warm."""
-    # Column parity makes the spectrum symmetric under negation, so
-    # iterate with M^2 and take a square root at the end.
+    """Spectral radius of M by power iteration with M^2 in the compiled
+    kernel, from the uniform vector or from ``start``, which then
+    receives the last (unit-norm) iterate so the next radius of a root
+    search can start warm.  Stops once successive norms of the M^2
+    iterates differ by less than tol * max(norm, 1)."""
     v = np.full(M.n, 1.0 / M.n) if start is None else start
-    lam = 0.0
-    for _ in range(iters):
-        w = M.vecmat(M.vecmat(v)) + 1e-300
-        nlam = float(np.linalg.norm(w))
-        w = w / nlam
-        if abs(nlam - lam) < tol * max(nlam, 1.0):
-            if start is not None:
-                start[:] = w
-            return math.sqrt(nlam)
-        lam, v = nlam, w
-    raise NonConvergenceError("power iteration did not settle")
+    radius = _kernel.spectral_radius(M.row, M.col, M.w, v, tol, iters)
+    if radius is None:
+        raise NonConvergenceError("power iteration did not settle")
+    return radius
 
 
 @dataclass(frozen=True)

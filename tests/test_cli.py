@@ -182,13 +182,16 @@ def test_usage_errors(capsys):
     # unparsable rational
     assert main(["verify-global", "--T", "1", "--L", "1", "--y", "abc"]) == 2
     capsys.readouterr()
-    # bridges need N >= 2 and lengths >= 0; strips need heights >= 1
+    # bridges need N >= 2, a stickbreak sweep --max-len >= 2 and lengths
+    # >= 0; strips need heights >= 1
     for argv in (
         ("kesten", "--N", "1"),
         ("kesten", "--N", "0,4"),
         ("kesten", "--N", "-3"),
         ("sample", "--N", "1", "--k", "2"),
         ("stickbreak-sweep", "--max-len", "-2"),
+        ("stickbreak-sweep", "--max-len", "0"),
+        ("stickbreak-sweep", "--max-len", "1"),
         ("half-plane", "--N", "-1"),
         ("bounds", "--Tmax", "0"),
         ("y-seq", "--Tmax", "0"),

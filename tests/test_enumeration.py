@@ -14,6 +14,7 @@ from hexsaw import _dfs_py
 from hexsaw import domains as dm
 from hexsaw import enumeration as en
 from hexsaw import lattice
+from hexsaw import strip as sp
 from hexsaw.cyclo import ONE
 from hexsaw.errors import CapacityError, TruncationError
 from hexsaw.lattice import Walk
@@ -91,6 +92,40 @@ def test_c_kernel_rejects_malformed_tables(c_kernel):
             c_kernel.tally_class(bad, 4)
     with pytest.raises(ValueError):
         c_kernel.tally_class(tables, -1)
+
+
+def test_c_spectral_radius_rejects_malformed_matrices(c_kernel):
+    """Every length, format and index is checked before the first
+    matvec: a malformed matrix raises and never reads out of bounds, and
+    the start vector keeps its values."""
+    M = sp._float_matrix(sp.build_transfer(2), 0.5, 1.0)
+    start = np.full(M.n, 1.0 / M.n)
+    wide = M.col.copy()
+    wide[-1] = M.n
+    negative = M.row.copy()
+    negative[0] = -1
+    read_only = start.copy()
+    read_only.flags.writeable = False
+    for row, col, w, v in (
+        (M.row.astype(np.int32), M.col, M.w, start),
+        (M.row, M.col.astype(np.int32), M.w, start),
+        (M.row, wide, M.w, start),
+        (negative, M.col, M.w, start),
+        (M.row, M.col, M.w, start[:-1]),   # the last state is some cell's column
+        (M.row[:-1], M.col, M.w, start),
+        (M.row, M.col[:-1], M.w, start),
+        (M.row, M.col, M.w[:-1], start),
+        (M.row, M.col, M.w.astype(np.float32), start),
+        (M.row, M.col, M.w, read_only),
+        (M.row, M.col, M.w, start[::-1]),
+        (M.row, M.col, M.w, start.tolist()),
+    ):
+        with pytest.raises((ValueError, TypeError)):
+            c_kernel.spectral_radius(row, col, w, v, sp.RADIUS_TOL, 100)
+    assert (start == 1.0 / M.n).all()
+    # one step settles nothing: no radius, and start is left as it was
+    assert c_kernel.spectral_radius(M.row, M.col, M.w, start, sp.RADIUS_TOL, 1) is None
+    assert (start == 1.0 / M.n).all()
 
 
 @pytest.mark.parametrize("T", range(1, 8), ids=lambda T: f"{T}-top")

@@ -327,7 +327,7 @@ def test_float_strip_gf_never_forms_the_whole_matrix():
     assert peak < op.state_count**2 * 8
 
 
-@pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 6])
 def test_spectral_radius_matches_dense_eigvals(T):
     """Matrix-free power iteration against LAPACK eigenvalues."""
     op = sp.build_transfer(T)
