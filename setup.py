@@ -1,8 +1,9 @@
 """Build script: compiles the kernel extension from hand-written C.
 
 The one extension holds the depth-first walk enumerator, the strip
-transfer-operator builder and the float spectral radius's power
-iteration.  It compiles with ``-Wextra`` (less the unused-parameter
+transfer-operator builder, the float spectral radius's power iteration
+and the per-walk facts (self-avoidance, class, renewal and diamond
+points).  It compiles with ``-Wextra`` (less the unused-parameter
 warning every ``METH_VARARGS`` function's ``self`` would raise), so
 sign-compare and missing-initializer warnings show up in the build log.
 

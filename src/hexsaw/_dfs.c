@@ -1,4 +1,4 @@
-/* The compiled kernel, which the package requires: three functions.
+/* The compiled kernel, which the package requires: four functions.
 
 tally_class(tables, max_len) is the depth-first walk enumerator, the
 histogram form of enumeration.iter_saws on the same tables.  It reads
@@ -21,7 +21,17 @@ float64 arrays, one k per cell), from start (float64, one entry per
 state).  It checks every length, format and index once per call
 (ValueError), and returns the radius after writing the last unit-norm
 iterate into start, or None, with start untouched, if iters steps do not
-settle. */
+settle.
+
+walk_facts(U, V, heading, turns) traces the walk from mid-edge (U, V)
+with lattice.step's integer arithmetic (a tuple of 'L'/'R' strings,
+TypeError or ValueError otherwise; ValueError if the heading does not
+traverse the mid-edge; OverflowError if a coordinate leaves the range of
+a C long along the walk).  It returns (self_avoiding, class, renewal,
+diamond): class is lattice.classify_walk's, or None for a walk that is
+empty or not self-avoiding, and for a bridge renewal and diamond are the
+tuples of mid-edge indices that bridges.renewal_points and
+bridges.diamond_points return, else None. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
@@ -672,6 +682,179 @@ done:
     return out;
 }
 
+/* ---- facts of one walk ---- */
+
+/* Vertex-to-vertex displacement per heading, as lattice.HEADING_STEPS. */
+static const int STEP_DU[6] = {0, 1, 1, 0, -1, -1}, STEP_DV[6] = {2, 1, -1, -2, -1, 1};
+
+typedef struct {
+    long long u, v;
+} Point;
+
+static long long floor_mod(long long a, long long m)
+{
+    long long r = a % m;
+    return r < 0 ? r + m : r;
+}
+
+/* Whether the doubled coordinates (x, y) are twice a lattice vertex, as
+   lattice.is_vertex. */
+static int doubled_vertex(long long x, long long y)
+{
+    if (floor_mod(x, 2) || floor_mod(y, 2))
+        return 0;
+    long long r = floor_mod(y / 2, 6), p = floor_mod(x / 2, 2);
+    return r == 1 || r == 5 ? p == 0 : r == 2 || r == 4 ? p == 1 : 0;
+}
+
+static int point_cmp(const void *a, const void *b)
+{
+    const Point *p = a, *q = b;
+    return p->u != q->u ? (p->u > q->u) - (p->u < q->u) : (p->v > q->v) - (p->v < q->v);
+}
+
+/* Whether the n points are distinct; sorts them. */
+static int distinct(Point *p, Py_ssize_t n)
+{
+    qsort(p, (size_t)n, sizeof(Point), point_cmp);
+    for (Py_ssize_t i = 1; i < n; i++)
+        if (!point_cmp(&p[i - 1], &p[i]))
+            return 0;
+    return 1;
+}
+
+/* A tuple of the n indices, or NULL with an exception set. */
+static PyObject *index_tuple(const Py_ssize_t *idx, Py_ssize_t n)
+{
+    PyObject *t = PyTuple_New(n);
+    for (Py_ssize_t i = 0; t != NULL && i < n; i++) {
+        PyObject *k = PyLong_FromSsize_t(idx[i]);
+        if (k == NULL)
+            Py_CLEAR(t);
+        else
+            PyTuple_SET_ITEM(t, i, k);
+    }
+    return t;
+}
+
+static PyObject *walk_facts(PyObject *self, PyObject *args)
+{
+    long U, V;
+    int h;
+    PyObject *turns, *out = NULL, *renewal = NULL, *diamond = NULL;
+
+    if (!PyArg_ParseTuple(args, "lliO!:walk_facts", &U, &V, &h, &PyTuple_Type, &turns))
+        return NULL;
+    const Py_ssize_t n = PyTuple_GET_SIZE(turns);
+    /* a step moves a mid-edge by at most 2 in U and 3 in V */
+    if (n > LONG_MAX / 8 || U > LONG_MAX - 4 * (n + 1) || U < -(LONG_MAX - 4 * (n + 1))
+        || V > LONG_MAX - 4 * (n + 1) || V < -(LONG_MAX - 4 * (n + 1))) {
+        PyErr_SetString(PyExc_OverflowError, "the walk leaves the range of a C long");
+        return NULL;
+    }
+    if (h < 0 || h > 5 || !doubled_vertex(U + STEP_DU[h], V + STEP_DV[h])
+        || !doubled_vertex(U - STEP_DU[h], V - STEP_DV[h])) {
+        PyErr_Format(PyExc_ValueError, "heading %d does not traverse mid-edge (%ld, %ld)", h, U,
+                     V);
+        return NULL;
+    }
+    /* mids[0..n], then the n vertices (doubled), then a copy to sort;
+       heads[0..n], then the renewal and diamond indices found */
+    Point *pt = PyMem_New(Point, 4 * n + 2);
+    Py_ssize_t *idx = PyMem_New(Py_ssize_t, 3 * n + 3);
+    if (pt == NULL || idx == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Point *mid = pt, *vert = pt + n + 1, *sorted = pt + 2 * n + 1;
+    Py_ssize_t *heads = idx, *found = idx + n + 1;
+    mid[0] = (Point){U, V};
+    heads[0] = h;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *t = PyTuple_GET_ITEM(turns, i);
+        if (!PyUnicode_Check(t)) {
+            PyErr_Format(PyExc_TypeError, "turn %zd is a %.100s, not 'L' or 'R'", i,
+                         Py_TYPE(t)->tp_name);
+            goto done;
+        }
+        int left = PyUnicode_CompareWithASCIIString(t, "L") == 0;
+        if (!left && PyUnicode_CompareWithASCIIString(t, "R") != 0) {
+            PyErr_Format(PyExc_ValueError, "turn %zd is %R, not 'L' or 'R'", i, t);
+            goto done;
+        }
+        vert[i] = (Point){mid[i].u + STEP_DU[h], mid[i].v + STEP_DV[h]};
+        h = left ? (h + 5) % 6 : (h + 1) % 6;
+        mid[i + 1] = (Point){vert[i].u + STEP_DU[h], vert[i].v + STEP_DV[h]};
+        heads[i + 1] = h;
+    }
+    memcpy(sorted, mid, (size_t)(2 * n + 1) * sizeof(Point));
+    if (!distinct(sorted, n + 1) || !distinct(sorted + n + 1, n)) {
+        out = Py_BuildValue("(OOOO)", Py_False, Py_None, Py_None, Py_None);
+        goto done;
+    }
+    if (n == 0) {
+        out = Py_BuildValue("(OOOO)", Py_True, Py_None, Py_None, Py_None);
+        goto done;
+    }
+    /* a bridge leaves and ends upward (heading 0, so on vertical
+       mid-edges) with the interior strictly between its ends in height;
+       else a half-plane walk stays above its start, and an arch stays
+       above it in the interior and ends at its height */
+    const long long v0 = mid[0].v, vn = mid[n].v;
+    int between = 1, above = 1;
+    for (Py_ssize_t i = 1; i < n; i++) {
+        between &= v0 < mid[i].v && mid[i].v < vn;
+        above &= mid[i].v > v0;
+    }
+    const char *cls = heads[0] == 0 && heads[n] == 0 && between ? "bridge"
+                      : above && vn > v0                         ? "half-plane"
+                      : above && vn == v0                        ? "arch"
+                                                                 : "other";
+    if (cls[0] != 'b') {
+        out = Py_BuildValue("(OsOO)", Py_True, cls, Py_None, Py_None);
+        goto done;
+    }
+    /* renewal points: interior upward vertical mid-edges above all that
+       came before and below all that follows (sorted[] holds suffix minima) */
+    Py_ssize_t nf = 0;
+    sorted[n].v = vn;
+    for (Py_ssize_t i = n - 1; i >= 0; i--)
+        sorted[i].v = mid[i].v < sorted[i + 1].v ? mid[i].v : sorted[i + 1].v;
+    long long top = v0;
+    found[nf++] = 0;
+    for (Py_ssize_t i = 1; i < n; i++) {
+        if (heads[i] == 0 && top < mid[i].v && mid[i].v < sorted[i + 1].v)
+            found[nf++] = i;
+        top = mid[i].v > top ? mid[i].v : top;
+    }
+    found[nf++] = n;
+    if ((renewal = index_tuple(found, nf)) == NULL)
+        goto done;
+    /* diamond points: vertical mid-edges k with every mid-edge in the
+       double cone of slopes +-60 degrees and apexes 2 below and above k */
+    nf = 0;
+    for (Py_ssize_t k = 0; k <= n; k++) {
+        if (floor_mod(mid[k].u, 2))
+            continue;
+        Py_ssize_t i = 0;
+        for (; i <= n; i++) {
+            long long d = 3 * llabs(mid[i].u - mid[k].u);
+            if (!(mid[i].v - mid[k].v + 2 >= d || mid[k].v + 2 - mid[i].v >= d))
+                break;
+        }
+        if (i > n)
+            found[nf++] = k;
+    }
+    if ((diamond = index_tuple(found, nf)) != NULL)
+        out = Py_BuildValue("(OsOO)", Py_True, cls, renewal, diamond);
+done:
+    Py_XDECREF(renewal);
+    Py_XDECREF(diamond);
+    PyMem_Free(pt);
+    PyMem_Free(idx);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"tally_class", tally_class, METH_VARARGS,
      "Histogram of walk endpoints: counts[class, length, contacts]."},
@@ -679,13 +862,15 @@ static PyMethodDef methods[] = {
      "Strip transfer operator of height T: (codes, src, dst, xpow, ypow, end)."},
     {"spectral_radius", spectral_radius, METH_VARARGS,
      "Spectral radius of M = coo(row, col, w) by power iteration from start, or None."},
+    {"walk_facts", walk_facts, METH_VARARGS,
+     "(self_avoiding, class, renewal points, diamond points) of the walk (U, V, heading, turns)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_dfs",
-    .m_doc = "Compiled walk enumeration, strip transfer operator and spectral radius.",
+    .m_doc = "Compiled walk enumeration, strip transfer operator, spectral radius and walk facts.",
     .m_size = -1,
     .m_methods = methods,
 };

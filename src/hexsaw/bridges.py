@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import domains as dm
@@ -51,9 +50,12 @@ def height_width(w: Walk) -> tuple[Fraction, Fraction]:
     return height, width
 
 
-def _require_bridge(b: Walk) -> None:
-    if lattice.classify_walk(b) != "bridge":
-        raise ClassificationError("walk is not a bridge")
+def _bridge_facts(b: Walk) -> lattice.WalkFacts:
+    facts = b.facts
+    if facts.cls != "bridge":
+        raise ClassificationError("walk is not a bridge" if facts.self_avoiding
+                                  else "walk is not self-avoiding")
+    return facts
 
 
 def renewal_points(b: Walk) -> list[int]:
@@ -63,25 +65,7 @@ def renewal_points(b: Walk) -> list[int]:
     mid-edge is vertical, traversed upward, and strictly separates the
     walk by height.
     """
-    _require_bridge(b)
-    mids, heads = b.mids, b.headings
-    n = len(b)
-    out = [0]
-    running_max = mids[0][1]
-    suffix_min = [0] * (n + 1)
-    suffix_min[n] = mids[n][1]
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = min(mids[i][1], suffix_min[i + 1])
-    for i in range(1, n):
-        if (
-            heads[i] == 0
-            and lattice.mid_orientation(*mids[i]) == 0
-            and running_max < mids[i][1] < suffix_min[i + 1]
-        ):
-            out.append(i)
-        running_max = max(running_max, mids[i][1])
-    out.append(n)
-    return out
+    return list(_bridge_facts(b).renewal)
 
 
 def is_irreducible(b: Walk) -> bool:
@@ -119,7 +103,7 @@ def concat_bridges(factors: Sequence[Walk]) -> Walk:
     """Concatenate bridges started at a by splicing their turn lists."""
     turns: tuple = ()
     for f in factors:
-        _require_bridge(f)
+        _bridge_facts(f)
         turns = turns + f.turns
     return Walk(lattice.START_MID, 0, turns)
 
@@ -204,14 +188,34 @@ class RenewalStats:
     mean_height_float: float
 
 
-def kesten_partial(N: int) -> RenewalStats:
-    """Exact partial sum of x_c^|gamma| over irreducible bridges with
-    |gamma| <= N, together with the per-height masses f_h."""
+def _check_truncation(N: int) -> None:
     if N < 2:
         raise InvalidParameterError(
             f"need N >= 2, got {N}: no bridge is shorter than 2 steps"
         )
-    counts = bridge_height_length_counts(N, irreducible_only=True)
+
+
+def kesten_partial(N: int) -> RenewalStats:
+    """Exact partial sum of x_c^|gamma| over irreducible bridges with
+    |gamma| <= N, together with the per-height masses f_h."""
+    _check_truncation(N)
+    return _renewal_stats(N, bridge_height_length_counts(N, irreducible_only=True))
+
+
+def kesten_partials(Ns: Sequence[int]) -> list[RenewalStats]:
+    """:func:`kesten_partial` of each N in Ns, counting the irreducible
+    bridges once, at the largest N.  The renewal inversion reads only
+    shorter lengths, so the largest N's counts cut to lengths <= N are
+    the counts at N."""
+    for N in Ns:
+        _check_truncation(N)
+    top = kesten_partial(max(Ns))
+    return [top if N == top.N else
+            _renewal_stats(N, {k: c for k, c in top.counts.items() if k[1] <= N})
+            for N in Ns]
+
+
+def _renewal_stats(N: int, counts: dict[tuple[int, int], int]) -> RenewalStats:
     x_c = constants(0, "dilute").x_c
     xpow = {0: Cyclo48.from_rational(1)}
     for k in range(1, N + 1):
@@ -241,28 +245,11 @@ def kesten_partial(N: int) -> RenewalStats:
 # diamond points and stickbreak
 # ---------------------------------------------------------------------------
 
-# stickbreak and rotated_segment are called pair by pair on one bridge,
-# whose diamond points their caller has just asked for
-@lru_cache(maxsize=1)
 def diamond_points(b: Walk) -> tuple[int, ...]:
     """Indices of vertical mid-edges such that the whole walk lies in the
     double cone with apexes half an edge below and above the mid-edge
     and boundary slopes +-60 degrees."""
-    _require_bridge(b)
-    mids = b.mids
-    out = []
-    for k, (uk, vk) in enumerate(mids):
-        if lattice.mid_orientation(uk, vk) != 0:
-            continue
-        ok = True
-        for (u, v) in mids:
-            d = 3 * abs(u - uk)
-            if not (v - vk + 2 >= d or vk + 2 - v >= d):
-                ok = False
-                break
-        if ok:
-            out.append(k)
-    return tuple(out)
+    return _bridge_facts(b).diamond
 
 
 def stickbreak(b: Walk, i: int, j: int) -> Walk:

@@ -25,6 +25,7 @@ from . import identity as idt
 from . import strip as sp
 from .errors import (
     CapacityError,
+    ClassificationError,
     HexsawError,
     InvalidParameterError,
     NonConvergenceError,
@@ -180,8 +181,8 @@ def _cmd_kesten(args):
     rows = []
     prev = None
     ok = True
-    for n in ns:
-        stats = br.kesten_partial(n)
+    for stats in br.kesten_partials(ns):
+        n = stats.N
         rows.append(
             {
                 "N": n,
@@ -223,12 +224,11 @@ def _cmd_stickbreak_sweep(args):
             for j in range(i + 1, len(d)):
                 out = br.stickbreak(b, i, j)
                 checked += 1
-                if not (
-                    out.is_self_avoiding()
-                    and classify_walk(out) == "bridge"
-                    and len(out) == len(b) + 2
-                ):
-                    failures += 1
+                try:
+                    ok = classify_walk(out) == "bridge" and len(out) == len(b) + 2
+                except ClassificationError:   # not self-avoiding, or empty
+                    ok = False
+                failures += not ok
     results = {"max_len": args.max_len, "bridges": bridges_used,
                "pairs_checked": checked, "failures": failures}
     return results, failures == 0 and checked > 0, None

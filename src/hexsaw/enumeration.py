@@ -27,15 +27,7 @@ import numpy as np
 from . import domains as dm
 from . import lattice
 from .errors import CapacityError, InvalidParameterError, TruncationError
-
-try:
-    from . import _dfs as _kernel
-except ImportError as exc:
-    raise ImportError(
-        "the compiled kernel hexsaw._dfs is not built; run "
-        "'python setup.py build_ext --inplace' in a source checkout, "
-        "or 'pip install -e .'"
-    ) from exc
+from .lattice import _kernel
 
 CLASS_ORDER = (dm.A_START, dm.A_BOTTOM, dm.B_TOP, dm.E_RIGHT, dm.E_LEFT,
                dm.E_PLUS, dm.E_MINUS, dm.INTERIOR)

@@ -19,15 +19,31 @@ Headings are indexed 0..5 clockwise from "straight up"; heading ``h``
 points along ``exp(i*(pi/2 - h*pi/3))``.  A walk never goes straight
 through a vertex: each step turns left (heading - 1) or right
 (heading + 1).
+
+Self-avoidance, the class of :func:`classify_walk` and a bridge's
+renewal and diamond points come from one call of the compiled kernel's
+``walk_facts`` per walk, cached on the walk (:attr:`Walk.facts`).  This
+module holds the package's one import of the kernel, so importing
+``hexsaw`` from a checkout where it was never built raises
+``ImportError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from .errors import ClassificationError, InvalidParameterError
+
+try:
+    from . import _dfs as _kernel
+except ImportError as exc:
+    raise ImportError(
+        "the compiled kernel hexsaw._dfs is not built; run "
+        "'python setup.py build_ext --inplace' in a source checkout, "
+        "or 'pip install -e .'"
+    ) from exc
 
 Turn = Literal["L", "R"]
 
@@ -125,12 +141,22 @@ def real_xy(U: float, V: float) -> tuple[float, float]:
     return (U * 3**0.5 / 4, V / 4)
 
 
+class WalkFacts(NamedTuple):
+    """What the kernel's ``walk_facts`` decides about a walk in one call."""
+
+    self_avoiding: bool                 # distinct mid-edges and vertices
+    cls: str | None                     # classify_walk's class; None if it raises
+    renewal: tuple[int, ...] | None     # a bridge's renewal points, else None
+    diamond: tuple[int, ...] | None     # a bridge's diamond points, else None
+
+
 @dataclass(frozen=True)
 class Walk:
     """A walk on mid-edges, stored as a start state plus a turn sequence.
 
     ``mids`` has length ``len(turns) + 1``; ``vertices`` lists the
-    vertices traversed, one per step.
+    vertices traversed, one per step.  ``turns`` is stored as a tuple of
+    ``"L"`` and ``"R"``; any other token is an error.
     """
 
     start: tuple[int, int] = START_MID
@@ -138,6 +164,14 @@ class Walk:
     turns: tuple[Turn, ...] = ()
 
     def __post_init__(self) -> None:
+        turns = self.turns
+        if type(turns) is not tuple:
+            if isinstance(turns, str):
+                raise InvalidParameterError(f"turns must be a sequence of tokens, not {turns!r}")
+            turns = tuple(turns)
+            object.__setattr__(self, "turns", turns)
+        if turns.count("L") + turns.count("R") != len(turns):
+            raise InvalidParameterError(f"every turn must be 'L' or 'R', got {turns!r}")
         if self.heading not in mid_headings(*self.start):
             raise InvalidParameterError(
                 f"heading {self.heading} does not traverse mid-edge {self.start}"
@@ -159,6 +193,11 @@ class Walk:
             heads.append(h)
         return mids, verts, heads
 
+    @cached_property
+    def facts(self) -> WalkFacts:
+        """Self-avoidance, class, renewal and diamond points: one kernel call."""
+        return WalkFacts(*_kernel.walk_facts(*self.start, self.heading, self.turns))
+
     @property
     def mids(self) -> list[tuple[int, int]]:
         return self._trace[0]
@@ -176,8 +215,7 @@ class Walk:
         return self.mids[-1]
 
     def is_self_avoiding(self) -> bool:
-        mids, verts, _ = self._trace
-        return len(set(mids)) == len(mids) and len(set(verts)) == len(verts)
+        return self.facts.self_avoiding
 
     def winding(self) -> int:
         """Total turning in units of pi/3 (counterclockwise positive)."""
@@ -209,30 +247,15 @@ def classify_walk(w: Walk) -> str:
     A bridge starts and ends on vertical mid-edges traversed upward, with
     all interior mid-edges strictly between the two in height.  An arch
     stays strictly above its start line and comes back down to it.  A
-    half-plane walk merely stays strictly above the start line.
+    half-plane walk merely stays strictly above the start line.  Any
+    other nonempty self-avoiding walk is 'other'.
     """
-    if not w.is_self_avoiding():
+    facts = w.facts
+    if not facts.self_avoiding:
         raise ClassificationError("walk is not self-avoiding")
-    mids = w.mids
-    v0, vn = mids[0][1], mids[-1][1]
-    interior = [m[1] for m in mids[1:-1]]
-    n = len(w)
-    if n == 0:
+    if facts.cls is None:
         raise ClassificationError("the empty walk is not classifiable")
-    vertical_up_ends = (
-        mid_orientation(*mids[0]) == 0
-        and mid_orientation(*mids[-1]) == 0
-        and w.headings[0] == 0
-        and w.headings[-1] == 0
-    )
-    if vertical_up_ends and all(v0 < y < vn for y in interior):
-        return "bridge"
-    above = all(m[1] > v0 for m in mids[1:])
-    if above:
-        return "half-plane"
-    if vn == v0 and all(y > v0 for y in interior):
-        return "arch"
-    return "other"
+    return facts.cls
 
 
 def iter_turn_sequences(n: int) -> Iterator[tuple[Turn, ...]]:

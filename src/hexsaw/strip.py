@@ -29,7 +29,8 @@ bridges and unrestricted walks come from the same operator.
 
 The column moves, the breadth-first search over cut states and the
 composition run in the compiled kernel (``_dfs.c``), read through
-:mod:`hexsaw.enumeration`, which returns the operator as int arrays.
+:mod:`hexsaw.lattice`'s one import of it, and return the operator as
+int arrays.
 Its pure-Python twin ``_dfs_py.transfer`` (whose docstrings give the
 moves and the composition step by step) is the tests' oracle for the
 same arrays.  This module wraps the arrays in a
@@ -66,7 +67,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclo import ONE, ZERO, Cyclo48
-from .enumeration import _kernel
+from .lattice import _kernel
 from .errors import (
     CapacityError,
     DivergenceError,

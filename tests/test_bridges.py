@@ -2,10 +2,12 @@
 prime-arch factorization and the stickbreak perturbation."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import walk_oracle
 from hexsaw import bridges as br
 from hexsaw import enumeration as en
 from hexsaw import lattice
@@ -116,6 +118,30 @@ def test_kesten_partials_increase_below_one():
     # taller irreducible bridges first appear at length 12
     assert set(h for h, _ in br.kesten_partial(12).counts) == {1, 2}
     assert set(h for h, _ in br.kesten_partial(8).counts) == {1}
+
+
+def test_kesten_partials_count_once(monkeypatch):
+    """Rows from one count at the largest N equal per-N kesten_partial
+    rows exactly, and the count builds one strip table per height."""
+    Ns = [4, 8, 12, 16, 5, 2, 16]
+    want = [br.kesten_partial(N) for N in Ns]
+    calls = {"counts": 0, "strips": 0}
+    counts, histogram = br.bridge_height_length_counts, en.class_histogram
+
+    def counted_counts(*args, **kwargs):
+        calls["counts"] += 1
+        return counts(*args, **kwargs)
+
+    def counted_histogram(*args, **kwargs):
+        calls["strips"] += 1
+        return histogram(*args, **kwargs)
+
+    monkeypatch.setattr(br, "bridge_height_length_counts", counted_counts)
+    monkeypatch.setattr(en, "class_histogram", counted_histogram)
+    assert br.kesten_partials(Ns) == want
+    assert calls == {"counts": 1, "strips": 8}
+    with pytest.raises(InvalidParameterError, match="N >= 2"):
+        br.kesten_partials([30, 1])   # checked before anything is counted
 
 
 def test_kesten_float_at_N26(monkeypatch):
@@ -233,6 +259,42 @@ def test_truncated_bridge_sums_bound_strip_series():
                 truncated = truncated + c * X_C**n
         assert truncated
         assert (sp.strip_gf(T, 1, "bridge").value - truncated).sign() > 0, T
+
+
+def _assert_points_match_oracle(b):
+    assert br.renewal_points(b) == walk_oracle.renewal_points(b), b.turns
+    assert br.diamond_points(b) == walk_oracle.diamond_points(b), b.turns
+
+
+def test_bridge_points_match_oracle_up_to_16():
+    n = 0
+    for b in br.iter_bridges(16):
+        _assert_points_match_oracle(b)
+        n += 1
+    assert n > 5000
+
+
+def test_bridge_points_match_oracle_on_long_concatenations():
+    """Concatenations of irreducible bridges, 200 steps or more: the
+    renewal points are the seams, and the diamond points are the
+    oracle's.  Sideways factors push the walk out of every double cone,
+    so every other walk favours the two straight 2-step factors."""
+    pool = list(br.iter_bridges(10, irreducible=True))
+    rng = random.Random(19)
+    with_diamonds = 0
+    for trial in range(200):
+        weights = [20 if trial % 2 and len(f) == 2 else 1 for f in pool]
+        factors = []
+        while sum(len(f) for f in factors) < 200:
+            factors += rng.choices(pool, weights)
+        b = br.concat_bridges(factors)
+        _assert_points_match_oracle(b)
+        seams = [0]
+        for f in factors:
+            seams.append(seams[-1] + len(f))
+        assert br.renewal_points(b) == seams
+        with_diamonds += len(br.diamond_points(b)) >= 2
+    assert with_diamonds > 40
 
 
 def test_diamond_points_are_renewal_points():

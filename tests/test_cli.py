@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from hexsaw import bridges as br
 from hexsaw.bridges import N_CAP
 from hexsaw.cli import SCHEMA_VERSION, main
+from hexsaw.lattice import Walk
 from hexsaw.strip import T_CAP_EXACT, T_CAP_FLOAT
 
 
@@ -188,6 +190,7 @@ def test_usage_errors(capsys):
         ("kesten", "--N", "1"),
         ("kesten", "--N", "0,4"),
         ("kesten", "--N", "-3"),
+        ("kesten", "--N", "1,30"),   # checked before the counts' cap
         ("sample", "--N", "1", "--k", "2"),
         ("stickbreak-sweep", "--max-len", "-2"),
         ("stickbreak-sweep", "--max-len", "0"),
@@ -266,6 +269,22 @@ def test_loops_at_n0_change_nothing(capsys):
     code_loops, dressed = run_json(capsys, *argv, "--with-loops")
     assert code == code_loops == 0
     assert dressed["results"] == plain["results"]
+
+
+@pytest.mark.parametrize("bad", [
+    lambda b: Walk(turns=("R",) * 6),   # not self-avoiding
+    lambda b: Walk(turns=("R",)),       # a half-plane walk, not a bridge
+    lambda b: b,                        # a bridge two steps too short
+    lambda b: Walk(),                   # the empty walk, which has no class
+], ids=["self-intersecting", "not-a-bridge", "wrong-length", "empty"])
+def test_stickbreak_sweep_counts_failures(capsys, monkeypatch, bad):
+    """A stickbreak output that is not a bridge two steps longer is a
+    counted failure: exit 1 with a report, not an error."""
+    monkeypatch.setattr(br, "stickbreak", lambda b, i, j: bad(b))
+    code, out = run(capsys, "stickbreak-sweep", "--max-len", "6")
+    assert code == 1 and capsys.readouterr().err == ""
+    results = json.loads(out)["results"]
+    assert results["failures"] == results["pairs_checked"] > 0
 
 
 def test_stickbreak_sweep_is_capped(capsys):

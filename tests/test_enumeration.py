@@ -1,5 +1,6 @@
 """Walk and loop enumeration: kernels, tallies, half-plane counts."""
 
+import ctypes
 import dataclasses
 import os
 import subprocess
@@ -126,6 +127,40 @@ def test_c_spectral_radius_rejects_malformed_matrices(c_kernel):
     # one step settles nothing: no radius, and start is left as it was
     assert c_kernel.spectral_radius(M.row, M.col, M.w, start, sp.RADIUS_TOL, 1) is None
     assert (start == 1.0 / M.n).all()
+
+
+LONG_MAX = 2 ** (8 * ctypes.sizeof(ctypes.c_long) - 1) - 1
+
+
+def test_c_walk_facts_rejects_malformed_walks(c_kernel):
+    """A malformed walk raises and never gets a class: turns that are
+    not a tuple of 'L'/'R' strings, a start that is no mid-edge or a
+    heading that does not traverse it, and coordinates a C long cannot
+    hold along the walk."""
+    for args, exc in (
+        ((0, 0, 0, ["R", "L"]), TypeError),
+        ((0, 0, 0, "RL"), TypeError),
+        ((0, 0, 0, ("R", 1)), TypeError),
+        ((0, 0, 0, ("R", b"L")), TypeError),
+        ((0, 0, 0, ("R", "X")), ValueError),
+        ((0, 0, 0, ("R", "LR")), ValueError),
+        ((0, 0, 1, ("R",)), ValueError),
+        ((0, 0, 6, ("R",)), ValueError),
+        ((0, 0, -3, ("R",)), ValueError),
+        ((1, 0, 0, ("R",)), ValueError),
+        ((LONG_MAX + 1, 0, 0, ("R",)), OverflowError),
+        ((0, -LONG_MAX - 2, 0, ("R",)), OverflowError),
+        ((LONG_MAX - 3, 0, 0, ("R",)), OverflowError),
+        ((0, 12 * (LONG_MAX // 12), 0, ("R", "L")), OverflowError),
+    ):
+        with pytest.raises(exc):
+            c_kernel.walk_facts(*args)
+    # the empty walk is self-avoiding and has no class
+    assert c_kernel.walk_facts(0, 0, 0, ()) == (True, None, None, None)
+    # far from the origin, but inside the range, a walk keeps its facts
+    for turns in (("R", "L"), ("R", "L", "L", "R"), ("R", "R", "R"), ("R",) * 6):
+        far = c_kernel.walk_facts(4 * (LONG_MAX // 16), -12 * (LONG_MAX // 48), 0, turns)
+        assert far == c_kernel.walk_facts(0, 0, 0, turns) == tuple(Walk(turns=turns).facts)
 
 
 @pytest.mark.parametrize("T", range(1, 8), ids=lambda T: f"{T}-top")

@@ -2,6 +2,7 @@
 
 import pytest
 
+import walk_oracle
 from hexsaw import lattice
 from hexsaw.errors import ClassificationError, InvalidParameterError
 from hexsaw.lattice import Walk, classify_walk, iter_turn_sequences
@@ -56,6 +57,17 @@ def test_walk_trace_and_winding():
     assert Walk(turns=("L",)).winding() == 1
 
 
+def test_walk_turns_are_a_tuple_of_l_and_r():
+    """Any other token is an error, not a right turn."""
+    for turns in (("X", "L"), (1,), ("R", None), ("r", "L"), "RL"):
+        with pytest.raises(InvalidParameterError):
+            Walk(turns=turns)
+    w = Walk(turns=["R", "L"])
+    assert w.turns == ("R", "L") and w == Walk(turns=("R", "L"))
+    assert hash(w) == hash(Walk(turns=("R", "L")))
+    assert classify_walk(w) == "bridge"
+
+
 def test_walk_mid_distinctness_kills_hexagon():
     # six identical turns close a hexagon: vertices distinct only until
     # the final step revisits the starting mid-edge
@@ -102,6 +114,47 @@ def test_classify_heights_definition():
                 and all(mids[0][1] < m[1] < mids[-1][1] for m in mids[1:-1])
             )
             assert (classify_walk(w) == "bridge") == expect
+
+
+def _oracle_facts(w):
+    """(self-avoiding, class or None, renewal, diamond) by the oracle."""
+    if not walk_oracle.is_self_avoiding(w):
+        return False, None, None, None
+    if len(w) == 0:
+        return True, None, None, None
+    cls = walk_oracle.classify_walk(w)
+    if cls != "bridge":
+        return True, cls, None, None
+    return (True, cls, tuple(walk_oracle.renewal_points(w)),
+            walk_oracle.diamond_points(w))
+
+
+# upward and downward on the start mid-edge, two slanted mid-edges, and
+# a vertical one a period away
+STARTS = [((0, 0), 0), ((0, 0), 3), ((1, 3), 1), ((-1, 3), 2), ((8, -12), 0)]
+
+
+@pytest.mark.parametrize("start, heading", STARTS)
+def test_walk_facts_match_oracle_on_all_short_walks(start, heading):
+    """Self-avoidance, class, renewal and diamond points from the kernel
+    equal the Python oracle's for every turn sequence of length <= 12,
+    self-avoiding or not."""
+    seen = set()
+    for n in range(13):
+        for turns in iter_turn_sequences(n):
+            w = Walk(start, heading, turns)
+            want = _oracle_facts(w)
+            assert tuple(w.facts) == want, turns
+            assert w.is_self_avoiding() == want[0]
+            if want[1] is None:
+                with pytest.raises(ClassificationError):
+                    classify_walk(w)
+            else:
+                assert classify_walk(w) == want[1]
+            seen.add(want[1] if want[0] else "not self-avoiding")
+    assert {"not self-avoiding", "other"} <= seen
+    if heading == 0:
+        assert seen == {None, "bridge", "arch", "half-plane", "other", "not self-avoiding"}
 
 
 def test_real_coordinates():

@@ -1,0 +1,103 @@
+"""Pure-Python self-avoidance, classification, renewal points and
+diamond points, a test oracle for the kernel's ``walk_facts``.
+
+These are the package's former Python bodies of ``Walk.is_self_avoiding``,
+``classify_walk``, ``renewal_points`` and ``diamond_points``, which read
+the walk's Python trace (``Walk.mids``, ``Walk.headings``) and never the
+kernel.
+"""
+
+from hexsaw import lattice
+from hexsaw.errors import ClassificationError
+from hexsaw.lattice import Walk
+
+
+def is_self_avoiding(w: Walk) -> bool:
+    mids, verts, _ = w._trace
+    return len(set(mids)) == len(mids) and len(set(verts)) == len(verts)
+
+
+def classify_walk(w: Walk) -> str:
+    """Classify as 'bridge', 'arch', 'half-plane' or 'other'.
+
+    A bridge starts and ends on vertical mid-edges traversed upward, with
+    all interior mid-edges strictly between the two in height.  An arch
+    stays strictly above its start line and comes back down to it.  A
+    half-plane walk merely stays strictly above the start line.
+    """
+    if not is_self_avoiding(w):
+        raise ClassificationError("walk is not self-avoiding")
+    mids = w.mids
+    v0, vn = mids[0][1], mids[-1][1]
+    interior = [m[1] for m in mids[1:-1]]
+    n = len(w)
+    if n == 0:
+        raise ClassificationError("the empty walk is not classifiable")
+    vertical_up_ends = (
+        lattice.mid_orientation(*mids[0]) == 0
+        and lattice.mid_orientation(*mids[-1]) == 0
+        and w.headings[0] == 0
+        and w.headings[-1] == 0
+    )
+    if vertical_up_ends and all(v0 < y < vn for y in interior):
+        return "bridge"
+    above = all(m[1] > v0 for m in mids[1:])
+    if above:
+        return "half-plane"
+    if vn == v0 and all(y > v0 for y in interior):
+        return "arch"
+    return "other"
+
+
+def _require_bridge(b: Walk) -> None:
+    if classify_walk(b) != "bridge":
+        raise ClassificationError("walk is not a bridge")
+
+
+def renewal_points(b: Walk) -> list[int]:
+    """Mid-edge indices splitting the bridge into two bridges.
+
+    Always contains 0 and len(b).  An interior index qualifies iff the
+    mid-edge is vertical, traversed upward, and strictly separates the
+    walk by height.
+    """
+    _require_bridge(b)
+    mids, heads = b.mids, b.headings
+    n = len(b)
+    out = [0]
+    running_max = mids[0][1]
+    suffix_min = [0] * (n + 1)
+    suffix_min[n] = mids[n][1]
+    for i in range(n - 1, -1, -1):
+        suffix_min[i] = min(mids[i][1], suffix_min[i + 1])
+    for i in range(1, n):
+        if (
+            heads[i] == 0
+            and lattice.mid_orientation(*mids[i]) == 0
+            and running_max < mids[i][1] < suffix_min[i + 1]
+        ):
+            out.append(i)
+        running_max = max(running_max, mids[i][1])
+    out.append(n)
+    return out
+
+
+def diamond_points(b: Walk) -> tuple[int, ...]:
+    """Indices of vertical mid-edges such that the whole walk lies in the
+    double cone with apexes half an edge below and above the mid-edge
+    and boundary slopes +-60 degrees."""
+    _require_bridge(b)
+    mids = b.mids
+    out = []
+    for k, (uk, vk) in enumerate(mids):
+        if lattice.mid_orientation(uk, vk) != 0:
+            continue
+        ok = True
+        for (u, v) in mids:
+            d = 3 * abs(u - uk)
+            if not (v - vk + 2 >= d or vk + 2 - v >= d):
+                ok = False
+                break
+        if ok:
+            out.append(k)
+    return tuple(out)
