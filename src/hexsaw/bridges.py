@@ -158,7 +158,7 @@ def bridge_height_length_counts(
     top = en.CLASS_ID[dm.B_TOP]
     counts: dict[tuple[int, int], int] = {}
     for h in range(1, max_len // 2 + 1):
-        strip = dm.build_strip_prefix(h, -(-max_len // 2) + 1)
+        strip = dm.build_strip_prefix(h, dm.prefix_size(max_len))
         per_len = en.class_histogram(strip, max_len)[top].sum(axis=1)
         counts.update({(h, n): int(c) for n, c in enumerate(per_len) if c})
     if not irreducible_only:
@@ -445,7 +445,7 @@ def _seam_shift(a):
 def iter_strip_walks(T: int, max_len: int) -> Iterator[Walk]:
     """Every nonempty self-avoiding walk from a whose vertices lie in
     the height-T strip (rows 1 .. 3T-1), up to max_len steps."""
-    domain = dm.build_strip_prefix(T, max(1, -(-max_len // 2)))
+    domain = dm.build_strip_prefix(T, dm.prefix_size(max_len))
     for v in en.iter_saws(domain, max_len):
         if v.length:
             yield v.walk

@@ -178,29 +178,25 @@ def _cmd_bounds(args):
 
 def _cmd_kesten(args):
     ns = [int(t) for t in args.N.split(",")]
-    rows = []
-    prev = None
-    ok = True
-    for stats in br.kesten_partials(ns):
-        n = stats.N
-        rows.append(
-            {
-                "N": n,
-                "kesten_partial": stats.partial_sum_float,
-                "f_h": {str(h): stats.f_h[h].to_float() for h in sorted(stats.f_h)},
-                "mean_height": stats.mean_height_float,
-            }
-        )
-        if not stats.partial_sum_float < 1.0:
-            ok = False
-        if prev is not None:
-            # every bridge has even length, so a range (previous N, N]
-            # without an even length adds nothing to the sum
-            if n // 2 > prev.N // 2:
-                ok = ok and stats.partial_sum_float > prev.partial_sum_float
-            else:
-                ok = ok and stats.partial_sum == prev.partial_sum
-        prev = stats
+    stats = br.kesten_partials(ns)
+    rows = [
+        {
+            "N": s.N,
+            "kesten_partial": s.partial_sum_float,
+            "f_h": {str(h): s.f_h[h].to_float() for h in sorted(s.f_h)},
+            "mean_height": s.mean_height_float,
+        }
+        for s in stats
+    ]
+    ok = all(s.partial_sum_float < 1.0 for s in stats)
+    by_n = sorted(stats, key=lambda s: s.N)
+    for prev, s in zip(by_n, by_n[1:]):
+        # every bridge has even length, so a range (previous N, N]
+        # without an even length adds nothing to the sum
+        if s.N // 2 > prev.N // 2:
+            ok = ok and s.partial_sum_float > prev.partial_sum_float
+        else:
+            ok = ok and s.partial_sum == prev.partial_sum
     flat = [
         {"N": r["N"], "kesten_partial": r["kesten_partial"],
          "mean_height": r["mean_height"]}

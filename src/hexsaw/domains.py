@@ -130,6 +130,18 @@ def build_rectangle(T: int, L: int) -> Domain:
     return Domain("rectangle", T, L, frozenset(verts), frozenset())
 
 
+def prefix_size(N: int) -> int:
+    """max(1, ceil(N/2)): the half-width Lmax of a strip prefix, and the
+    height of a half-plane prefix, that hold every walk of length <= N.
+
+    The prefix is reliable for walks of length <= 2*Lmax >= N.  An n-step
+    walk's end mid-edge has doubled height V <= 3n, so no walk shorter
+    than N reaches the top line V = 6T >= 3N of the height-T strip: no
+    walk of length <= N is cut short there.
+    """
+    return max(1, -(-N // 2))
+
+
 def build_strip_prefix(T: int, Lmax: int, surface: str = "top") -> Domain:
     """Height-T strip truncated at |u| <= 2*Lmax + 1.
 

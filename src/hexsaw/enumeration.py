@@ -350,7 +350,8 @@ HALF_PLANE_CLASSES = frozenset(CLASS_ORDER) - {dm.A_BOTTOM}
 def half_plane_domain(N: int) -> dm.Domain:
     """A bottom-surface strip prefix that holds every walk of length <= N
     in the upper half-plane; keep the walks ending in HALF_PLANE_CLASSES."""
-    return dm.build_strip_prefix(max(N, 1), (N + 1) // 2 + 1, surface="bottom")
+    size = dm.prefix_size(N)
+    return dm.build_strip_prefix(size, size, surface="bottom")
 
 
 def half_plane_counts(N: int) -> dict[tuple[int, int], int]:

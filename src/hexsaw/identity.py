@@ -13,8 +13,14 @@ that reach the mid-edge above v via its lower-left (q) or lower-right
     (q-v)(1-y)(x_c y lam)^-1 * S_q  +  (r-v)(1-y)(x_c y conj(lam))^-1 * S_r.
 
 Summing over all vertices telescopes interior contributions away and
-yields the global boundary identities checked here for trapezoids and
-rectangles.
+yields one global boundary identity, A° = sum over boundary classes c
+of w_c * c, with the weights
+
+    A -> alpha,  B -> beta(y),  E, EBAR, E- -> coeff_e,  E+ -> eps_plus
+
+in both regimes.  A trapezoid has the classes A, B, E and EBAR; a
+rectangle has A, B, E+ and E- and no weighted surface, so its identity
+is the same one at y = 1, where beta(1) = 1.
 """
 
 from __future__ import annotations
@@ -140,13 +146,18 @@ def _report(kind, consts, params, residuals) -> ResidualReport:
     )
 
 
-def _class_values(domain, consts, y, with_loops):
+def _check_global(kind, build, T, L, consts, y, with_loops, params) -> ResidualReport:
+    """A° - sum of w_c * c over the boundary classes c of ``build(T, L)``;
+    a class the domain lacks has the value 0."""
+    e = consts.coeff_e
+    weights = {dm.A_BOTTOM: consts.coeff_a, dm.B_TOP: consts.beta(y),  # beta checks y first
+               dm.E_RIGHT: e, dm.E_LEFT: e, dm.E_MINUS: e, dm.E_PLUS: consts.eps_plus}
     # at n = 0 every loop term is 0: no loop search, whatever the domain size
-    tallies = en.boundary_tallies(domain, with_loops=with_loops and consts.n != 0)
-    return {
-        cls: en.evaluate_tally(tallies[cls], consts, y)
-        for cls in en.CLASS_ORDER
-    }
+    tallies = en.boundary_tallies(build(T, L), with_loops=with_loops and consts.n != 0)
+    residual = en.evaluate_tally(tallies[dm.A_START], consts, y)
+    for cls, w in weights.items():
+        residual = residual - w * en.evaluate_tally(tallies[cls], consts, y)
+    return _report(kind, consts, {"T": T, "L": L, **params}, {"global": residual})
 
 
 def check_global_trapezoid(
@@ -156,19 +167,9 @@ def check_global_trapezoid(
     y,
     with_loops: bool = False,
 ) -> ResidualReport:
-    """A° = coeff_a*A + coeff_e*E + beta(y)*B on the trapezoid D(T, L)."""
-    beta = consts.beta(y)  # refuses a bad y before the walk pass
-    domain = dm.build_trapezoid(T, L)
-    vals = _class_values(domain, consts, y, with_loops)
-    a_ring = vals[dm.A_START]
-    a_val = vals[dm.A_BOTTOM]
-    b_val = vals[dm.B_TOP]
-    e_val = vals[dm.E_RIGHT] + vals[dm.E_LEFT]
-    rhs = consts.coeff_a * a_val + consts.coeff_e * e_val + beta * b_val
-    residuals = {"global": a_ring - rhs}
-    rep = _report("global-trapezoid", consts,
-                  {"T": T, "L": L, "y": str(y)}, residuals)
-    return rep
+    """A° = alpha*A + beta(y)*B + coeff_e*(E + EBAR) on the trapezoid D(T, L)."""
+    return _check_global("global-trapezoid", dm.build_trapezoid, T, L, consts, y,
+                         with_loops, {"y": str(y)})
 
 
 def check_global_rectangle(
@@ -177,17 +178,10 @@ def check_global_rectangle(
     consts: ModelConstants,
     with_loops: bool = False,
 ) -> ResidualReport:
-    """A° = coeff_a*A + B + eps+*E+ + eps-*E- on the rectangle R(T, L).
+    """A° = alpha*A + B + eps_plus*E+ + coeff_e*E- on the rectangle R(T, L).
 
-    The rectangle has no weighted surface, so there is no y.
+    The rectangle has no weighted surface: its identity is the
+    trapezoid's at y = 1, where beta(1) = 1.
     """
-    domain = dm.build_rectangle(T, L)
-    vals = _class_values(domain, consts, 1, with_loops)
-    rhs = (
-        consts.coeff_a * vals[dm.A_BOTTOM]
-        + vals[dm.B_TOP]
-        + consts.eps_plus * vals[dm.E_PLUS]
-        + consts.eps_minus * vals[dm.E_MINUS]
-    )
-    residuals = {"global": vals[dm.A_START] - rhs}
-    return _report("global-rectangle", consts, {"T": T, "L": L}, residuals)
+    return _check_global("global-rectangle", dm.build_rectangle, T, L, consts, 1,
+                         with_loops, {})

@@ -30,6 +30,7 @@ module holds the package's one import of the kernel, so importing
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Literal, NamedTuple
@@ -155,8 +156,9 @@ class Walk:
     """A walk on mid-edges, stored as a start state plus a turn sequence.
 
     ``mids`` has length ``len(turns) + 1``; ``vertices`` lists the
-    vertices traversed, one per step.  ``turns`` is stored as a tuple of
-    ``"L"`` and ``"R"``; any other token is an error.
+    vertices traversed, one per step.  ``start`` is stored as a tuple of
+    two ints and ``turns`` as a tuple of ``"L"`` and ``"R"``; anything
+    else is an error.
     """
 
     start: tuple[int, int] = START_MID
@@ -164,6 +166,16 @@ class Walk:
     turns: tuple[Turn, ...] = ()
 
     def __post_init__(self) -> None:
+        start = self.start
+        if not (type(start) is tuple and len(start) == 2
+                and type(start[0]) is int and type(start[1]) is int):
+            try:
+                u, v = start
+                start = (operator.index(u), operator.index(v))
+            except (TypeError, ValueError):
+                raise InvalidParameterError(
+                    f"start must be a pair of ints, got {start!r}") from None
+            object.__setattr__(self, "start", start)
         turns = self.turns
         if type(turns) is not tuple:
             if isinstance(turns, str):

@@ -1,13 +1,18 @@
 """Critical constants of the loop model in both solution branches.
 
-For -2 <= n <= 2 write n = 2*cos(theta) with theta in [0, pi].  The
-dilute branch uses spin sigma = (pi + 3*theta)/(4*pi) and critical step
-weight 1/x_c = 2*cos((pi - theta)/4); the dense branch uses
-sigma = (pi - 3*theta)/(4*pi) and 1/x_c = 2*cos((pi + theta)/4).  The
-special surface weight is y* = 1/(1 - 2*x_c**2).
+For -2 <= n <= 2 write n = 2*cos(theta) with theta in [0, pi], and set
+s = -1 on the dilute branch and s = +1 on the dense one.  With
+phi = pi + s*theta, one table serves both branches:
+
+    1/x_c = 2*cos(phi/4)            sigma = (pi - 3*s*theta)/(4*pi)
+    alpha = cos(3*phi/4)            coeff_e = cos(phi/2)
+    eps_plus = cos(phi/4)           y* = 1/(1 - 2*x_c**2)
+
+The dense branch has no x_c at n = -2, where cos(phi/4) = cos(pi/2) = 0.
 
 At n = 0 (theta = pi/2) everything lives in Q(zeta_48) and the constants
-are carried exactly; for other n they are floats.
+are carried exactly, with angles in units of pi/24 and
+cos(k) = two_cos(k)/2; for other n they are floats.
 """
 
 from __future__ import annotations
@@ -37,10 +42,10 @@ class ModelConstants:
     x_c: Scalar
     lam: Scalar           # exp(-i*sigma*pi/3), phase of one left turn
     y_star: Scalar
-    coeff_a: Scalar       # cos(3*(pi -/+ theta)/4), weight of A in the trapezoid identity
-    coeff_e: Scalar       # cos((pi -/+ theta)/2), weight of E
-    eps_plus: Scalar      # cos((pi - theta)/4), weight of E+ in the rectangle identity
-    eps_minus: Scalar     # cos((pi - theta)/2), weight of E-
+    coeff_a: Scalar       # alpha = cos(3*phi/4), weight of A in the boundary identities
+    coeff_e: Scalar       # cos(phi/2), weight of E, EBAR and E-
+    eps_plus: Scalar      # cos(phi/4), weight of E+ in the rectangle identity
+    eps_minus: Scalar     # weight of E-: coeff_e, kept under the rectangle's name
 
     def one(self) -> Scalar:
         return Cyclo48.from_rational(1) if self.mode == "exact" else 1.0
@@ -76,70 +81,50 @@ class ModelConstants:
         return Cyclo48.from_rational(Fraction(y)) if self.mode == "exact" else yf
 
 
+# s in phi = pi + s*theta and sigma = (pi - 3*s*theta)/(4*pi)
+_SIGN = {"dilute": -1, "dense": 1}
+
+
 def constants(n, regime: Regime = "dilute", mode: str = "auto") -> ModelConstants:
-    if regime not in ("dilute", "dense"):
+    if regime not in _SIGN:
         raise InvalidParameterError(f"unknown regime {regime!r}")
+    s = _SIGN[regime]
     if mode == "auto":
         mode = "exact" if (isinstance(n, Rational) and n == 0) else "float"
     if mode == "exact":
         if not (isinstance(n, Rational) and n == 0):
             raise InvalidParameterError("exact constants exist only at n = 0")
-        return _exact_n0(regime)
-    if mode != "float":
-        raise InvalidParameterError(f"unknown mode {mode!r}")
-    if not -2 <= n <= 2:  # before float(n), which overflows past 1e308
-        raise InvalidParameterError(f"n = {n} outside [-2, 2]")
-    n = float(n)
-    theta = math.acos(n / 2.0)
-    if regime == "dilute":
-        sigma = (math.pi + 3 * theta) / (4 * math.pi)
-        x_c = 1.0 / (2 * math.cos((math.pi - theta) / 4))
-        coeff_a = math.cos(3 * (math.pi - theta) / 4)
-        coeff_e = math.cos((math.pi - theta) / 2)
+        # angles in units of pi/24: pi = 24 and theta = acos(0) = 12
+        n, pi, theta, one = Fraction(0), Fraction(24), 12, Cyclo48.from_rational(1)
+
+        def cos(k):
+            return two_cos(int(k)) / 2
+    elif mode == "float":
+        if not -2 <= n <= 2:  # before float(n), which overflows past 1e308
+            raise InvalidParameterError(f"n = {n} outside [-2, 2]")
+        if s == 1 and n == -2:
+            raise InvalidParameterError("the dense branch has no x_c at n = -2: "
+                                        "1/x_c = 2*cos(pi/2) = 0")
+        n, pi, one, cos = float(n), math.pi, 1.0, math.cos
+        theta = math.acos(n / 2.0)
     else:
-        sigma = (math.pi - 3 * theta) / (4 * math.pi)
-        x_c = 1.0 / (2 * math.cos((math.pi + theta) / 4))
-        coeff_a = math.cos(3 * (math.pi + theta) / 4)
-        coeff_e = math.cos((math.pi + theta) / 2)
+        raise InvalidParameterError(f"unknown mode {mode!r}")
+    sigma = (pi - 3 * s * theta) / (4 * pi)
+    phi = pi + s * theta
+    x_c = one / (2 * cos(phi / 4))
+    coeff_e = cos(phi / 2)
     return ModelConstants(
         n=n,
         regime=regime,
-        mode="float",
+        mode=mode,
         sigma=sigma,
         x_c=x_c,
-        lam=cmath.exp(-1j * sigma * math.pi / 3),
-        y_star=1.0 / (1.0 - 2.0 * x_c * x_c),
-        coeff_a=coeff_a,
-        coeff_e=coeff_e,
-        eps_plus=math.cos((math.pi - theta) / 4),
-        eps_minus=math.cos((math.pi - theta) / 2),
-    )
-
-
-def _exact_n0(regime: Regime) -> ModelConstants:
-    one = Cyclo48.from_rational(1)
-    if regime == "dilute":
-        sigma = Fraction(5, 8)
-        lam = Cyclo48.zeta_pow(-5)     # exp(-5i*pi/24)
-        x_c = one / two_cos(3)         # 1 / (2*cos(pi/8))
-        coeff_a = two_cos(9) / 2       # cos(3*pi/8)
-        coeff_e = two_cos(6) / 2       # cos(pi/4)
-    else:
-        sigma = Fraction(-1, 8)
-        lam = Cyclo48.zeta_pow(1)      # exp(i*pi/24)
-        x_c = one / two_cos(9)         # 1 / (2*cos(3*pi/8))
-        coeff_a = -two_cos(3) / 2      # cos(9*pi/8)
-        coeff_e = -two_cos(6) / 2      # cos(3*pi/4)
-    return ModelConstants(
-        n=Fraction(0),
-        regime=regime,
-        mode="exact",
-        sigma=sigma,
-        x_c=x_c,
-        lam=lam,
+        # exp(-i*sigma*pi/3) = zeta_48^(-8*sigma)
+        lam=(Cyclo48.zeta_pow(int(-8 * sigma)) if mode == "exact"
+             else cmath.exp(-1j * sigma * math.pi / 3)),
         y_star=one / (one - 2 * x_c * x_c),
-        coeff_a=coeff_a,
+        coeff_a=cos(3 * phi / 4),
         coeff_e=coeff_e,
-        eps_plus=two_cos(3) / 2,
-        eps_minus=two_cos(6) / 2,
+        eps_plus=cos(phi / 4),
+        eps_minus=coeff_e,
     )

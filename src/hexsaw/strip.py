@@ -74,6 +74,7 @@ from .errors import (
     InvalidParameterError,
     NonConvergenceError,
 )
+from .identity import _report
 from .model import constants
 
 T_CAP_EXACT = 5
@@ -560,21 +561,12 @@ def strip_gf(T: int, y, kind: str = "walk", mode: str = "auto") -> StripValue:
 
 def check_strip_identity(T: int, y, mode: str = "auto"):
     """alpha*A_T(x_c,y) + beta(y)*B_T(x_c,y) = 1 for y < y_T."""
-    from .identity import ResidualReport, _abs
-
     y = _weight(y)
     a = strip_gf(T, y, "arch", mode)
     b = strip_gf(T, y, "bridge", mode)
     c = constants(0, "dilute", a.mode)
     res = c.coeff_a * a.value + c.beta(y) * b.value - 1
-    return ResidualReport(
-        kind="strip-identity",
-        mode=a.mode,
-        params={"T": T, "y": str(y)},
-        residuals={"strip": res},
-        max_abs=_abs(res),
-        exact_zero=a.mode == "exact" and not res,
-    )
+    return _report("strip-identity", c, {"T": T, "y": str(y)}, {"strip": res})
 
 
 def check_bounds(Tmax: int, y_grid=(1, Fraction(3, 2), 2), mode: str = "auto") -> dict:

@@ -58,8 +58,10 @@ def test_verify_global_y(capsys):
 
 
 def test_verify_rectangle(capsys):
-    code, doc = run_json(capsys, "verify-rectangle", "--T", "2", "--L", "2")
-    assert code == 0 and doc["results"]["exact_zero"] is True
+    for regime in ("dilute", "dense"):
+        code, doc = run_json(capsys, "verify-rectangle", "--T", "2", "--L", "2",
+                             "--regime", regime)
+        assert code == 0 and doc["results"]["exact_zero"] is True, regime
 
 
 def test_float_mode_with_loops(capsys):
@@ -110,6 +112,15 @@ def test_kesten_odd_truncation_adds_nothing(capsys, ns):
     assert code == 0 and doc["ok"] is True
     sums = [r["kesten_partial"] for r in doc["results"]["rows"]]
     assert sums[0] == sums[1]
+
+
+def test_kesten_checks_increase_in_n_not_argument_order(capsys):
+    code, doc = run_json(capsys, "kesten", "--N", "16,4")
+    assert code == 0 and doc["ok"] is True
+    rows = doc["results"]["rows"]
+    assert [r["N"] for r in rows] == [16, 4]
+    code, doc = run_json(capsys, "kesten", "--N", "4,16")
+    assert code == 0 and doc["results"]["rows"] == rows[::-1]
 
 
 def test_sample_deterministic(capsys):
@@ -216,6 +227,9 @@ def test_usage_errors(capsys):
     ("bounds", "--Tmax", "6", "--y-grid", "0"),
     ("strip-identity", "--T", "2", "--y", "1e400"),
     ("verify-local", "--T", "1", "--L", "1", "--n", "1e400", "--mode", "float"),
+    # the dense branch has 1/x_c = 0 at n = -2
+    ("verify-local", "--T", "1", "--L", "1", "--n", "-2", "--regime", "dense",
+     "--mode", "float"),
 ])
 def test_bad_numbers_are_usage_errors(capsys, argv):
     """nan, inf and a surface weight that is not positive and finite are

@@ -345,7 +345,7 @@ def test_half_plane_zigzag_bound():
             assert any(ln == n and i >= n // 2 for (ln, i) in counts)
 
 
-@pytest.mark.parametrize("N", [5, 6])
+@pytest.mark.parametrize("N", [5, 6, 13, 14])
 def test_half_plane_counts_against_direct_dfs(N):
     counts = en.half_plane_counts(N)
     # oracle: a tall bottom-surface strip prefix is the half-plane for

@@ -60,10 +60,21 @@ def test_global_trapezoid_dense(y):
 
 
 def test_global_rectangle_exact():
-    c = constants(0, "dilute")
-    for T, L in [(2, 2), (2, 3)]:
-        rep = idn.check_global_rectangle(T, L, c)
-        assert rep.exact_zero, rep.residuals
+    for regime in ("dilute", "dense"):
+        c = constants(0, regime)
+        for T in (1, 2, 3):
+            for L in (1, 2, 3):
+                rep = idn.check_global_rectangle(T, L, c)
+                assert rep.exact_zero, (regime, T, L, rep.residuals)
+
+
+@pytest.mark.parametrize("n", [-1.0, 1.0, 1.5])
+@pytest.mark.parametrize("regime", ["dilute", "dense"])
+def test_global_rectangle_float_with_loops(regime, n):
+    c = constants(n, regime, mode="float")
+    for T, L in [(1, 2), (2, 1), (2, 2)]:
+        rep = idn.check_global_rectangle(T, L, c, with_loops=True)
+        assert rep.max_abs <= 1e-12 and rep.ok, (T, L, rep.residuals)
 
 
 @pytest.mark.parametrize("n", [-1.0, 1.0, 2.0])

@@ -68,6 +68,18 @@ def test_walk_turns_are_a_tuple_of_l_and_r():
     assert classify_walk(w) == "bridge"
 
 
+def test_walk_start_is_a_tuple_of_two_ints():
+    """A list start is stored as a tuple, so the walk hashes; a start
+    that is not a pair of ints is an error."""
+    w = Walk(start=[0, 0], turns=("R", "L"))
+    assert w.start == (0, 0) and type(w.start) is tuple
+    assert w == Walk(turns=("R", "L")) and hash(w) == hash(Walk(turns=("R", "L")))
+    assert classify_walk(w) == "bridge"
+    for start in ((0.0, 0), (0, 0, 1), (0,), "00", None, ("0", 0)):
+        with pytest.raises(InvalidParameterError):
+            Walk(start=start)
+
+
 def test_walk_mid_distinctness_kills_hexagon():
     # six identical turns close a hexagon: vertices distinct only until
     # the final step revisits the starting mid-edge

@@ -33,6 +33,15 @@ def test_exact_dense():
     assert c.sigma == Fraction(-1, 8)
     assert abs(c.coeff_a.to_float() - math.cos(9 * math.pi / 8)) < 1e-14
     assert abs(c.coeff_e.to_float() - math.cos(3 * math.pi / 4)) < 1e-14
+    assert abs(c.eps_plus.to_float() - math.cos(3 * math.pi / 8)) < 1e-14
+
+
+@pytest.mark.parametrize("n,mode", [(0, "exact"), (0.0, "float"), (1.0, "float"),
+                                    (-1.5, "float")])
+@pytest.mark.parametrize("regime", ["dilute", "dense"])
+def test_eps_minus_is_coeff_e(n, mode, regime):
+    c = constants(n, regime, mode)
+    assert c.eps_minus == c.coeff_e
 
 
 @pytest.mark.parametrize("n", [-1.0, 0.0, 1.0, 2.0])
@@ -72,6 +81,11 @@ def test_guards():
         constants(1, mode="exact")
     with pytest.raises(InvalidParameterError):
         constants(3.0, mode="float")
+    # the dense branch has 1/x_c = 2*cos(pi/2) = 0 at n = -2
+    for n in (-2, -2.0, Fraction(-2)):
+        with pytest.raises(InvalidParameterError):
+            constants(n, "dense", "float")
+    assert constants(-2.0, "dilute", "float").x_c == 0.5
     with pytest.raises(ScalarModeError):
         constants(0, "dilute").surface_weight(1.5)
     assert constants(0.5, "dilute").mode == "float"
