@@ -6,14 +6,34 @@ the KernelTables arrays through the buffer protocol (no numpy headers),
 checks every size and entry so that malformed tables raise ValueError,
 and returns counts[class, length, contacts] as an int64 numpy array.
 
-transfer(T) builds the height-T strip transfer operator, its contacts on
-the top row: the column moves of each parity, then a breadth-first
-search over cut states that composes each state with each move its mask
-and flags allow.  It returns (codes, src, dst, xpow, ypow, end) as int64
-numpy arrays, with the state codes, numbering and transition order of
-_dfs_py.transfer, whose docstrings describe the moves and the
-composition step by step.  The module exports the layout constants
-T_MAX, FLAG_SHIFT and END_KINDS, as _dfs_py defines them.
+transfer(T) builds the height-T strip transfer operator for
+1 <= T <= T_MAX (ValueError otherwise), its contacts on the top row: the
+column moves of each parity, then a breadth-first search over cut states
+that composes each state with each move its mask and flags allow.  It
+returns (codes, src, dst, xpow, ypow, end) as int64 numpy arrays, laid
+out as follows; the module exports T_MAX, FLAG_SHIFT and END_KINDS.
+  - A state is the cut between two columns.  Its code holds slot i, the
+    crossing at level i (0 at the bottom, i < T), in bits 3i..3i+2: 0 for
+    no crossing, 1 and 2 for the lower and upper end of an arc pairing
+    two crossings on the left (the pairing is noncrossing, so the slots
+    read as balanced parentheses), 3 for a strand tied to the start
+    mid-edge a and 4 for one tied to the placed free end.
+  - Bit FLAG_SHIFT = 3 * T_MAX is the start-inserted flag, bit
+    FLAG_SHIFT + 1 the end-placed flag, and bit FLAG_SHIFT + 2 the parity
+    of the column right of the cut relative to the start column (the
+    start is inserted only in a parity-0 column).
+  - States are numbered in order of discovery by the breadth-first
+    search from the two sources, the empty cuts with both flags clear
+    and parity 0 (code 0, state 0) or 1 (state 1).  The accepting states
+    are the empty cuts with both flags set; they have no transitions.
+  - Transitions come in state order, and for each state in the order of
+    the column moves of its parity and left mask: level options in
+    level_options' order, levels filled bottom to top.  Transition k
+    leads from state src[k] to dst[k], visits xpow[k] vertices, ypow[k]
+    of them on the top row, and places the free end as
+    END_KINDS[end[k]]: END_KINDS = (None, 'interior', 'bottom', 'top').
+tests/transfer_oracle.py is a pure-Python twin of transfer, compared
+with it array for array.
 
 spectral_radius(row, col, w, start, tol, iters) is strip._spectral_radius's
 power iteration with M^2 on M[row[k], col[k]] = w[k] (int64, int64 and
@@ -194,7 +214,7 @@ done:
 #define FLAG_SHIFT (3 * T_MAX)   /* start-inserted, end-placed, parity bits */
 #define MAX_OPTIONS 216          /* 3 left x 3 right x 3 bottom x 2 top x 4 vertical */
 
-enum { EMPTY, OPEN, CLOSE, SLOT_S, SLOT_E };           /* cut slots, as _dfs_py.SLOT_CHARS */
+enum { EMPTY, OPEN, CLOSE, SLOT_S, SLOT_E };           /* cut slots */
 enum { END_NONE, END_INTERIOR, END_BOTTOM, END_TOP };  /* end kinds, as END_KINDS */
 enum { V_NONE, V_FULL, V_END_LO, V_END_HI };           /* the level's vertical edge */
 
@@ -229,7 +249,15 @@ static int reserve(void **buf, Py_ssize_t *cap, Py_ssize_t n, size_t size)
     return 0;
 }
 
-/* The options of level k in a parity-p column, as _dfs_py._level_options. */
+/* The ways level k of a parity-p column can meet its own edges, in the
+   fixed enumeration order: a left crossing (none, the free end, or a
+   port), a right crossing (none, a port, or the free end), at level 0 of
+   a parity-0 column the bottom mid-edge (none, the start, or the free
+   end), at the top level of a contact column the top mid-edge (none or
+   the free end), and, where the column has a vertical edge from level k
+   to k + 1, that edge (none, full, or holding the free end on a strand
+   from below or from above).  A level keeps at most one end and two
+   endpoints. */
 static int level_options(int T, int p, int k, Option *out)
 {
     const int S = 2 * T, E = 2 * T + 1;
@@ -276,9 +304,13 @@ typedef struct {
     Py_ssize_t n, cap;
 } Column;
 
-/* Fill levels k.. of a column, as rec in _dfs_py._column_moves: carry is
-   the endpoint at the lower end of the strand entering level k (-1 for
-   none) and ek the end kind placed so far. */
+/* Fill levels k.. of a column, cutting a level off as soon as its vertex
+   cannot have degree 0 or 2: carry is the endpoint at the lower end of
+   the strand entering level k (-1 for none) and ek the end kind placed
+   so far.  A move keeps only how the column's paths join its endpoints,
+   numbered L_k = k (left crossing at level k), R_k = T + k (right
+   crossing), S = 2T (the start) and E = 2T + 1 (the free end): match[e]
+   is the endpoint joined to e, or -1. */
 static int column_rec(Column *g, int k, int carry, int ek, int locc, int rocc, int xpow,
                       int ypow, int start)
 {
@@ -475,7 +507,7 @@ static Py_ssize_t intern(States *s, int64_t code)
 }
 
 /* The breadth-first search from the two empty sources: states in index
-   order are the frontiers of _dfs_py.transfer one after another. */
+   order are its frontiers one after another. */
 static int search(int T, const Columns *col, States *st, Transition **tr, Py_ssize_t *ntr)
 {
     Py_ssize_t cap = 0;
@@ -875,7 +907,7 @@ static struct PyModuleDef module = {
     .m_methods = methods,
 };
 
-/* The transfer operator's layout constants, as _dfs_py defines them. */
+/* The transfer operator's layout constants, as the header describes them. */
 PyMODINIT_FUNC PyInit__dfs(void)
 {
     PyObject *m = PyModule_Create(&module), *kinds = NULL;

@@ -20,6 +20,7 @@ mid-edges is (max U - min U)*sqrt(3)/4.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -489,18 +490,20 @@ def check_prime_arch_series(T: int, max_len: int) -> dict:
 def sample_renewal(N: int, k: int, seed: int) -> tuple[Walk, dict]:
     """Concatenate k independent draws from the irreducible bridges of
     length <= N, drawn with probability x_c^|gamma| / Z_N: a truncated
-    stand-in for the infinite irreducible-bridge measure."""
+    stand-in for the infinite irreducible-bridge measure.  The expected
+    factor height is read from the pool's own (height, length) counts."""
     if k < 1:
         raise InvalidParameterError("need at least one factor")
-    stats = kesten_partial(N)
-    pool = list(iter_bridges(N, irreducible=True))
+    _check_truncation(N)
+    pool = list(iter_bridges(N, irreducible=True))  # refuses N > N_CAP first
+    pool_heights = [int(height_width(b)[0]) for b in pool]
+    stats = _renewal_stats(N, dict(Counter(zip(pool_heights, map(len, pool)))))
     x_c = constants(0, "dilute").x_c.to_float()
     weights = [x_c ** len(b) for b in pool]
     rng = random.Random(seed)
     picks = rng.choices(range(len(pool)), weights=weights, k=k)
-    factors = [pool[p] for p in picks]
-    bridge = concat_bridges(factors)
-    heights = [int(height_width(f)[0]) for f in factors]
+    bridge = concat_bridges([pool[p] for p in picks])
+    heights = [pool_heights[p] for p in picks]
     h_total, w_total = height_width(bridge)
     report = {
         "truncation_N": N,

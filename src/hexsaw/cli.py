@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -238,24 +237,24 @@ def _cmd_sample(args):
 
 
 def _cmd_half_plane(args):
-    y = constants(0, "dilute", "float").surface_weight(_number(args.y))
+    """C_n^+(y) >= y^(n//2), decided exactly at the parsed y and reported
+    as floats."""
+    y = _number(args.y)
+    constants(0, "dilute", "float").surface_weight(y)  # refuses y <= 0
     counts = en.half_plane_counts(args.N)
     rows = []
     ok = True
     for n in range(args.N + 1):
         total = sum(c for (m, i), c in counts.items() if m == n)
-        try:
-            weighted = sum(c * y ** i for (m, i), c in counts.items() if m == n)
-            bound = y ** (n // 2)
-        except OverflowError:  # y ** i past the float range
-            weighted = math.inf
-        if weighted == math.inf:  # or a product c * y ** i past it
-            raise CapacityError(f"C_{n}^+ at y = {y:.6g} is past the float range "
+        weighted = sum(c * y ** i for (m, i), c in counts.items() if m == n)
+        bound = y ** (n // 2)
+        if max(weighted, bound) > sys.float_info.max:
+            raise CapacityError(f"C_{n}^+ at y = {float(y):.6g} is past the float range "
                                 f"(max {sys.float_info.max:.6g})")
-        if n and weighted < bound - 1e-12:
+        if n and weighted < bound:
             ok = False
-        rows.append({"n": n, "walks": total, "C_n_plus": weighted,
-                     "zigzag_bound": bound})
+        rows.append({"n": n, "walks": total, "C_n_plus": float(weighted),
+                     "zigzag_bound": float(bound)})
     return {"rows": rows}, ok, rows
 
 

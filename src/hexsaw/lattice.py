@@ -33,7 +33,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 from .errors import ClassificationError, InvalidParameterError
 
@@ -269,12 +269,3 @@ def classify_walk(w: Walk) -> str:
         raise ClassificationError("the empty walk is not classifiable")
     return facts.cls
 
-
-def iter_turn_sequences(n: int) -> Iterator[tuple[Turn, ...]]:
-    """All 2**n turn sequences of length n (reference-oracle helper)."""
-    if n == 0:
-        yield ()
-        return
-    for rest in iter_turn_sequences(n - 1):
-        yield ("L",) + rest
-        yield ("R",) + rest

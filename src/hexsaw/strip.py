@@ -11,9 +11,9 @@ start mid-edge a (never nested under a pairing arc, since a sits on the
 bottom boundary) and at most one tied to the already-placed free end.
 Two flags track whether the start has been inserted and the end placed;
 a parity bit tracks the column parity relative to the start column.
-The kernel packs all of it into one int64 state code (layout in
-``_dfs_py``), and the codes are the only form of the states here: the
-flag sector and the accepting states are read from their bits.
+The kernel packs all of it into one int64 state code (layout in the
+header of ``_dfs.c``), and the codes are the only form of the states
+here: the flag sector and the accepting states are read from their bits.
 
 A column move keeps only how the column's paths join its endpoints:
 the left and right crossings, the start and the free end.  A transition
@@ -30,11 +30,9 @@ bridges and unrestricted walks come from the same operator.
 The column moves, the breadth-first search over cut states and the
 composition run in the compiled kernel (``_dfs.c``), read through
 :mod:`hexsaw.lattice`'s one import of it, and return the operator as
-int arrays.
-Its pure-Python twin ``_dfs_py.transfer`` (whose docstrings give the
-moves and the composition step by step) is the tests' oracle for the
-same arrays.  This module wraps the arrays in a
-:class:`TransferOperator` and solves with it.
+int arrays for every height up to the kernel's ``T_MAX`` (10).  This
+module wraps the arrays in a :class:`TransferOperator` and solves with
+it.
 
 A strip generating function is the resolvent (I - M)^-1 * sink summed
 over the sources.  Flags are never cleared, so I - M is block-triangular
@@ -42,19 +40,20 @@ over the four flag sectors (start inserted, end placed), and the
 resolvent is solved one diagonal block at a time: over Q(zeta_48) for
 T <= 5 by sparse elimination in Markowitz order (the blocks hold about
 3.3 nonzero cells per row), in floats up to T = 7 by a dense LAPACK
-solve per block.  M's spectral radius is its blocks' largest, and each
-block solve proves its block's below 1 (every exact pivot positive, or
-a float (I - B)^-1 * 1 > 0) or raises :class:`DivergenceError`, so the
-solves decide convergence.  In both scalar modes
+solve per block; :func:`_resolve_mode` holds both caps.  M's spectral
+radius is its blocks' largest, and each block solve proves its block's
+below 1 (every exact pivot positive, or a float (I - B)^-1 * 1 > 0) or
+raises :class:`DivergenceError`, so the solves decide convergence.  In both scalar modes
 ``ModelConstants.surface_weight`` checks and coerces y, and one builder
 (:func:`_cell_weights`) gives the weights of M(x, y).  An end transition
 leads from an end-open sector to an end-placed one, so no block holds
 one, and one solve per (T, y) with a column per end kind gives arches
-(bottom), bridges (top) and walks (all three).  Growth rates mu_T and the fugacities y_T are roots of
-(spectral radius of M) - 1, found by one search (:func:`_radius_root`):
-secant steps (Illinois regula falsi) over matrix-free power iterations,
-run in the compiled kernel, that each start from the previous one's last
-iterate.
+(bottom), bridges (top) and walks (all three).  Growth rates mu_T and
+the fugacities y_T are roots of (spectral radius of M) - 1, found by one
+search (:func:`_radius_root`): secant steps (Illinois regula falsi) over
+matrix-free power iterations, run in the compiled kernel, that each
+start from the previous one's last iterate.  They solve no resolvent,
+so they reach every height the kernel builds.
 """
 
 from __future__ import annotations
@@ -77,8 +76,8 @@ from .errors import (
 from .identity import _report
 from .model import constants
 
-T_CAP_EXACT = 5
-T_CAP_FLOAT = 7
+T_CAP_EXACT = 5  # exact resolvent: sparse elimination over Q(zeta_48)
+T_CAP_FLOAT = 7  # float resolvent: a dense LAPACK solve per flag-sector block
 RADIUS_TOL = 1e-13  # relative settling of a spectral radius: no finer gap is seen
 
 # End kinds each walk kind accepts: the resolvent columns its value sums.
@@ -95,18 +94,18 @@ _END_KINDS = _kernel.END_KINDS
 class TransferOperator:
     """Column-to-column transfer system for one strip height, contacts on top.
 
-    The compiled kernel builds it as int arrays, and those arrays are
-    the only transition representation: transition k goes from state
-    ``src[k]`` to ``dst[k]`` with weight x**xpow[k] * y**ypow[k] and end
-    kind ``_END_KINDS[end[k]]``.
+    The compiled kernel builds it, for 1 <= T <= ``T_MAX``, as int
+    arrays, and those arrays are the only transition representation:
+    transition k goes from state ``src[k]`` to ``dst[k]`` with weight
+    x**xpow[k] * y**ypow[k] and end kind ``_END_KINDS[end[k]]``.
     ``transitions`` is a read-only view yielding the same transitions as
     (src, dst, xpow, ypow, end_kind) tuples.  ``states`` holds the
-    kernel's int64 state codes (layout in ``_dfs_py``), and ``sinks``,
-    the accepting states, are those with an empty cut and both flags set.
-    ``cells`` is ``(slot, row, col, end)``: for each transition the slot
-    of its matrix cell, and for each cell its row, column and end-kind
-    code, cells being the distinct (src, dst, end) triples in order of
-    first use.
+    kernel's int64 state codes (layout in the ``_dfs.c`` header), and
+    ``sinks``, the accepting states, are those with an empty cut and
+    both flags set.  ``cells`` is ``(slot, row, col, end)``: for each
+    transition the slot of its matrix cell, and for each cell its row,
+    column and end-kind code, cells being the distinct (src, dst, end)
+    triples in order of first use.
     """
 
     T: int
@@ -167,12 +166,13 @@ class _Transitions:
 
 
 def build_transfer(T: int) -> TransferOperator:
-    """The height-T transfer operator, built once per T however the
-    argument is spelled."""
+    """The height-T transfer operator, for every height the kernel builds
+    (1 <= T <= ``T_MAX``), built once per T however the argument is
+    spelled."""
     if T < 1:
         raise InvalidParameterError(f"need T >= 1, got T={T}")
-    if T > T_CAP_FLOAT:
-        raise CapacityError(f"strip height {T} outside supported range 1..{T_CAP_FLOAT}")
+    if T > _kernel.T_MAX:
+        raise CapacityError(f"strip height {T} outside supported range 1..{_kernel.T_MAX}")
     return _build_transfer(T)
 
 
@@ -507,14 +507,17 @@ class StripValue:
 
 
 def _resolve_mode(mode: str, T: int) -> str:
-    """The scalar mode of the solves up to strip height T: 'auto' is
-    exact iff T <= T_CAP_EXACT, and 'exact' above it raises."""
+    """The scalar mode of the resolvent solves up to strip height T:
+    'auto' is exact iff T <= T_CAP_EXACT.  The one check of both caps:
+    an exact solve above T_CAP_EXACT or a float one above T_CAP_FLOAT
+    raises."""
     if mode == "auto":
-        return "exact" if T <= T_CAP_EXACT else "float"
-    if mode not in ("exact", "float"):
+        mode = "exact" if T <= T_CAP_EXACT else "float"
+    elif mode not in ("exact", "float"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    if mode == "exact" and T > T_CAP_EXACT:
-        raise CapacityError(f"exact solve capped at T = {T_CAP_EXACT}")
+    cap = T_CAP_EXACT if mode == "exact" else T_CAP_FLOAT
+    if T > cap:
+        raise CapacityError(f"{mode} resolvent solve capped at T = {cap}")
     return mode
 
 

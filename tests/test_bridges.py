@@ -349,7 +349,7 @@ def test_stickbreak_guard():
 
 def test_unfold_properties():
     for n in range(1, 9):
-        for turns in lattice.iter_turn_sequences(n):
+        for turns in walk_oracle.iter_turn_sequences(n):
             w = Walk(turns=turns)
             if not w.is_self_avoiding():
                 continue
@@ -409,6 +409,14 @@ def test_sampler_deterministic_and_renewed():
     )
     b3, _ = br.sample_renewal(8, 5, 8)
     assert b3 != b1
+
+
+@pytest.mark.parametrize("N", [8, 14])
+def test_sampler_expected_height_from_its_pool(N):
+    """The sampler counts its own pool by (height, length), and those
+    counts give Kesten's mean height, as the kernel counts do."""
+    _, rep = br.sample_renewal(N, 1, 0)
+    assert rep["expected_factor_height"] == br.kesten_partial(N).mean_height_float
 
 
 def test_sampler_guards():

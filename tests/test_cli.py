@@ -159,6 +159,15 @@ def test_format_only_where_rows_exist(capsys, argv):
     assert "--format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["y-seq", "strip-mu"])
+def test_root_searches_pass_the_resolvent_cap(capsys, command):
+    """y_T and mu_T need no resolvent: both sequences go past T_CAP_FLOAT."""
+    Tmax = T_CAP_FLOAT + 1
+    code, doc = run_json(capsys, command, "--Tmax", str(Tmax))
+    rows = doc["results"]["rows"]
+    assert code == 0 and doc["ok"] is True and rows[-1]["T"] == Tmax
+
+
 def test_bounds_picks_one_mode_for_the_suite(capsys):
     """Above T_CAP_EXACT the whole auto-mode suite runs in floats; below
     it, all of it stays exact."""
@@ -181,6 +190,18 @@ def test_output_file_json(capsys, tmp_path):
 def test_half_plane(capsys):
     code, doc = run_json(capsys, "half-plane", "--N", "6")
     assert code == 0 and doc["ok"] is True
+
+
+def test_half_plane_verdict_is_exact(capsys):
+    """C_1^+(y) = 2y against y^0 = 1: equal at y = 1/2, which passes, and
+    below it by 2e-13 at y = 1/2 - 1e-13, which fails; a float slack of
+    1e-12 would pass both.  The rows report floats."""
+    code, doc = run_json(capsys, "half-plane", "--N", "4", "--y", "1/2")
+    assert code == 0 and doc["ok"] is True
+    assert doc["results"]["rows"][1] == {"n": 1, "walks": 2, "C_n_plus": 1.0,
+                                         "zigzag_bound": 1.0}
+    code, doc = run_json(capsys, "half-plane", "--N", "4", "--y", "0.4999999999999")
+    assert code == 1 and doc["ok"] is False
 
 
 def test_usage_errors(capsys):
@@ -321,8 +342,10 @@ def test_argparse_errors_become_exit_codes(capsys):
 
 
 def test_solver_and_capacity_errors_exit_3(capsys):
-    # strip height above the transfer-operator cap
+    # strip height above the float resolvent's cap
     assert main(["strip-identity", "--T", str(T_CAP_FLOAT + 1)]) == 3
+    capsys.readouterr()
+    assert main(["bounds", "--Tmax", str(T_CAP_FLOAT + 1)]) == 3
     capsys.readouterr()
     # exact solve above its cap
     assert main(["strip-identity", "--T", str(T_CAP_EXACT + 1), "--mode", "exact"]) == 3

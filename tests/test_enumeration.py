@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexsaw import _dfs_py
+import transfer_oracle
+import walk_oracle
 from hexsaw import domains as dm
 from hexsaw import enumeration as en
-from hexsaw import lattice
 from hexsaw import strip as sp
 from hexsaw.cyclo import ONE
 from hexsaw.errors import CapacityError, TruncationError
@@ -163,12 +163,12 @@ def test_c_walk_facts_rejects_malformed_walks(c_kernel):
         assert far == c_kernel.walk_facts(0, 0, 0, turns) == tuple(Walk(turns=turns).facts)
 
 
-@pytest.mark.parametrize("T", range(1, 8), ids=lambda T: f"{T}-top")
+@pytest.mark.parametrize("T", range(1, 9), ids=lambda T: f"{T}-top")
 def test_c_transfer_matches_pure(c_kernel, T):
     """Same layout, state codes, numbering and transitions, array for array."""
     for name in ("T_MAX", "FLAG_SHIFT", "END_KINDS"):
-        assert getattr(c_kernel, name) == getattr(_dfs_py, name), name
-    ref = _dfs_py.transfer(T)
+        assert getattr(c_kernel, name) == getattr(transfer_oracle, name), name
+    ref = transfer_oracle.transfer(T)
     got = c_kernel.transfer(T)
     assert len(got) == len(ref) == 6
     for a, b in zip(got, ref):
@@ -179,7 +179,7 @@ def test_c_transfer_matches_pure(c_kernel, T):
 @pytest.mark.parametrize("args", [(0,), (11,), (-1,), (1000,)])
 def test_transfer_rejects_bad_arguments(c_kernel, args):
     """Heights outside 1..T_MAX."""
-    for kernel in (c_kernel, _dfs_py):
+    for kernel in (c_kernel, transfer_oracle):
         with pytest.raises(ValueError):
             kernel.transfer(*args)
 
@@ -189,7 +189,7 @@ def _brute_force_saws(domain, n_max):
     of length <= n_max inside the domain, from all 2**n turn sequences."""
     out = []
     for n in range(n_max + 1):
-        for turns in lattice.iter_turn_sequences(n):
+        for turns in walk_oracle.iter_turn_sequences(n):
             w = Walk(turns=turns)
             if w.is_self_avoiding() and domain.contains_walk(w):
                 contacts = sum(1 for v in w.vertices if v in domain.surface)

@@ -5,7 +5,7 @@ import pytest
 import walk_oracle
 from hexsaw import lattice
 from hexsaw.errors import ClassificationError, InvalidParameterError
-from hexsaw.lattice import Walk, classify_walk, iter_turn_sequences
+from hexsaw.lattice import Walk, classify_walk
 
 
 def test_vertex_predicate():
@@ -114,7 +114,7 @@ def test_classify_heights_definition():
     # brute force: bridge iff interior mid-edges strictly between the
     # endpoint heights and both ends vertical upward
     for n in range(1, 7):
-        for turns in iter_turn_sequences(n):
+        for turns in walk_oracle.iter_turn_sequences(n):
             w = Walk(turns=turns)
             if not w.is_self_avoiding():
                 continue
@@ -153,7 +153,7 @@ def test_walk_facts_match_oracle_on_all_short_walks(start, heading):
     self-avoiding or not."""
     seen = set()
     for n in range(13):
-        for turns in iter_turn_sequences(n):
+        for turns in walk_oracle.iter_turn_sequences(n):
             w = Walk(start, heading, turns)
             want = _oracle_facts(w)
             assert tuple(w.facts) == want, turns

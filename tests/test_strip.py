@@ -51,10 +51,36 @@ def test_transfer_matches_kernel(T):
 
 def test_transfer_sizes():
     sizes = [(8, 16), (18, 71), (44, 274), (116, 1040), (314, 4069), (868, 15994),
-             (2426, 63748)]
+             (2426, 63748), (6840, 253610), (19408, 1015249)]
     for T, size in enumerate(sizes, start=1):
         op = sp.build_transfer(T)
         assert (op.state_count, len(op.transitions)) == size, T
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 5])
+def test_forbidden_top_row_is_the_strip_one_row_lower_exactly(T):
+    """With the contact weight 0 no walk visits the top row, so the
+    height-T strip is the height-(T - 1) one at y = 1: A_T(x_c, 0) =
+    A_{T-1}(x_c, 1), and no bridge reaches the top, B_T(x_c, 0) = 0.
+    A cross-height oracle for the kernel's builder.  strip_gf refuses
+    y = 0, the pole of beta(y), so the sector solve reads the weights of
+    M(x_c, 0) directly."""
+    op = sp.build_transfer(T)
+    w = sp._cell_weights(op, constants(0, "dilute").x_c, ZERO)
+    z = sp._sector_solve(op, w, ONE, sp._markowitz_solve)
+    _, arch, bridge = z[list(op.sources)].sum(axis=0).tolist()
+    assert arch == sp.strip_gf(T - 1, 1, "arch", mode="exact").value
+    assert bridge == ZERO
+
+
+@pytest.mark.parametrize("T", range(2, 10))
+def test_forbidden_top_row_keeps_the_spectral_radius(T):
+    """rho(M_T(x_c, 0)) = rho(M_{T-1}(x_c, 1)), up to T = 9, past the
+    heights at which the tests run the pure-Python twin of the builder."""
+    x_c = 1.0 / sp.MU_BULK
+    low = sp._spectral_radius(sp._float_matrix(sp.build_transfer(T), x_c, 0.0))
+    high = sp._spectral_radius(sp._float_matrix(sp.build_transfer(T - 1), x_c, 1.0))
+    assert low == pytest.approx(high, rel=1e-12)
 
 
 def test_transfer_cache_ignores_argument_spelling():
@@ -256,10 +282,12 @@ def test_markowitz_solve_refuses_a_zero_pivot():
 
 
 def test_growth_mu_monotone_and_bounded():
-    mus = [sp.growth_mu(T, 1).mu for T in (1, 2, 3, 4)]
+    # T = 8 lies past the float resolvent's cap, which mu_T never needs
+    mus = [sp.growth_mu(T, 1).mu for T in (1, 2, 3, 4, 7, 8)]
     assert all(m2 > m1 for m1, m2 in zip(mus, mus[1:]))
     assert all(m < sp.MU_BULK for m in mus)
     assert abs(mus[0] - 1.0) < 1e-9  # T=1, y=1 walks grow linearly
+    assert mus[-1] == pytest.approx(1.7247295584, abs=1e-7)
 
 
 def _series_ratio_mu(op, y, N=36):
@@ -366,6 +394,9 @@ def test_float_values_T5_T6():
     assert sp.solve_yT(5) == pytest.approx(2.750306675518633, abs=1e-7)
     assert sp.solve_yT(6) == pytest.approx(2.710513243925555, abs=1e-7)
     assert sp.solve_yT(7) == pytest.approx(2.680571227716606, abs=1e-7)
+    # heights the root search reaches past the resolvent's cap
+    assert sp.solve_yT(8) == pytest.approx(2.6571035199, abs=1e-7)
+    assert sp.solve_yT(9) == pytest.approx(2.6381392072, abs=1e-7)
     rep = sp.check_strip_identity(6, 2, mode="float")
     assert rep.mode == "float" and rep.max_abs <= 1e-11
 
@@ -503,10 +534,16 @@ def test_divergence_guard():
 
 
 def test_guards():
+    # the kernel builds every height to T_MAX; each resolvent has its own cap
     with pytest.raises(CapacityError):
-        sp.build_transfer(sp.T_CAP_FLOAT + 1)
+        sp.build_transfer(en._kernel.T_MAX + 1)
     with pytest.raises(CapacityError):
         sp.strip_gf(sp.T_CAP_EXACT + 1, 1, "walk", mode="exact")
+    for mode in ("float", "auto"):
+        with pytest.raises(CapacityError):
+            sp.strip_gf(sp.T_CAP_FLOAT + 1, 1, mode=mode)
+    with pytest.raises(CapacityError):
+        sp.check_bounds(sp.T_CAP_FLOAT + 1)
     with pytest.raises(InvalidParameterError):
         sp.strip_gf(1, 1, "spiral")
     with pytest.raises(InvalidParameterError):

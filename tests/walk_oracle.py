@@ -1,5 +1,6 @@
 """Pure-Python self-avoidance, classification, renewal points and
-diamond points, a test oracle for the kernel's ``walk_facts``.
+diamond points, a test oracle for the kernel's ``walk_facts``, and the
+brute-force source of walks, every turn sequence of a length.
 
 These are the package's former Python bodies of ``Walk.is_self_avoiding``,
 ``classify_walk``, ``renewal_points`` and ``diamond_points``, which read
@@ -7,9 +8,21 @@ the walk's Python trace (``Walk.mids``, ``Walk.headings``) and never the
 kernel.
 """
 
+from typing import Iterator
+
 from hexsaw import lattice
 from hexsaw.errors import ClassificationError
-from hexsaw.lattice import Walk
+from hexsaw.lattice import Turn, Walk
+
+
+def iter_turn_sequences(n: int) -> Iterator[tuple[Turn, ...]]:
+    """All 2**n turn sequences of length n."""
+    if n == 0:
+        yield ()
+        return
+    for rest in iter_turn_sequences(n - 1):
+        yield ("L",) + rest
+        yield ("R",) + rest
 
 
 def is_self_avoiding(w: Walk) -> bool:
