@@ -1,11 +1,12 @@
 """Build script: compiles the kernel extension from hand-written C.
 
-The one extension holds the depth-first walk enumerator, the strip
-transfer-operator builder, the float spectral radius's power iteration
-and the per-walk facts (self-avoidance, class, renewal and diamond
-points).  It compiles with ``-Wextra`` (less the unused-parameter
-warning every ``METH_VARARGS`` function's ``self`` would raise), so
-sign-compare and missing-initializer warnings show up in the build log.
+The one extension holds the depth-first walk enumerator, the bridge
+enumerator, the strip transfer-operator builder, the float spectral
+radius's power iteration and the per-walk facts (self-avoidance, class,
+renewal and diamond points).  It compiles with ``-Wextra`` (less the
+unused-parameter warning every ``METH_VARARGS`` function's ``self``
+would raise), so sign-compare and missing-initializer warnings show up
+in the build log.
 
 The package requires the extension: importing it from a source checkout
 that was never built raises ImportError, and a build that cannot compile

@@ -1,10 +1,24 @@
-/* The compiled kernel, which the package requires: four functions.
+/* The compiled kernel, which the package requires: five functions.
 
 tally_class(tables, max_len) is the depth-first walk enumerator, the
 histogram form of enumeration.iter_saws on the same tables.  It reads
 the KernelTables arrays through the buffer protocol (no numpy headers),
 checks every size and entry so that malformed tables raise ValueError,
 and returns counts[class, length, contacts] as an int64 numpy array.
+
+bridges(tables, max_len, irreducible) walks the same tree on the tables
+of enumeration.half_plane_domain and returns a list with the turn tuple
+(interned 'L' and 'R' strings) of each bridge of 1..max_len steps: a walk
+whose last vertex is its highest and whose last step leaves that vertex
+straight up.  The order is tally_class's depth-first order, the left turn
+before the right, which is iter_saws' order.  irreducible None keeps
+every bridge; otherwise a bridge is kept iff having no interior renewal
+point (the rule of walk_facts) equals the truth of irreducible.  The
+heights, in lattice's doubled units, are the second coordinates of
+tables.mids and twice those of tables.verts.  Malformed tables, as for
+tally_class, coordinates that are not tuples of pairs of ints within
+LONG_MAX / 8, and max_len < 0 raise ValueError; max_len 0 gives an empty
+list.
 
 transfer(T) builds the height-T strip transfer operator for
 1 <= T <= T_MAX (ValueError otherwise), its contacts on the top row: the
@@ -144,64 +158,86 @@ static int get_table(PyObject *tables, const char *name, Py_buffer *buf, long n,
     return 0;
 }
 
+/* The KernelTables fields both enumerators read: the sizes, the start,
+and the five step tables as buffers, every size and entry checked
+(ValueError).  Release the buffers with close_tables, also on failure. */
+typedef struct {
+    long n_mids, n_verts, n_cls, n_srf, start_mid, start_dir;
+    Py_buffer b[5];     /* step_vert, step_mid, step_dir, mid_class, vert_surface */
+    int got;
+} Tables;
+
+static int open_tables(PyObject *tables, int max_len, Tables *t)
+{
+    long surface = 0;
+    t->got = 0;
+    if (get_long(tables, "mids", 1, &t->n_mids) || get_long(tables, "verts", 1, &t->n_verts)
+        || get_long(tables, "n_classes", 0, &t->n_cls)
+        || get_long(tables, "n_surface", 0, &t->n_srf)
+        || get_long(tables, "start_mid", 0, &t->start_mid)
+        || get_long(tables, "start_dir", 0, &t->start_dir))
+        return -1;
+    if (max_len < 0 || t->n_mids > INT_MAX / 4 || t->start_mid < 0
+        || t->start_mid >= t->n_mids || t->start_dir < 0 || t->start_dir > 1) {
+        PyErr_SetString(PyExc_ValueError, "max_len, mids, start_mid or start_dir out of range");
+        return -1;
+    }
+    const struct { const char *name; long n, lo, hi; } spec[5] = {
+        {"step_vert", 2 * t->n_mids, -1, t->n_verts},
+        {"step_mid", 4 * t->n_mids, 0, t->n_mids},
+        {"step_dir", 4 * t->n_mids, 0, 2},
+        {"mid_class", t->n_mids, 0, t->n_cls},
+        {"vert_surface", t->n_verts, 0, 2},
+    };
+    for (; t->got < 5; t->got++) {
+        int u8 = t->got == 4;
+        if (get_table(tables, spec[t->got].name, &t->b[t->got], spec[t->got].n, u8 ? 1 : 4,
+                      u8 ? "B" : "il", spec[t->got].lo, spec[t->got].hi) < 0)
+            return -1;
+    }
+    for (long i = 0; i < t->n_verts; i++)
+        surface += ((const uint8_t *)t->b[4].buf)[i];
+    if (surface > t->n_srf) {  /* contacts index the last axis of counts */
+        PyErr_SetString(PyExc_ValueError, "n_surface is below the surface vertex count");
+        return -1;
+    }
+    return 0;
+}
+
+static void close_tables(Tables *t)
+{
+    while (t->got > 0)
+        PyBuffer_Release(&t->b[--t->got]);
+}
+
 static PyObject *tally_class(PyObject *self, PyObject *args)
 {
     PyObject *tables, *numpy = NULL, *counts = NULL;
-    int max_len, got = 0;
-    long n_mids, n_verts, n_cls, n_srf, start_mid, start_dir, surface = 0;
-    Py_buffer b[6];
+    int max_len;
+    Tables t;
+    Py_buffer out;
     uint8_t *vis = NULL;
 
     if (!PyArg_ParseTuple(args, "Oi:tally_class", &tables, &max_len))
         return NULL;
-    if (get_long(tables, "mids", 1, &n_mids) || get_long(tables, "verts", 1, &n_verts)
-        || get_long(tables, "n_classes", 0, &n_cls)
-        || get_long(tables, "n_surface", 0, &n_srf)
-        || get_long(tables, "start_mid", 0, &start_mid)
-        || get_long(tables, "start_dir", 0, &start_dir))
-        return NULL;
-    if (max_len < 0 || n_mids > INT_MAX / 4 || start_mid < 0 || start_mid >= n_mids
-        || start_dir < 0 || start_dir > 1) {
-        PyErr_SetString(PyExc_ValueError, "max_len, mids, start_mid or start_dir out of range");
-        return NULL;
-    }
-    const struct { const char *name; long n, lo, hi; } spec[5] = {
-        {"step_vert", 2 * n_mids, -1, n_verts},
-        {"step_mid", 4 * n_mids, 0, n_mids},
-        {"step_dir", 4 * n_mids, 0, 2},
-        {"mid_class", n_mids, 0, n_cls},
-        {"vert_surface", n_verts, 0, 2},
-    };
-    for (; got < 5; got++) {
-        int u8 = got == 4;
-        if (get_table(tables, spec[got].name, &b[got], spec[got].n, u8 ? 1 : 4,
-                      u8 ? "B" : "il", spec[got].lo, spec[got].hi) < 0)
-            goto done;
-    }
-    for (long i = 0; i < n_verts; i++)
-        surface += ((const uint8_t *)b[4].buf)[i];
-    if (surface > n_srf) {  /* contacts index the last axis of counts */
-        PyErr_SetString(PyExc_ValueError, "n_surface is below the surface vertex count");
+    if (open_tables(tables, max_len, &t) < 0)
         goto done;
-    }
     if ((numpy = PyImport_ImportModule("numpy")) == NULL
-        || (counts = PyObject_CallMethod(numpy, "zeros", "((lil)s)", n_cls, max_len + 1,
-                                         n_srf + 1, "int64")) == NULL
-        || PyObject_GetBuffer(counts, &b[5], PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE) < 0)
+        || (counts = PyObject_CallMethod(numpy, "zeros", "((lil)s)", t.n_cls, max_len + 1,
+                                         t.n_srf + 1, "int64")) == NULL
+        || PyObject_GetBuffer(counts, &out, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE) < 0)
         goto done;
-    got = 6;
-    if ((vis = PyMem_Calloc(n_mids + n_verts, 1)) == NULL) {
+    if ((vis = PyMem_Calloc(t.n_mids + t.n_verts, 1)) != NULL) {
+        Walker w = {t.b[0].buf, t.b[1].buf, t.b[2].buf, t.b[3].buf, t.b[4].buf, vis,
+                    vis + t.n_mids, out.buf, max_len + 1, t.n_srf + 1, max_len};
+        vis[t.start_mid] = 1;
+        walk(&w, (int)t.start_mid, (int)t.start_dir, 0, 0);
+    } else
         PyErr_NoMemory();
-        goto done;
-    }
-    Walker w = {b[0].buf, b[1].buf, b[2].buf, b[3].buf, b[4].buf, vis, vis + n_mids,
-                b[5].buf, max_len + 1, n_srf + 1, max_len};
-    vis[start_mid] = 1;
-    walk(&w, (int)start_mid, (int)start_dir, 0, 0);
+    PyBuffer_Release(&out);
 done:
     PyMem_Free(vis);
-    while (got > 0)
-        PyBuffer_Release(&b[--got]);
+    close_tables(&t);
     Py_XDECREF(numpy);
     if (PyErr_Occurred())
         Py_CLEAR(counts);
@@ -769,6 +805,29 @@ static PyObject *index_tuple(const Py_ssize_t *idx, Py_ssize_t n)
     return t;
 }
 
+/* The renewal points of a bridge on the mid-edges mid[0..n], where up[i]
+   says that mid-edge i is vertical and traversed upward: 0, n, and each
+   interior i with up[i] that lies above every mid-edge before it and below
+   every one after it.  Writes them into found[] in order and returns how
+   many; lo[0..n] is scratch. */
+static Py_ssize_t renewal_points(const Point *mid, const uint8_t *up, Py_ssize_t n, Point *lo,
+                                 Py_ssize_t *found)
+{
+    Py_ssize_t nf = 0;
+    lo[n].v = mid[n].v;    /* lo[i].v: the lowest of mid[i..n] */
+    for (Py_ssize_t i = n - 1; i >= 0; i--)
+        lo[i].v = mid[i].v < lo[i + 1].v ? mid[i].v : lo[i + 1].v;
+    long long top = mid[0].v;
+    found[nf++] = 0;
+    for (Py_ssize_t i = 1; i < n; i++) {
+        if (up[i] && top < mid[i].v && mid[i].v < lo[i + 1].v)
+            found[nf++] = i;
+        top = mid[i].v > top ? mid[i].v : top;
+    }
+    found[nf++] = n;
+    return nf;
+}
+
 static PyObject *walk_facts(PyObject *self, PyObject *args)
 {
     long U, V;
@@ -791,17 +850,17 @@ static PyObject *walk_facts(PyObject *self, PyObject *args)
         return NULL;
     }
     /* mids[0..n], then the n vertices (doubled), then a copy to sort;
-       heads[0..n], then the renewal and diamond indices found */
+       the renewal or diamond indices found; which mid-edges go straight up */
     Point *pt = PyMem_New(Point, 4 * n + 2);
-    Py_ssize_t *idx = PyMem_New(Py_ssize_t, 3 * n + 3);
-    if (pt == NULL || idx == NULL) {
+    Py_ssize_t *found = PyMem_New(Py_ssize_t, n + 1);
+    uint8_t *up = PyMem_Malloc(n + 1);
+    if (pt == NULL || found == NULL || up == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     Point *mid = pt, *vert = pt + n + 1, *sorted = pt + 2 * n + 1;
-    Py_ssize_t *heads = idx, *found = idx + n + 1;
     mid[0] = (Point){U, V};
-    heads[0] = h;
+    up[0] = h == 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *t = PyTuple_GET_ITEM(turns, i);
         if (!PyUnicode_Check(t)) {
@@ -817,7 +876,7 @@ static PyObject *walk_facts(PyObject *self, PyObject *args)
         vert[i] = (Point){mid[i].u + STEP_DU[h], mid[i].v + STEP_DV[h]};
         h = left ? (h + 5) % 6 : (h + 1) % 6;
         mid[i + 1] = (Point){vert[i].u + STEP_DU[h], vert[i].v + STEP_DV[h]};
-        heads[i + 1] = h;
+        up[i + 1] = h == 0;
     }
     memcpy(sorted, mid, (size_t)(2 * n + 1) * sizeof(Point));
     if (!distinct(sorted, n + 1) || !distinct(sorted + n + 1, n)) {
@@ -838,33 +897,19 @@ static PyObject *walk_facts(PyObject *self, PyObject *args)
         between &= v0 < mid[i].v && mid[i].v < vn;
         above &= mid[i].v > v0;
     }
-    const char *cls = heads[0] == 0 && heads[n] == 0 && between ? "bridge"
-                      : above && vn > v0                         ? "half-plane"
-                      : above && vn == v0                        ? "arch"
-                                                                 : "other";
+    const char *cls = up[0] && up[n] && between ? "bridge"
+                      : above && vn > v0          ? "half-plane"
+                      : above && vn == v0         ? "arch"
+                                                  : "other";
     if (cls[0] != 'b') {
         out = Py_BuildValue("(OsOO)", Py_True, cls, Py_None, Py_None);
         goto done;
     }
-    /* renewal points: interior upward vertical mid-edges above all that
-       came before and below all that follows (sorted[] holds suffix minima) */
-    Py_ssize_t nf = 0;
-    sorted[n].v = vn;
-    for (Py_ssize_t i = n - 1; i >= 0; i--)
-        sorted[i].v = mid[i].v < sorted[i + 1].v ? mid[i].v : sorted[i + 1].v;
-    long long top = v0;
-    found[nf++] = 0;
-    for (Py_ssize_t i = 1; i < n; i++) {
-        if (heads[i] == 0 && top < mid[i].v && mid[i].v < sorted[i + 1].v)
-            found[nf++] = i;
-        top = mid[i].v > top ? mid[i].v : top;
-    }
-    found[nf++] = n;
-    if ((renewal = index_tuple(found, nf)) == NULL)
+    if ((renewal = index_tuple(found, renewal_points(mid, up, n, sorted, found))) == NULL)
         goto done;
     /* diamond points: vertical mid-edges k with every mid-edge in the
        double cone of slopes +-60 degrees and apexes 2 below and above k */
-    nf = 0;
+    Py_ssize_t nf = 0;
     for (Py_ssize_t k = 0; k <= n; k++) {
         if (floor_mod(mid[k].u, 2))
             continue;
@@ -883,7 +928,145 @@ done:
     Py_XDECREF(renewal);
     Py_XDECREF(diamond);
     PyMem_Free(pt);
-    PyMem_Free(idx);
+    PyMem_Free(found);
+    PyMem_Free(up);
+    return out;
+}
+
+/* ---- bridges ---- */
+
+/* The second coordinate, times scale, of each of the n pairs of ints in
+   tables.<name>, into out; ValueError unless it is a tuple of such pairs
+   with every coordinate read within LONG_MAX / 8 in size. */
+static int get_heights(PyObject *tables, const char *name, long n, int scale, long long *out)
+{
+    PyObject *seq = PyObject_GetAttrString(tables, name);
+    if (seq == NULL)
+        return -1;
+    int ok = PyTuple_Check(seq) && PyTuple_GET_SIZE(seq) == n;
+    for (long i = 0; ok && i < n; i++) {
+        PyObject *p = PyTuple_GET_ITEM(seq, i);
+        int overflow = 0;
+        ok = PyTuple_Check(p) && PyTuple_GET_SIZE(p) == 2
+             && PyLong_Check(PyTuple_GET_ITEM(p, 0)) && PyLong_Check(PyTuple_GET_ITEM(p, 1));
+        long v = ok ? PyLong_AsLongAndOverflow(PyTuple_GET_ITEM(p, 1), &overflow) : 0;
+        ok = ok && !overflow && v <= LONG_MAX / 8 && v >= -(LONG_MAX / 8);
+        out[i] = (long long)scale * v;
+    }
+    Py_DECREF(seq);
+    if (!ok)
+        PyErr_Format(PyExc_ValueError, "%s: need %ld pairs of ints, each within %ld", name, n,
+                     LONG_MAX / 8);
+    return ok ? 0 : -1;
+}
+
+typedef struct {
+    const int32_t *step_vert, *step_mid, *step_dir;
+    const long long *mid_v, *vert_v;    /* doubled heights */
+    uint8_t *vis_mid, *vis_vert;
+    uint8_t *turns, *up;                /* per step: 0 left, 1 right; per path mid-edge */
+    Point *path, *lo;                   /* the path's mid-edges (heights only); scratch */
+    Py_ssize_t *found;
+    PyObject *turn[2], *out;            /* 'L', 'R'; the list of turn tuples */
+    int max_len, irreducible;           /* -1 keeps every bridge */
+} Bridger;
+
+/* Append the walk's turns, as a tuple of 'L' and 'R', to the output. */
+static int emit(Bridger *b, int length)
+{
+    PyObject *t = PyTuple_New(length);
+    if (t == NULL)
+        return -1;
+    for (int i = 0; i < length; i++)
+        PyTuple_SET_ITEM(t, i, Py_NewRef(b->turn[b->turns[i]]));
+    int rc = PyList_Append(b->out, t);
+    Py_DECREF(t);
+    return rc;
+}
+
+/* The walk that tally_class visits at (mid, d, length), then its
+   extensions.  The walk is a bridge if its last vertex is its highest and
+   its last step leaves that vertex straight up; top is the height of its
+   highest vertex and last the index of its last one. */
+static int grow(Bridger *b, int mid, int d, int length, int last, long long top)
+{
+    b->path[length].v = b->mid_v[mid];
+    if (length > 0) {
+        b->up[length] = b->mid_v[mid] == b->vert_v[last] + 2;
+        int bridge = b->up[length] && b->vert_v[last] == top;
+        if (bridge && b->irreducible >= 0)
+            bridge = (renewal_points(b->path, b->up, length, b->lo, b->found) == 2)
+                     == b->irreducible;
+        if (bridge && emit(b, length) < 0)
+            return -1;
+    }
+    if (length >= b->max_len)
+        return 0;
+    int v = b->step_vert[2 * mid + d];
+    if (v < 0 || b->vis_vert[v])
+        return 0;
+    b->vis_vert[v] = 1;
+    int base = 4 * mid + 2 * d, rc = 0;
+    long long ntop = b->vert_v[v] > top ? b->vert_v[v] : top;
+    for (int t = 0; t < 2 && rc == 0; t++) {
+        int nm = b->step_mid[base + t];
+        if (!b->vis_mid[nm]) {
+            b->vis_mid[nm] = 1;
+            b->turns[length] = (uint8_t)t;
+            rc = grow(b, nm, b->step_dir[base + t], length + 1, v, ntop);
+            b->vis_mid[nm] = 0;
+        }
+    }
+    b->vis_vert[v] = 0;
+    return rc;
+}
+
+static PyObject *bridges(PyObject *self, PyObject *args)
+{
+    PyObject *tables, *irr, *out = NULL;
+    int max_len, irreducible = -1;
+    Tables t;
+    void *mem = NULL;
+
+    if (!PyArg_ParseTuple(args, "OiO:bridges", &tables, &max_len, &irr))
+        return NULL;
+    if (irr != Py_None && (irreducible = PyObject_IsTrue(irr)) < 0)
+        return NULL;
+    if (open_tables(tables, max_len, &t) < 0)
+        goto done;
+    /* a self-avoiding walk visits each mid-edge at most once */
+    const long n = (max_len < t.n_mids ? max_len : t.n_mids - 1) + 1;
+    /* mid and vertex heights, path and scratch points, found indices,
+       then the mid-edge and vertex marks, turns and up flags */
+    const size_t words = (size_t)(t.n_mids + t.n_verts) * sizeof(long long)
+                         + (size_t)(2 * n) * sizeof(Point) + (size_t)n * sizeof(Py_ssize_t);
+    if ((mem = PyMem_Calloc(words + (size_t)(t.n_mids + t.n_verts + 2 * n), 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    long long *mid_v = mem, *vert_v = mid_v + t.n_mids;
+    Point *path = (Point *)(vert_v + t.n_verts);
+    Py_ssize_t *found = (Py_ssize_t *)(path + 2 * n);
+    uint8_t *vis = (uint8_t *)mem + words;
+    if (get_heights(tables, "mids", t.n_mids, 1, mid_v) < 0
+        || get_heights(tables, "verts", t.n_verts, 2, vert_v) < 0
+        || (out = PyList_New(0)) == NULL)
+        goto done;
+    Bridger b = {t.b[0].buf, t.b[1].buf, t.b[2].buf, mid_v, vert_v, vis, vis + t.n_mids,
+                 vis + t.n_mids + t.n_verts, vis + t.n_mids + t.n_verts + n, path, path + n,
+                 found, {PyUnicode_InternFromString("L"), PyUnicode_InternFromString("R")}, out,
+                 (int)n - 1, irreducible};
+    if (b.turn[0] != NULL && b.turn[1] != NULL) {
+        vis[t.start_mid] = 1;
+        grow(&b, (int)t.start_mid, (int)t.start_dir, 0, -1, LLONG_MIN);
+    }
+    Py_XDECREF(b.turn[0]);
+    Py_XDECREF(b.turn[1]);
+done:
+    PyMem_Free(mem);
+    close_tables(&t);
+    if (PyErr_Occurred())
+        Py_CLEAR(out);
     return out;
 }
 
@@ -894,6 +1077,8 @@ static PyMethodDef methods[] = {
      "Strip transfer operator of height T: (codes, src, dst, xpow, ypow, end)."},
     {"spectral_radius", spectral_radius, METH_VARARGS,
      "Spectral radius of M = coo(row, col, w) by power iteration from start, or None."},
+    {"bridges", bridges, METH_VARARGS,
+     "Turn tuples of the bridges of at most max_len steps, all or (not) irreducible."},
     {"walk_facts", walk_facts, METH_VARARGS,
      "(self_avoiding, class, renewal points, diamond points) of the walk (U, V, heading, turns)."},
     {NULL, NULL, 0, NULL},
@@ -902,7 +1087,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_dfs",
-    .m_doc = "Compiled walk enumeration, strip transfer operator, spectral radius and walk facts.",
+    .m_doc = "Compiled walk and bridge enumeration, strip transfer operator, spectral radius and "
+              "walk facts.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -8,8 +8,11 @@ to 1 (Kesten's relation); this module computes exact truncated partial
 sums of that series in Q(zeta_48).  Those sums need only counts: the
 kernel's top-line (class B) histograms of strip prefixes count the
 bridges by height and length, and renewal inversion turns them into
-irreducible counts.  The walks themselves (for the sampler, stickbreak
-and unfolding) come from one :func:`hexsaw.enumeration.iter_saws` pass.
+irreducible counts.  The bridges themselves (for stickbreak and the
+sampler) come from the kernel's bridge enumerator, which also decides
+irreducibility by the renewal rule of ``Walk.facts``; the half-plane and
+strip walks (for unfolding and arches) from
+:func:`hexsaw.enumeration.iter_saws` passes.
 
 Coordinates follow :mod:`hexsaw.lattice`: mid-edges carry doubled
 integer pairs (U, V) with real position (U*sqrt(3)/4, V/4), so a
@@ -30,7 +33,7 @@ from . import enumeration as en
 from . import lattice
 from .cyclo import Cyclo48
 from .errors import CapacityError, ClassificationError, InvalidParameterError
-from .lattice import Walk
+from .lattice import Walk, _kernel
 from .model import constants
 
 #: Longest bridge that the counts and the sampler's pool reach.
@@ -125,20 +128,17 @@ def iter_half_plane_walks(max_len: int) -> Iterator[Walk]:
 def iter_bridges(max_len: int, irreducible: bool | None = None) -> Iterator[Walk]:
     """Every bridge of at most max_len steps, in the depth-first order of
     :func:`iter_half_plane_walks`: the half-plane walks whose last step
-    leaves their highest vertex straight up."""
+    leaves their highest vertex straight up.  With ``irreducible`` True
+    or False, only the bridges with no interior renewal point, or only
+    those with one.  The kernel enumerates them and applies the renewal
+    rule, so a Walk is built only for the bridges yielded."""
     if max_len < 0:
         raise InvalidParameterError(f"need max_len >= 0, got {max_len}")
     if max_len > N_CAP:
         raise CapacityError(f"bridge enumeration capped at length {N_CAP}")
-    for v in en.iter_saws(en.half_plane_domain(max_len), max_len):
-        if not v.vertices:
-            continue
-        u, top = v.vertices[-1]
-        if v.end != (2 * u, 2 * top + 2) or any(h > top for _, h in v.vertices):
-            continue
-        w = v.walk
-        if irreducible is None or is_irreducible(w) == irreducible:
-            yield w
+    tables = en.build_tables(en.half_plane_domain(max_len))
+    for turns in _kernel.bridges(tables, max_len, irreducible):
+        yield Walk(turns=turns)
 
 
 def bridge_height_length_counts(

@@ -237,8 +237,10 @@ def _cmd_sample(args):
 
 
 def _cmd_half_plane(args):
-    """C_n^+(y) >= y^(n//2), decided exactly at the parsed y and reported
-    as floats."""
+    """C_n^+(y) >= y^((n+1)//2), decided exactly at the parsed y and
+    reported as floats.  The bound is the weight of one walk, the surface
+    zigzag, whose (n+1)//2 contacts are the most a walk of length n has, so
+    it holds at every y > 0."""
     y = _number(args.y)
     constants(0, "dilute", "float").surface_weight(y)  # refuses y <= 0
     counts = en.half_plane_counts(args.N)
@@ -247,7 +249,7 @@ def _cmd_half_plane(args):
     for n in range(args.N + 1):
         total = sum(c for (m, i), c in counts.items() if m == n)
         weighted = sum(c * y ** i for (m, i), c in counts.items() if m == n)
-        bound = y ** (n // 2)
+        bound = y ** ((n + 1) // 2)
         if max(weighted, bound) > sys.float_info.max:
             raise CapacityError(f"C_{n}^+ at y = {float(y):.6g} is past the float range "
                                 f"(max {sys.float_info.max:.6g})")

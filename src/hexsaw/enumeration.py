@@ -13,7 +13,9 @@ collapsed into tallies {(length, contacts, loops): count} under a key
 mid-edge and winding), so each distinct monomial x_c^len y^contacts
 n^loops is weighed once, by the same code for every tally.  Half-plane
 and strip walks are walks of strip-prefix domains
-(:func:`half_plane_domain`, :func:`hexsaw.bridges.iter_strip_walks`).
+(:func:`half_plane_domain`, :func:`hexsaw.bridges.iter_strip_walks`);
+the bridges among the half-plane walks come from the kernel's bridge
+enumerator instead (:func:`hexsaw.bridges.iter_bridges`).
 """
 
 from __future__ import annotations

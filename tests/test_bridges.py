@@ -214,15 +214,32 @@ def test_kernel_bridge_counts_match_transfer_series(T):
     assert {n: c for (h, n), c in counts.items() if h == T} == by_len
 
 
+@pytest.fixture(scope="module")
+def classified_half_plane_walks():
+    """(turns, irreducible) of every half-plane walk of at most 16 steps,
+    in depth-first order: irreducible is None for a walk that is not a
+    bridge.  Depth-first order puts the left turn first at every branch,
+    so cut at any shorter length it is that length's own order."""
+    return [(w.turns, br.is_irreducible(w) if classify_walk(w) == "bridge" else None)
+            for w in br.iter_half_plane_walks(16)]
+
+
 @pytest.mark.parametrize("irreducible", [None, True, False])
-def test_iter_bridges_matches_classify_filter(irreducible):
-    for N in range(13):
-        ref = [
-            w.turns for w in br.iter_half_plane_walks(N)
-            if classify_walk(w) == "bridge"
-            and (irreducible is None or br.is_irreducible(w) == irreducible)
-        ]
+def test_iter_bridges_matches_classify_filter(classified_half_plane_walks, irreducible):
+    for N in range(17):
+        ref = [t for t, irr in classified_half_plane_walks
+               if len(t) <= N and irr is not None
+               and (irreducible is None or irr == irreducible)]
         assert [b.turns for b in br.iter_bridges(N, irreducible)] == ref, N
+
+
+def test_iter_bridges_runs_no_python_walk_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("iter_saws called")
+
+    monkeypatch.setattr(en, "iter_saws", refuse)
+    assert sum(1 for _ in br.iter_bridges(12)) == sum(
+        c for (_, n), c in br.bridge_height_length_counts(12).items())
 
 
 def test_bridge_paths_skip_classify_walk(monkeypatch):
@@ -417,6 +434,20 @@ def test_sampler_expected_height_from_its_pool(N):
     counts give Kesten's mean height, as the kernel counts do."""
     _, rep = br.sample_renewal(N, 1, 0)
     assert rep["expected_factor_height"] == br.kesten_partial(N).mean_height_float
+
+
+@pytest.mark.parametrize("seed, height, turns", [
+    (0, 21, "RLLLRLLRRLRRLRRLLRLRRLLRRLLRLRRLRRLLRLLRRLRLLRRRLLRRLRLLRLRRLL"),
+    (1, 22, "LLRRRLRRLRRLLLLRRLLRLRRRRLLLRLLRRLRLLLRRLLRLRRRLLRRLLLRLRLRLRRLRRLLRRRLLRRLLLLRLRR"),
+    (7, 20, "LRLRRLLLRRRLLRLLRRRLLLRLRRLRLLRRLLRRLRRLLLRRLRRLRRLLRLLR"),
+])
+def test_sampler_pins(seed, height, turns):
+    """The draws of ``sample --N 14 --k 20``, turn for turn: the pool's
+    order and weights fix them, so a change to either shows here."""
+    bridge, rep = br.sample_renewal(14, 20, seed)
+    assert "".join(bridge.turns) == turns
+    assert (rep["height"], rep["length"]) == (height, len(turns))
+    assert rep["renewal_points"] == 21
 
 
 def test_sampler_guards():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -193,15 +194,16 @@ def test_half_plane(capsys):
 
 
 def test_half_plane_verdict_is_exact(capsys):
-    """C_1^+(y) = 2y against y^0 = 1: equal at y = 1/2, which passes, and
-    below it by 2e-13 at y = 1/2 - 1e-13, which fails; a float slack of
-    1e-12 would pass both.  The rows report floats."""
-    code, doc = run_json(capsys, "half-plane", "--N", "4", "--y", "1/2")
-    assert code == 0 and doc["ok"] is True
-    assert doc["results"]["rows"][1] == {"n": 1, "walks": 2, "C_n_plus": 1.0,
-                                         "zigzag_bound": 1.0}
-    code, doc = run_json(capsys, "half-plane", "--N", "4", "--y", "0.4999999999999")
-    assert code == 1 and doc["ok"] is False
+    """C_n^+(y) >= y^((n+1)//2), the weight of the surface zigzag, which
+    has (n+1)//2 contacts: true at every y > 0, also below y = 1/2, where
+    C_1^+(y) = 2y < 1.  The verdict is exact and the rows report floats."""
+    for y in ("1/3", "0.4999999999999", "1/2", "2"):
+        code, doc = run_json(capsys, "half-plane", "--N", "4", "--y", y)
+        assert code == 0 and doc["ok"] is True, y
+        rows = doc["results"]["rows"]
+        assert rows[1]["zigzag_bound"] == float(Fraction(y)), y
+        assert rows[3]["zigzag_bound"] == float(Fraction(y) ** 2), y
+    assert rows[1] == {"n": 1, "walks": 2, "C_n_plus": 4.0, "zigzag_bound": 2.0}
 
 
 def test_usage_errors(capsys):

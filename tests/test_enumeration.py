@@ -77,22 +77,47 @@ def test_iter_saws_walks_past_recursion_limit():
     assert max(lengths) == 1300
 
 
-def test_c_kernel_rejects_malformed_tables(c_kernel):
-    tables = en.build_tables(dm.build_trapezoid(1, 2))
+def _malformed_tables(tables):
     wide = tables.step_mid.copy()
     wide[0] = len(tables.mids)
-    for bad in (
+    return (
         dataclasses.replace(tables, step_mid=wide),
         dataclasses.replace(tables, step_vert=tables.step_vert.astype(np.int64)),
         dataclasses.replace(tables, mid_class=tables.mid_class[:-1]),
         dataclasses.replace(tables, mid_class=tables.mid_class[::-1]),
         dataclasses.replace(tables, start_dir=2),
         dataclasses.replace(tables, n_surface=0),
-    ):
+    )
+
+
+def test_c_kernel_rejects_malformed_tables(c_kernel):
+    tables = en.build_tables(dm.build_trapezoid(1, 2))
+    for bad in _malformed_tables(tables):
         with pytest.raises(ValueError):
             c_kernel.tally_class(bad, 4)
     with pytest.raises(ValueError):
         c_kernel.tally_class(tables, -1)
+
+
+def test_c_bridges_rejects_malformed_tables(c_kernel):
+    """The bridge entry checks the tables as tally_class does, and also
+    the coordinate pairs it reads heights from."""
+    tables = en.build_tables(en.half_plane_domain(4))
+    far = ((0, 2**62),) + tables.verts[1:]
+    for bad in _malformed_tables(tables) + (
+        dataclasses.replace(tables, mids=tables.mids[:-1] + ((0,),)),
+        dataclasses.replace(tables, mids=list(tables.mids)),
+        dataclasses.replace(tables, verts=tables.verts[:-1] + ((0, 1.5),)),
+        dataclasses.replace(tables, verts=far),
+    ):
+        for irreducible in (None, True, False):
+            with pytest.raises(ValueError):
+                c_kernel.bridges(bad, 4, irreducible)
+    with pytest.raises(ValueError):
+        c_kernel.bridges(tables, -1, None)
+    for irreducible in (None, True, False):
+        assert c_kernel.bridges(tables, 0, irreducible) == []
+    assert c_kernel.bridges(tables, 2, None) == [("L", "R"), ("R", "L")]
 
 
 def test_c_spectral_radius_rejects_malformed_matrices(c_kernel):
@@ -333,16 +358,15 @@ def test_observable_f_matches_brute_force(T, L, walks, longest):
 
 
 def test_half_plane_zigzag_bound():
-    # the zigzag touching the surface every other vertex gives
-    # C_n(y) >= y^floor(n/2) coefficientwise
-    for N in (4, 6, 8):
-        counts = en.half_plane_counts(N)
-        for n in range(1, N + 1):
-            total = sum(
-                c * Fraction(2) ** i for (ln, i), c in counts.items() if ln == n
-            )
-            assert total >= Fraction(2) ** (n // 2)
-            assert any(ln == n and i >= n // 2 for (ln, i) in counts)
+    # the zigzag touching the surface at every other vertex, first one
+    # included, has (n+1)//2 contacts, the most of any length-n walk, so
+    # C_n(y) >= y^((n+1)//2) at every y > 0
+    counts = en.half_plane_counts(18)
+    for n in range(1, 19):
+        assert max(i for ln, i in counts if ln == n) == (n + 1) // 2
+        for y in (Fraction(1, 3), Fraction(2)):
+            total = sum(c * y**i for (ln, i), c in counts.items() if ln == n)
+            assert total >= y ** ((n + 1) // 2)
 
 
 @pytest.mark.parametrize("N", [5, 6, 13, 14])
