@@ -1,4 +1,4 @@
-/* The compiled kernel, which the package requires: five functions.
+/* The compiled kernel, which the package requires: eight functions.
 
 tally_class(tables, max_len) is the depth-first walk enumerator, the
 histogram form of enumeration.iter_saws on the same tables.  It reads
@@ -65,7 +65,29 @@ a C long along the walk).  It returns (self_avoiding, class, renewal,
 diamond): class is lattice.classify_walk's, or None for a walk that is
 empty or not self-avoiding, and for a bridge renewal and diamond are the
 tuples of mid-edge indices that bridges.renewal_points and
-bridges.diamond_points return, else None. */
+bridges.diamond_points return, else None.
+
+cyclo_mul(an, ad, bn, bd), cyclo_add(an, ad, bn, bd, s) and
+cyclo_norm(n, d) are the arithmetic of cyclo.Cyclo48 in Q(zeta_48): an
+element is a tuple of integer numerators n over a positive integer d on
+the power basis 1, z, ..., z^15.  cyclo_mul returns the product of
+an/ad and bn/bd (a convolution folded by z^16 = z^8 - 1), cyclo_add the
+sum an/ad + s * bn/bd for s = 1 or -1 (cross-multiplied by the
+cofactors of gcd(ad, bd) when ad != bd), and cyclo_norm the element n/d
+for a tuple n of any length, folded onto 16 numerators.  Each returns
+the canonical (n, d): 16 ints and d > 0 with gcd(n_0, ..., n_15, d) = 1,
+zero as ((0,) * 16, 1).  For mul and add, n is a tuple of 16 ints.  An
+n that is not a tuple, a numerator, d or s that is not an int, or a
+wrong argument count raises TypeError; a wrong numerator count, d <= 0
+or s not 1 or -1 raises ValueError.  When every numerator and
+denominator is below 2^60 in magnitude (the module exports
+CYCLO_FAST_BITS = 60) and cyclo_norm has at most 31 numerators, the
+arithmetic runs in __int128, which cannot overflow there: a product's
+coefficients sum at most 16 terms below 2^120, and the fold adds at
+most two more to each, so every value stays below 3 * 2^124 < 2^127.
+Otherwise, or where the compiler has no __int128, it runs on Python ints
+through the C API.  tests/cyclo_oracle.py holds the former Python
+arithmetic, and the tests compare these entries with it. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
@@ -1070,6 +1092,359 @@ done:
     return out;
 }
 
+/* ---- Cyclo48 arithmetic ---- */
+
+#define DEG 16                          /* the power basis 1, z, ..., z^15 */
+#define WIDE (2 * DEG - 1)              /* a product's length before the fold */
+#define FAST_BITS 60
+#define FAST_LIMIT (1LL << FAST_BITS)
+
+static PyObject *gcd_fn;                /* math.gcd, for the Python-int path */
+
+/* An operand (n, d), borrowed, with the values of its numerators in v
+   and of d in dv when it is small: at most WIDE numerators, and every
+   numerator and d below FAST_LIMIT in magnitude. */
+typedef struct {
+    PyObject **n, *d;
+    Py_ssize_t len;
+    long long v[WIDE], dv;
+    int small;
+} Elem;
+
+/* Read n, a tuple of ints (exactly len of them if len >= 0), and d, a
+   positive int: TypeError or ValueError otherwise. */
+static int read_elem(PyObject *n, PyObject *d, Py_ssize_t len, Elem *e)
+{
+    if (!PyTuple_Check(n)) {
+        PyErr_SetString(PyExc_TypeError, "numerators must be a tuple of ints");
+        return -1;
+    }
+    e->len = PyTuple_GET_SIZE(n);
+    if (len >= 0 && e->len != len) {
+        PyErr_Format(PyExc_ValueError, "need %zd numerators, got %zd", len, e->len);
+        return -1;
+    }
+    e->n = PySequence_Fast_ITEMS(n);
+    e->d = d;
+    e->small = e->len <= WIDE;
+    for (Py_ssize_t k = 0; k <= e->len; k++) {
+        PyObject *x = k < e->len ? e->n[k] : d;
+        int ovf;
+        if (!PyLong_Check(x)) {
+            PyErr_Format(PyExc_TypeError, "%s must be an int, not %.100s",
+                         k < e->len ? "a numerator" : "the denominator", Py_TYPE(x)->tp_name);
+            return -1;
+        }
+        long long v = PyLong_AsLongLongAndOverflow(x, &ovf);
+        if (k == e->len && (ovf < 0 || (ovf == 0 && v <= 0))) {
+            PyErr_SetString(PyExc_ValueError, "the denominator must be positive");
+            return -1;
+        }
+        if (ovf || v <= -FAST_LIMIT || v >= FAST_LIMIT)
+            e->small = 0;
+        else if (k == e->len)
+            e->dv = v;
+        else if (k < WIDE)
+            e->v[k] = v;
+    }
+    return 0;
+}
+
+/* The Python-int path: arrays of new references. */
+
+/* *acc += sign * x * y, or sign * x if y is NULL. */
+static int addmul(PyObject **acc, PyObject *x, PyObject *y, int sign)
+{
+    PyObject *t = y ? PyNumber_Multiply(x, y) : Py_NewRef(x), *s;
+    if (t == NULL)
+        return -1;
+    if (sign > 0 && !PyObject_IsTrue(*acc)) {   /* the first term of a sum */
+        Py_SETREF(*acc, t);
+        return 0;
+    }
+    s = sign > 0 ? PyNumber_Add(*acc, t) : PyNumber_Subtract(*acc, t);
+    Py_DECREF(t);
+    if (s == NULL)
+        return -1;
+    Py_SETREF(*acc, s);
+    return 0;
+}
+
+/* Reduce c[0..len) to c[0..DEG) with z^m = z^(m-8) - z^(m-16), the top
+   term first, so a term folded onto m - 8 >= DEG folds again. */
+static int fold_slow(PyObject **c, Py_ssize_t len)
+{
+    for (Py_ssize_t m = len - 1; m >= DEG; m--)
+        if (PyObject_IsTrue(c[m])
+            && (addmul(&c[m - 8], c[m], NULL, 1) < 0 || addmul(&c[m - 16], c[m], NULL, -1) < 0))
+            return -1;
+    return 0;
+}
+
+/* The canonical (n, d) of c[0..DEG) / d: all divided by their gcd. */
+static PyObject *canon_slow(PyObject **c, PyObject *d)
+{
+    PyObject *args[DEG + 1], *n = NULL, *q = NULL, *out = NULL, *g;
+    int ovf;
+    memcpy(args, c, DEG * sizeof *c);
+    args[DEG] = d;
+    if ((g = PyObject_Vectorcall(gcd_fn, args, DEG + 1, NULL)) == NULL)
+        return NULL;
+    const int one = PyLong_AsLongLongAndOverflow(g, &ovf) == 1 && !ovf;
+    if ((n = PyTuple_New(DEG)) == NULL)
+        goto done;
+    for (int k = 0; k < DEG; k++) {
+        PyObject *x = one ? Py_NewRef(c[k]) : PyNumber_FloorDivide(c[k], g);
+        if (x == NULL)
+            goto done;
+        PyTuple_SET_ITEM(n, k, x);
+    }
+    if ((q = one ? Py_NewRef(d) : PyNumber_FloorDivide(d, g)) != NULL)
+        out = PyTuple_Pack(2, n, q);
+done:
+    Py_DECREF(g);
+    Py_XDECREF(n);
+    Py_XDECREF(q);
+    return out;
+}
+
+static PyObject *mul_slow(const Elem *a, const Elem *b)
+{
+    PyObject *c[WIDE] = {NULL}, *d = NULL, *out = NULL;
+    for (int k = 0; k < WIDE; k++)
+        if ((c[k] = PyLong_FromLong(0)) == NULL)
+            goto done;
+    for (int i = 0; i < DEG; i++) {
+        if (!PyObject_IsTrue(a->n[i]))
+            continue;
+        for (int j = 0; j < DEG; j++)
+            if (PyObject_IsTrue(b->n[j]) && addmul(&c[i + j], a->n[i], b->n[j], 1) < 0)
+                goto done;
+    }
+    if (fold_slow(c, WIDE) == 0 && (d = PyNumber_Multiply(a->d, b->d)) != NULL)
+        out = canon_slow(c, d);
+done:
+    for (int k = 0; k < WIDE; k++)
+        Py_XDECREF(c[k]);
+    Py_XDECREF(d);
+    return out;
+}
+
+/* a + s * b: with equal denominators numerator by numerator, otherwise
+   over lcm(a.d, b.d) = a.d * f0, with f0 = b.d / g and f1 = a.d / g. */
+static PyObject *add_slow(const Elem *a, const Elem *b, int s)
+{
+    PyObject *c[DEG] = {NULL}, *f[2] = {NULL, NULL}, *d = NULL, *out = NULL;
+    int eq = PyObject_RichCompareBool(a->d, b->d, Py_EQ);
+    if (eq < 0)
+        return NULL;
+    if (!eq) {
+        PyObject *args[2] = {a->d, b->d}, *g = PyObject_Vectorcall(gcd_fn, args, 2, NULL);
+        if (g == NULL)
+            return NULL;
+        f[0] = PyNumber_FloorDivide(b->d, g);
+        f[1] = PyNumber_FloorDivide(a->d, g);
+        Py_DECREF(g);
+        if (f[0] == NULL || f[1] == NULL)
+            goto done;
+    }
+    if ((d = eq ? Py_NewRef(a->d) : PyNumber_Multiply(a->d, f[0])) == NULL)
+        goto done;
+    for (int k = 0; k < DEG; k++)
+        if ((c[k] = eq ? Py_NewRef(a->n[k]) : PyNumber_Multiply(a->n[k], f[0])) == NULL
+            || addmul(&c[k], b->n[k], f[1], s) < 0)
+            goto done;
+    out = canon_slow(c, d);
+done:
+    for (int k = 0; k < DEG; k++)
+        Py_XDECREF(c[k]);
+    Py_XDECREF(f[0]);
+    Py_XDECREF(f[1]);
+    Py_XDECREF(d);
+    return out;
+}
+
+static PyObject *norm_slow(const Elem *a)
+{
+    const Py_ssize_t len = a->len > DEG ? a->len : DEG;
+    PyObject **c = PyMem_Calloc((size_t)len, sizeof *c), *out = NULL;
+    if (c == NULL)
+        return PyErr_NoMemory();
+    for (Py_ssize_t k = 0; k < len; k++)
+        if ((c[k] = k < a->len ? Py_NewRef(a->n[k]) : PyLong_FromLong(0)) == NULL)
+            goto done;
+    if (fold_slow(c, a->len) == 0)
+        out = canon_slow(c, a->d);
+done:
+    for (Py_ssize_t k = 0; k < len; k++)
+        Py_XDECREF(c[k]);
+    PyMem_Free(c);
+    return out;
+}
+
+#ifdef __SIZEOF_INT128__
+/* The int128 path.  Inputs below 2^60 in magnitude: a product's terms
+   are below 2^120 and each coefficient sums at most 16 of them, and the
+   fold adds at most two more coefficients to each (z^m for 16 <= m < 31
+   is one or two powers below 16, with sign), so every value stays below
+   3 * 2^124 < 2^127; a sum's terms are below 2^120 + 2^120. */
+typedef __int128 i128;
+typedef unsigned __int128 u128;
+
+static int ctz128(u128 x)
+{
+    uint64_t lo = (uint64_t)x;
+    return lo ? __builtin_ctzll(lo) : 64 + __builtin_ctzll((uint64_t)(x >> 64));
+}
+
+/* Binary gcd, in 64 bits once both fit. */
+static u128 gcd128(u128 a, u128 b)
+{
+    if (a == 0 || b == 0)
+        return a | b;
+    int shift = ctz128(a | b);
+    a >>= ctz128(a);
+    while ((a | b) >> 64) {
+        b >>= ctz128(b);
+        if (a > b) {
+            u128 t = a;
+            a = b;
+            b = t;
+        }
+        if ((b -= a) == 0)
+            return a << shift;
+    }
+    uint64_t x = (uint64_t)a, y = (uint64_t)b;
+    while (y) {
+        y >>= __builtin_ctzll(y);
+        if (x > y) {
+            uint64_t t = x;
+            x = y;
+            y = t;
+        }
+        y -= x;
+    }
+    return (u128)x << shift;
+}
+
+static PyObject *from_i128(i128 x)
+{
+    if (x >= LLONG_MIN && x <= LLONG_MAX)
+        return PyLong_FromLongLong((long long)x);
+#if PY_VERSION_HEX >= 0x030D0000
+    return PyLong_FromNativeBytes(&x, sizeof x, Py_ASNATIVEBYTES_NATIVE_ENDIAN);
+#else
+    return _PyLong_FromByteArray((const unsigned char *)&x, sizeof x, PY_LITTLE_ENDIAN, 1);
+#endif
+}
+
+static void fold_fast(i128 *c, Py_ssize_t len)
+{
+    for (Py_ssize_t m = len - 1; m >= DEG; m--) {
+        c[m - 8] += c[m];
+        c[m - 16] -= c[m];
+    }
+}
+
+static PyObject *canon_fast(const i128 *c, u128 d)
+{
+    u128 g = d;
+    for (int k = 0; k < DEG && g != 1; k++)
+        if (c[k])
+            g = gcd128(g, c[k] < 0 ? -(u128)c[k] : (u128)c[k]);
+    PyObject *n = PyTuple_New(DEG), *q = NULL, *out = NULL;
+    if (n == NULL)
+        return NULL;
+    for (int k = 0; k < DEG; k++) {
+        PyObject *x = from_i128(g == 1 ? c[k] : c[k] / (i128)g);
+        if (x == NULL)
+            goto done;
+        PyTuple_SET_ITEM(n, k, x);
+    }
+    if ((q = from_i128((i128)(d / g))) != NULL)
+        out = PyTuple_Pack(2, n, q);
+done:
+    Py_DECREF(n);
+    Py_XDECREF(q);
+    return out;
+}
+#endif
+
+static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", name, want, nargs);
+    return -1;
+}
+
+static PyObject *cyclo_mul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Elem a, b;
+    if (check_nargs("cyclo_mul", nargs, 4) < 0 || read_elem(args[0], args[1], DEG, &a) < 0
+        || read_elem(args[2], args[3], DEG, &b) < 0)
+        return NULL;
+#ifdef __SIZEOF_INT128__
+    if (a.small && b.small) {
+        i128 c[WIDE] = {0};
+        for (int i = 0; i < DEG; i++)
+            if (a.v[i])
+                for (int j = 0; j < DEG; j++)
+                    c[i + j] += (i128)a.v[i] * b.v[j];
+        fold_fast(c, WIDE);
+        return canon_fast(c, (u128)a.dv * (u128)b.dv);
+    }
+#endif
+    return mul_slow(&a, &b);
+}
+
+static PyObject *cyclo_add(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Elem a, b;
+    if (check_nargs("cyclo_add", nargs, 5) < 0 || read_elem(args[0], args[1], DEG, &a) < 0
+        || read_elem(args[2], args[3], DEG, &b) < 0)
+        return NULL;
+    long s = PyLong_AsLong(args[4]);
+    if (s == -1 && PyErr_Occurred())
+        return NULL;
+    if (s != 1 && s != -1) {
+        PyErr_SetString(PyExc_ValueError, "the sign must be 1 or -1");
+        return NULL;
+    }
+#ifdef __SIZEOF_INT128__
+    if (a.small && b.small) {
+        i128 c[DEG];
+        long long f0 = 1, f1 = s;
+        if (a.dv != b.dv) {
+            long long g = (long long)gcd128((u128)a.dv, (u128)b.dv);
+            f0 = b.dv / g;
+            f1 = s * (a.dv / g);
+        }
+        for (int k = 0; k < DEG; k++)
+            c[k] = (i128)a.v[k] * f0 + (i128)b.v[k] * f1;
+        return canon_fast(c, (u128)a.dv * (u128)f0);
+    }
+#endif
+    return add_slow(&a, &b, (int)s);
+}
+
+static PyObject *cyclo_norm(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Elem a;
+    if (check_nargs("cyclo_norm", nargs, 2) < 0 || read_elem(args[0], args[1], -1, &a) < 0)
+        return NULL;
+#ifdef __SIZEOF_INT128__
+    if (a.small) {
+        i128 c[WIDE] = {0};
+        for (Py_ssize_t k = 0; k < a.len; k++)
+            c[k] = a.v[k];
+        fold_fast(c, a.len);
+        return canon_fast(c, (u128)a.dv);
+    }
+#endif
+    return norm_slow(&a);
+}
+
 static PyMethodDef methods[] = {
     {"tally_class", tally_class, METH_VARARGS,
      "Histogram of walk endpoints: counts[class, length, contacts]."},
@@ -1081,14 +1456,20 @@ static PyMethodDef methods[] = {
      "Turn tuples of the bridges of at most max_len steps, all or (not) irreducible."},
     {"walk_facts", walk_facts, METH_VARARGS,
      "(self_avoiding, class, renewal points, diamond points) of the walk (U, V, heading, turns)."},
+    {"cyclo_mul", (PyCFunction)(void (*)(void))cyclo_mul, METH_FASTCALL,
+     "The canonical (n, d) of the Cyclo48 product (an/ad) * (bn/bd)."},
+    {"cyclo_add", (PyCFunction)(void (*)(void))cyclo_add, METH_FASTCALL,
+     "The canonical (n, d) of the Cyclo48 sum (an/ad) + s * (bn/bd), s = 1 or -1."},
+    {"cyclo_norm", (PyCFunction)(void (*)(void))cyclo_norm, METH_FASTCALL,
+     "The canonical (n, d) of n/d, n folded onto 16 numerators."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_dfs",
-    .m_doc = "Compiled walk and bridge enumeration, strip transfer operator, spectral radius and "
-              "walk facts.",
+    .m_doc = "Compiled walk and bridge enumeration, strip transfer operator, spectral radius, "
+              "walk facts and Cyclo48 arithmetic.",
     .m_size = -1,
     .m_methods = methods,
 };
@@ -1096,14 +1477,19 @@ static struct PyModuleDef module = {
 /* The transfer operator's layout constants, as the header describes them. */
 PyMODINIT_FUNC PyInit__dfs(void)
 {
-    PyObject *m = PyModule_Create(&module), *kinds = NULL;
-    if (m == NULL || PyModule_AddIntConstant(m, "T_MAX", T_MAX) < 0
+    PyObject *m = PyModule_Create(&module), *kinds = NULL, *math = NULL;
+    if (m == NULL || (math = PyImport_ImportModule("math")) == NULL
+        || (gcd_fn = PyObject_GetAttrString(math, "gcd")) == NULL
+        || PyModule_AddIntConstant(m, "CYCLO_FAST_BITS", FAST_BITS) < 0
+        || PyModule_AddIntConstant(m, "T_MAX", T_MAX) < 0
         || PyModule_AddIntConstant(m, "FLAG_SHIFT", FLAG_SHIFT) < 0
         || (kinds = Py_BuildValue("(Osss)", Py_None, "interior", "bottom", "top")) == NULL
         || PyModule_AddObject(m, "END_KINDS", kinds) < 0) {
         Py_XDECREF(kinds);
+        Py_XDECREF(math);
         Py_XDECREF(m);
         return NULL;
     }
+    Py_DECREF(math);
     return m;
 }

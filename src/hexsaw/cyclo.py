@@ -9,14 +9,22 @@ attached to windings that are multiples of pi/24.
 An element is stored as 16 integer numerators over one positive integer
 denominator, (n_0, ..., n_15) / d, normalised so that
 gcd(n_0, ..., n_15, d) = 1 (zero is (0, ..., 0) / 1).  The form is
-canonical, so equal values have equal ``==`` and ``hash``.  Products are
-integer convolutions reduced with the fixed rule z^16 = z^8 - 1 (and so
-z^24 = -1).  The Galois automorphisms sigma_k: z -> z^k, k a unit mod
-48, act by signed permutation-like tables on the numerators and keep the
+canonical, so equal values have equal ``==`` and ``hash`` (a rational
+element hashes as the equal int or Fraction).  Products are integer
+convolutions reduced with the fixed rule z^16 = z^8 - 1 (and so
+z^24 = -1).  Products, sums and the normal form run in the compiled
+kernel (``cyclo_mul``, ``cyclo_add`` and ``cyclo_norm`` in ``_dfs.c``),
+in 128-bit integers while every numerator and denominator is below 2^60
+and on Python ints beyond; ``tests/cyclo_oracle.py`` keeps the Python
+twin they are tested against.
+
+The Galois automorphisms sigma_k: z -> z^k, k a unit mod 48, act by
+signed permutation-like tables on the numerators and keep the
 denominator; complex conjugation is sigma_47.  Inverses use no rational
 Euclid: a tower of four quadratic steps through the Galois group turns
 a into its norm N(a), a positive rational, and a^-1 is the product of
-the four cofactors divided by N(a).
+the four cofactors divided by N(a).  These, powers, signs and
+comparisons are Python code over the kernel's products and sums.
 
 Signs and float values of real elements come from exact integer
 enclosures: d * Re(a) = sum n_k cos(k*pi/24) is bracketed by
@@ -30,10 +38,11 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from numbers import Complex, Rational
 
 from .errors import ScalarModeError
+from .lattice import _kernel
 
 _DEG = 16
 
@@ -61,70 +70,31 @@ _CONJ = _sigma_table(47)
 _TOWER = (_CONJ, _sigma_table(7), _sigma_table(17), _sigma_table(5))
 
 
-def _norm(nums: list, d: int) -> "Cyclo48":
-    """The canonical element nums / d (d nonzero, nums of length 16)."""
-    if d != 1:
-        g = gcd(*nums, d)
-        if d < 0:
-            g = -g
-        if g != 1:
-            nums = [a // g for a in nums]
-            d //= g
+def _norm(nums, d: int) -> "Cyclo48":
+    """The canonical element nums / d (d > 0, nums of any length, folded
+    onto 16 numerators)."""
     out = object.__new__(Cyclo48)
-    out.n = tuple(nums)
-    out.d = d
+    out.n, out.d = _kernel.cyclo_norm(tuple(nums), d)
     return out
 
 
 def _rational(p: int, q: int = 1) -> "Cyclo48":
-    return _norm([p] + [0] * (_DEG - 1), q)
-
-
-def _fold(c: list) -> list:
-    """Reduce c in place to length 16 with z^m = z^(m-8) - z^(m-16).
-
-    The top term goes first, so a term folded onto m-8 >= 16 folds again.
-    """
-    for m in range(len(c) - 1, _DEG - 1, -1):
-        top = c.pop()
-        if top:
-            c[m - 8] += top
-            c[m - 16] -= top
-    return c
-
-
-def _convolve(a: tuple, b: tuple) -> list:
-    """Integer product of two numerator vectors, reduced mod z^16 - z^8 + 1."""
-    # Most products in an elimination have a rational (often zero) factor.
-    if not any(b[1:]):
-        c = b[0]
-        return [x * c for x in a]
-    if not any(a[1:]):
-        c = a[0]
-        return [y * c for y in b]
-    prod = [0] * (2 * _DEG - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                if y:
-                    prod[j] += x * y
-    return _fold(prod)
+    if q < 0:
+        p, q = -p, -q
+    return _norm((p,), q)
 
 
 def _mul(a: "Cyclo48", b: "Cyclo48") -> "Cyclo48":
-    return _norm(_convolve(a.n, b.n), a.d * b.d)
+    out = object.__new__(Cyclo48)
+    out.n, out.d = _kernel.cyclo_mul(a.n, a.d, b.n, b.d)
+    return out
 
 
 def _add(a: "Cyclo48", b: "Cyclo48", s: int = 1) -> "Cyclo48":
-    """a + s*b for s = 1 or -1, cross-multiplying only unequal denominators."""
-    d1, d2 = a.d, b.d
-    if d1 == d2:
-        if s > 0:
-            return _norm([x + y for x, y in zip(a.n, b.n)], d1)
-        return _norm([x - y for x, y in zip(a.n, b.n)], d1)
-    g = gcd(d1, d2)
-    f1, f2 = d2 // g, s * (d1 // g)
-    return _norm([x * f1 + y * f2 for x, y in zip(a.n, b.n)], d1 * f1)
+    """a + s*b for s = 1 or -1."""
+    out = object.__new__(Cyclo48)
+    out.n, out.d = _kernel.cyclo_add(a.n, a.d, b.n, b.d, s)
+    return out
 
 
 def _apply(table: tuple, a: "Cyclo48") -> "Cyclo48":
@@ -169,10 +139,8 @@ class Cyclo48:
     def __init__(self, coeffs):
         qs = [_exact_fraction(x) for x in coeffs]
         d = lcm(*(q.denominator for q in qs))
-        nums = _fold([q.numerator * (d // q.denominator) for q in qs])
-        canon = _norm(nums + [0] * (_DEG - len(nums)), d)
-        self.n = canon.n
-        self.d = canon.d
+        nums = tuple(q.numerator * (d // q.denominator) for q in qs)
+        self.n, self.d = _kernel.cyclo_norm(nums, d)
 
     @classmethod
     def from_rational(cls, q) -> "Cyclo48":
@@ -330,14 +298,23 @@ class Cyclo48:
             raise ValueError("sign() requires a real element")
         return 1 if self._scaled_real(0)[0] > 0 else -1
 
-    def __lt__(self, other):
+    def _cmp(self, other) -> int:
         o = _coerce(other)
         if o is None:
             raise ScalarModeError("cannot compare Cyclo48 with floats")
-        return (self - o).sign() < 0
+        return (self - o).sign()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
 
     def __le__(self, other):
         return self == other or self < other
+
+    def __ge__(self, other):
+        return self == other or self > other
 
     def __eq__(self, other):
         o = _coerce(other)
@@ -346,6 +323,10 @@ class Cyclo48:
         return self.d == o.d and self.n == o.n
 
     def __hash__(self):
+        """Equal to the hash of the equal int or Fraction, for a rational
+        element."""
+        if self.is_rational():
+            return hash(Fraction(self.n[0], self.d))
         return hash((self.n, self.d))
 
     def __bool__(self):

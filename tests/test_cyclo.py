@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexsaw.cyclo import ONE, SQRT2, ZERO, Cyclo48, _cos_table, two_cos
+import cyclo_oracle
+from hexsaw.cyclo import ONE, SQRT2, ZERO, Cyclo48, _cos_table, _kernel, two_cos
 from hexsaw.errors import ScalarModeError
 from mp_oracle import eval_mp
 
@@ -189,7 +190,8 @@ def test_float_mixing_raises(a, f):
     for op in (
         lambda: a + f, lambda: f + a, lambda: a - f, lambda: f - a,
         lambda: a * f, lambda: f * a, lambda: a / f, lambda: f / a,
-        lambda: a < f,
+        lambda: a < f, lambda: a <= f, lambda: a > f, lambda: a >= f,
+        lambda: f < a, lambda: f <= a, lambda: f > a, lambda: f >= a,
     ):
         with pytest.raises(ScalarModeError):
             op()
@@ -252,3 +254,178 @@ def test_to_float_tests_realness_exactly():
         with mpmath.workdps(200):
             want = float(mpmath.mpf(p) - q * mpmath.sqrt(2))
         assert abs((p - q * SQRT2).to_float() - want) <= math.ulp(want), len(str(p))
+
+
+# -- rational elements against ints and Fractions -----------------------
+
+rationals = st.one_of(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals)
+def test_rational_elements_hash_as_ints_and_fractions(q):
+    a = Cyclo48.from_rational(q)
+    assert a == q and q == a
+    assert hash(a) == hash(q) == hash(Fraction(q))
+    assert {q: "v"}.get(a) == "v"
+    assert {a: "v"}.get(q) == "v"
+    assert {Fraction(q): "v"}.get(a) == "v"
+    assert len({a, q, Fraction(q)}) == 1
+
+
+def test_one_is_the_int_one_as_a_dict_key():
+    assert {1: "v"}.get(ONE) == "v"
+    assert {ONE: "v"}.get(1) == "v"
+    assert {Fraction(1, 2): "v"}.get(ONE / 2) == "v"
+    assert hash(ZERO) == hash(0)
+    # an irrational element is still hashable and equal to itself only
+    assert {SQRT2: "v"}.get(SQRT2 * ONE) == "v" and SQRT2 not in {1: 0, 2: 0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals, rationals)
+def test_comparisons_with_ints_and_fractions(p, q):
+    a = Cyclo48.from_rational(p)
+    fp, fq = Fraction(p), Fraction(q)
+    for x, y, want in ((a, q, (fp, fq)), (q, a, (fq, fp))):
+        assert (x < y) == (want[0] < want[1])
+        assert (x <= y) == (want[0] <= want[1])
+        assert (x > y) == (want[0] > want[1])
+        assert (x >= y) == (want[0] >= want[1])
+
+
+def test_comparisons_in_both_operand_orders():
+    assert ONE >= 1 and ONE <= 1 and 1 <= ONE and 1 >= ONE
+    assert 1 < SQRT2 and SQRT2 > 1 and SQRT2 >= Fraction(7, 5) and Fraction(3, 2) > SQRT2
+    assert not (ONE > 1) and not (1 < ONE)
+    with pytest.raises(ValueError):
+        Cyclo48.zeta_pow(1) > 0     # comparing a non-real element
+
+
+# -- the kernel's arithmetic against the Python oracle --------------------
+
+FAST = 1 << _kernel.CYCLO_FAST_BITS
+# the fast path's bound, and the int64 and uint64 limits, each side
+EDGES = sorted({e + k for e in (FAST, 1 << 63, 1 << 64) for k in (-1, 0, 1)})
+
+
+def _signed(x):
+    return st.sampled_from((x, -x))
+
+
+# bit sizes on both sides of the fast path's bound, up to about 700 bits
+sizes = st.one_of(st.integers(min_value=0, max_value=_kernel.CYCLO_FAST_BITS),
+                  st.integers(min_value=0, max_value=700))
+
+
+def _of_size(bits):
+    return st.integers(min_value=-(1 << bits) + 1, max_value=(1 << bits) - 1)
+
+
+numerators = st.one_of(
+    sizes.flatmap(_of_size),
+    st.sampled_from(EDGES).flatmap(_signed),
+)
+denominators = st.one_of(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(EDGES),
+    sizes.flatmap(lambda b: st.integers(min_value=1, max_value=1 << b)),
+)
+numerator_vectors = st.one_of(
+    sizes.flatmap(lambda b: st.lists(_of_size(b), min_size=16, max_size=16)),  # one size
+    st.lists(numerators, min_size=16, max_size=16),                            # mixed sizes
+    numerators.map(lambda x: [x] + [0] * 15),                                  # rational
+    st.just([0] * 16),                                                         # zero
+    st.lists(st.sampled_from(EDGES).flatmap(_signed) | st.just(0), min_size=16, max_size=16),
+    st.sampled_from(EDGES).flatmap(_signed).map(lambda x: [x] * 16),           # largest sums
+)
+operands = st.builds(lambda n, d: (tuple(n), d), numerator_vectors, denominators)
+
+
+def _elem(n, d):
+    out = object.__new__(Cyclo48)
+    out.n, out.d = n, d
+    return out
+
+
+def _form(x):
+    return x.n, x.d
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands, operands)
+def test_kernel_product_matches_oracle(c_kernel, a, b):
+    want = _form(cyclo_oracle._mul(_elem(*a), _elem(*b)))
+    assert c_kernel.cyclo_mul(*a, *b) == want
+    assert c_kernel.cyclo_mul(*b, *a) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands, operands, st.sampled_from((1, -1)))
+def test_kernel_sum_matches_oracle(c_kernel, a, b, s):
+    assert c_kernel.cyclo_add(*a, *b, s) == _form(cyclo_oracle._add(_elem(*a), _elem(*b), s))
+    assert c_kernel.cyclo_add(*a, *a, -1) == ((0,) * 16, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(numerators, max_size=40), denominators)
+def test_kernel_normalisation_matches_oracle(c_kernel, nums, d):
+    folded = cyclo_oracle._fold(list(nums))
+    want = _form(cyclo_oracle._norm(folded + [0] * (16 - len(folded)), d))
+    assert c_kernel.cyclo_norm(tuple(nums), d) == want
+
+
+def test_kernel_results_are_ints_in_canonical_form(c_kernel):
+    # the largest operands of the int128 path, whose products come
+    # nearest its overflow, and the smallest past it
+    for x in (FAST - 1, FAST):
+        top, low = (x,) * 16, (-x,) * 8 + (x,) * 8
+        for a, b in ((top, top), (top, low), (low, low)):
+            want = _form(cyclo_oracle._mul(_elem(a, x), _elem(b, x)))
+            assert c_kernel.cyclo_mul(a, x, b, x) == want
+    big = (1 << 200) + 1
+    for n, d in (c_kernel.cyclo_mul((FAST - 1,) * 16, FAST - 1, (FAST - 1,) * 16, FAST - 1),
+                 c_kernel.cyclo_add((big,) * 16, 1 << 64, (3,) * 16, 6, -1),
+                 c_kernel.cyclo_norm((6, 4), 2)):
+        assert len(n) == 16 and all(type(x) is int for x in n) and type(d) is int
+        assert d > 0 and math.gcd(*n, d) == 1
+    assert c_kernel.cyclo_norm((6, 4), 2) == ((3, 2) + (0,) * 14, 1)
+    assert c_kernel.cyclo_norm((), 5) == ((0,) * 16, 1)
+    # z^24 = -1 and z^16 = z^8 - 1, folded from any length
+    assert c_kernel.cyclo_norm((0,) * 24 + (1,), 1) == ((-1,) + (0,) * 15, 1)
+    assert c_kernel.cyclo_norm((0,) * 16 + (1,), 1) == ((-1,) + (0,) * 7 + (1,) + (0,) * 7, 1)
+    assert c_kernel.cyclo_norm((0,) * 48 + (7,), 3) == ((7,) + (0,) * 15, 3)
+
+
+def test_kernel_arithmetic_rejects_malformed_arguments(c_kernel):
+    n, one = (1,) + (0,) * 15, 1
+    type_errors = [
+        (c_kernel.cyclo_mul, (list(n), one, n, one)),           # numerators not a tuple
+        (c_kernel.cyclo_mul, (n[:-1] + (1.0,), one, n, one)),   # a non-int numerator
+        (c_kernel.cyclo_mul, (n, one, n, Fraction(1))),          # a non-int denominator
+        (c_kernel.cyclo_add, (n, one, n[:-1] + ("1",), one, 1)),
+        (c_kernel.cyclo_norm, ((1, None), one)),
+        (c_kernel.cyclo_add, (n, one, n, one, -1.0)),             # a non-int sign
+        (c_kernel.cyclo_mul, (n, one, n)),                       # wrong argument count
+        (c_kernel.cyclo_add, (n, one, n, one)),
+        (c_kernel.cyclo_norm, (n,)),
+    ]
+    value_errors = [
+        (c_kernel.cyclo_mul, (n[:-1], one, n, one)),             # 15 numerators
+        (c_kernel.cyclo_add, (n, one, n + (0,), one, 1)),        # 17 numerators
+        (c_kernel.cyclo_mul, (n, 0, n, one)),                    # d <= 0
+        (c_kernel.cyclo_mul, (n, one, n, -1)),
+        (c_kernel.cyclo_add, (n, -(1 << 70), n, one, 1)),
+        (c_kernel.cyclo_norm, (n, 0)),
+        (c_kernel.cyclo_add, (n, one, n, one, 0)),               # sign not +-1
+        (c_kernel.cyclo_add, (n, one, n, one, 2)),
+    ]
+    for fn, args in type_errors:
+        with pytest.raises(TypeError):
+            fn(*args)
+    for fn, args in value_errors:
+        with pytest.raises(ValueError):
+            fn(*args)
