@@ -1,4 +1,4 @@
-/* The compiled kernel, which the package requires: eight functions.
+/* The compiled kernel, which the package requires.  Its functions:
 
 tally_class(tables, max_len) is the depth-first walk enumerator, the
 histogram form of enumeration.iter_saws on the same tables.  It reads
@@ -19,6 +19,20 @@ tables.mids and twice those of tables.verts.  Malformed tables, as for
 tally_class, coordinates that are not tuples of pairs of ints within
 LONG_MAX / 8, and max_len < 0 raise ValueError; max_len 0 gives an empty
 list.
+
+stickbreak_sweep(tables, max_len) checks the stickbreak lemma on every
+bridge that bridges(tables, max_len, None) lists, in the same walk, and
+keeps no list.  For each bridge it traces the turns from the start
+mid-edge tables.mids[start_mid] (its heading points at the vertex ahead,
+ValueError if it does not), finds the diamond points d[0] < d[1] < ... as
+walk_facts does, and for each pair i < j splices a right turn before
+step d[i] and a left turn before step d[j], as bridges.stickbreak does.
+An output passes iff walk_facts' core finds it self-avoiding, of class
+bridge and two steps longer than the input.  It returns (bridges,
+bridges with two or more diamond points, pairs, failures, first), first
+being (turns, i, j) for the first failing pair in that order, turns
+the bridge's tuple as bridges gives it, or None.  Tables and max_len
+are checked as for bridges; max_len 0 or 1 gives (0, 0, 0, 0, None).
 
 transfer(T) builds the height-T strip transfer operator for
 1 <= T <= T_MAX (ValueError otherwise), its contacts on the top row: the
@@ -62,10 +76,13 @@ with lattice.step's integer arithmetic (a tuple of 'L'/'R' strings,
 TypeError or ValueError otherwise; ValueError if the heading does not
 traverse the mid-edge; OverflowError if a coordinate leaves the range of
 a C long along the walk).  It returns (self_avoiding, class, renewal,
-diamond): class is lattice.classify_walk's, or None for a walk that is
+diamond): self_avoiding says that the mid-edges are distinct and the
+vertices are (each decided with an open-addressing set, in linear
+time), class is lattice.classify_walk's, or None for a walk that is
 empty or not self-avoiding, and for a bridge renewal and diamond are the
 tuples of mid-edge indices that bridges.renewal_points and
-bridges.diamond_points return, else None.
+bridges.diamond_points return, else None.  stickbreak_sweep runs the
+same trace, set and classification on each output it judges.
 
 cyclo_mul(an, ad, bn, bd), cyclo_add(an, ad, bn, bd, s) and
 cyclo_norm(n, d) are the arithmetic of cyclo.Cyclo48 in Q(zeta_48): an
@@ -797,19 +814,21 @@ static int doubled_vertex(long long x, long long y)
     return r == 1 || r == 5 ? p == 0 : r == 2 || r == 4 ? p == 1 : 0;
 }
 
-static int point_cmp(const void *a, const void *b)
+/* Whether the n points p[0..n) are distinct: each goes into an
+   open-addressing set of 2^(64 - shift) > n slots, slot[k] being 0 or one
+   more than the index of the point it holds, which is cleared first. */
+static int distinct(const Point *p, Py_ssize_t n, Py_ssize_t *slot, int shift)
 {
-    const Point *p = a, *q = b;
-    return p->u != q->u ? (p->u > q->u) - (p->u < q->u) : (p->v > q->v) - (p->v < q->v);
-}
-
-/* Whether the n points are distinct; sorts them. */
-static int distinct(Point *p, Py_ssize_t n)
-{
-    qsort(p, (size_t)n, sizeof(Point), point_cmp);
-    for (Py_ssize_t i = 1; i < n; i++)
-        if (!point_cmp(&p[i - 1], &p[i]))
-            return 0;
+    const uint64_t mask = UINT64_MAX >> shift;
+    memset(slot, 0, (size_t)(mask + 1) * sizeof *slot);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        uint64_t k = ((uint64_t)p[i].u * 0x9E3779B97F4A7C15u + (uint64_t)p[i].v)
+                     * 0xC2B2AE3D27D4EB4Fu >> shift;
+        for (; slot[k]; k = (k + 1) & mask)
+            if (p[slot[k] - 1].u == p[i].u && p[slot[k] - 1].v == p[i].v)
+                return 0;
+        slot[k] = i + 1;
+    }
     return 1;
 }
 
@@ -850,11 +869,112 @@ static Py_ssize_t renewal_points(const Point *mid, const uint8_t *up, Py_ssize_t
     return nf;
 }
 
+/* The diamond points of a bridge on the mid-edges mid[0..n]: the vertical
+   mid-edges k with every mid-edge in the double cone of slopes +-60
+   degrees and apexes 2 below and above k.  Writes them into found[] in
+   order and returns how many. */
+static Py_ssize_t diamond_points(const Point *mid, Py_ssize_t n, Py_ssize_t *found)
+{
+    Py_ssize_t nf = 0;
+    for (Py_ssize_t k = 0; k <= n; k++) {
+        if (floor_mod(mid[k].u, 2))
+            continue;
+        Py_ssize_t i = 0;
+        for (; i <= n; i++) {
+            long long d = 3 * llabs(mid[i].u - mid[k].u);
+            if (!(mid[i].v - mid[k].v + 2 >= d || mid[k].v + 2 - mid[i].v >= d))
+                break;
+        }
+        if (i > n)
+            found[nf++] = k;
+    }
+    return nf;
+}
+
+/* The trace of a walk of up to cap steps: pt holds its mid-edges at
+   0..n, its vertices (doubled) at n+1..2n and scratch at 2n+1..3n+1; up[i]
+   says that mid-edge i is traversed straight up (heading 0); slot is the
+   set distinct uses, of more than 2 (cap + 1) slots. */
+typedef struct {
+    Point *pt;
+    uint8_t *up;
+    Py_ssize_t *slot;
+    int shift;
+} Trace;
+
+static int trace_alloc(Trace *w, Py_ssize_t cap)
+{
+    w->shift = 63;
+    while ((UINT64_MAX >> w->shift) < (uint64_t)(2 * cap + 2))
+        w->shift--;
+    w->pt = PyMem_New(Point, 3 * cap + 2);
+    w->up = PyMem_Malloc(cap + 1);
+    w->slot = PyMem_New(Py_ssize_t, (UINT64_MAX >> w->shift) + 1);
+    if (w->pt == NULL || w->up == NULL || w->slot == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+static void trace_free(Trace *w)
+{
+    PyMem_Free(w->pt);
+    PyMem_Free(w->up);
+    PyMem_Free(w->slot);
+}
+
+/* Trace the n-step walk from mid-edge start, left with heading h, that
+   turns left at step i where turn[i] is 0 and right where it is 1, with
+   lattice.step's integer arithmetic. */
+static void trace_walk(Trace *w, Point start, int h, const uint8_t *turn, Py_ssize_t n)
+{
+    Point *mid = w->pt, *vert = w->pt + n + 1;
+    mid[0] = start;
+    w->up[0] = h == 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        vert[i] = (Point){mid[i].u + STEP_DU[h], mid[i].v + STEP_DV[h]};
+        h = turn[i] ? (h + 1) % 6 : (h + 5) % 6;
+        mid[i + 1] = (Point){vert[i].u + STEP_DU[h], vert[i].v + STEP_DV[h]};
+        w->up[i + 1] = h == 0;
+    }
+}
+
+/* lattice.classify_walk's classes; CLS_NOT_SAW and CLS_EMPTY have none. */
+enum { CLS_NOT_SAW = -1, CLS_EMPTY, CLS_BRIDGE, CLS_HALF_PLANE, CLS_ARCH, CLS_OTHER };
+static const char *const CLASS_NAMES[] = {NULL, "bridge", "half-plane", "arch", "other"};
+
+/* The class of the n-step walk just traced into w: CLS_NOT_SAW unless its
+   mid-edges and its vertices are distinct. */
+static int walk_class(Trace *w, Py_ssize_t n)
+{
+    const Point *mid = w->pt;
+    if (!distinct(mid, n + 1, w->slot, w->shift) || !distinct(mid + n + 1, n, w->slot, w->shift))
+        return CLS_NOT_SAW;
+    if (n == 0)
+        return CLS_EMPTY;
+    /* a bridge leaves and ends upward (heading 0, so on vertical
+       mid-edges) with the interior strictly between its ends in height;
+       else a half-plane walk stays above its start, and an arch stays
+       above it in the interior and ends at its height */
+    const long long v0 = mid[0].v, vn = mid[n].v;
+    int between = 1, above = 1;
+    for (Py_ssize_t i = 1; i < n; i++) {
+        between &= v0 < mid[i].v && mid[i].v < vn;
+        above &= mid[i].v > v0;
+    }
+    return w->up[0] && w->up[n] && between ? CLS_BRIDGE
+           : above && vn > v0              ? CLS_HALF_PLANE
+           : above && vn == v0             ? CLS_ARCH
+                                           : CLS_OTHER;
+}
+
 static PyObject *walk_facts(PyObject *self, PyObject *args)
 {
     long U, V;
     int h;
     PyObject *turns, *out = NULL, *renewal = NULL, *diamond = NULL;
+    Trace w = {NULL, NULL, NULL, 0};
 
     if (!PyArg_ParseTuple(args, "lliO!:walk_facts", &U, &V, &h, &PyTuple_Type, &turns))
         return NULL;
@@ -871,18 +991,13 @@ static PyObject *walk_facts(PyObject *self, PyObject *args)
                      V);
         return NULL;
     }
-    /* mids[0..n], then the n vertices (doubled), then a copy to sort;
-       the renewal or diamond indices found; which mid-edges go straight up */
-    Point *pt = PyMem_New(Point, 4 * n + 2);
+    /* the turns, then the renewal or diamond indices found */
+    uint8_t *turn = PyMem_Malloc(n + 1);
     Py_ssize_t *found = PyMem_New(Py_ssize_t, n + 1);
-    uint8_t *up = PyMem_Malloc(n + 1);
-    if (pt == NULL || found == NULL || up == NULL) {
+    if (turn == NULL || found == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    Point *mid = pt, *vert = pt + n + 1, *sorted = pt + 2 * n + 1;
-    mid[0] = (Point){U, V};
-    up[0] = h == 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *t = PyTuple_GET_ITEM(turns, i);
         if (!PyUnicode_Check(t)) {
@@ -890,77 +1005,40 @@ static PyObject *walk_facts(PyObject *self, PyObject *args)
                          Py_TYPE(t)->tp_name);
             goto done;
         }
-        int left = PyUnicode_CompareWithASCIIString(t, "L") == 0;
-        if (!left && PyUnicode_CompareWithASCIIString(t, "R") != 0) {
+        turn[i] = PyUnicode_CompareWithASCIIString(t, "L") != 0;
+        if (turn[i] && PyUnicode_CompareWithASCIIString(t, "R") != 0) {
             PyErr_Format(PyExc_ValueError, "turn %zd is %R, not 'L' or 'R'", i, t);
             goto done;
         }
-        vert[i] = (Point){mid[i].u + STEP_DU[h], mid[i].v + STEP_DV[h]};
-        h = left ? (h + 5) % 6 : (h + 1) % 6;
-        mid[i + 1] = (Point){vert[i].u + STEP_DU[h], vert[i].v + STEP_DV[h]};
-        up[i + 1] = h == 0;
     }
-    memcpy(sorted, mid, (size_t)(2 * n + 1) * sizeof(Point));
-    if (!distinct(sorted, n + 1) || !distinct(sorted + n + 1, n)) {
-        out = Py_BuildValue("(OOOO)", Py_False, Py_None, Py_None, Py_None);
+    if (trace_alloc(&w, n) < 0)
+        goto done;
+    trace_walk(&w, (Point){U, V}, h, turn, n);
+    const int cls = walk_class(&w, n);
+    if (cls != CLS_BRIDGE) {
+        out = Py_BuildValue("(OsOO)", cls == CLS_NOT_SAW ? Py_False : Py_True,
+                            cls == CLS_NOT_SAW ? NULL : CLASS_NAMES[cls], Py_None, Py_None);
         goto done;
     }
-    if (n == 0) {
-        out = Py_BuildValue("(OOOO)", Py_True, Py_None, Py_None, Py_None);
-        goto done;
-    }
-    /* a bridge leaves and ends upward (heading 0, so on vertical
-       mid-edges) with the interior strictly between its ends in height;
-       else a half-plane walk stays above its start, and an arch stays
-       above it in the interior and ends at its height */
-    const long long v0 = mid[0].v, vn = mid[n].v;
-    int between = 1, above = 1;
-    for (Py_ssize_t i = 1; i < n; i++) {
-        between &= v0 < mid[i].v && mid[i].v < vn;
-        above &= mid[i].v > v0;
-    }
-    const char *cls = up[0] && up[n] && between ? "bridge"
-                      : above && vn > v0          ? "half-plane"
-                      : above && vn == v0         ? "arch"
-                                                  : "other";
-    if (cls[0] != 'b') {
-        out = Py_BuildValue("(OsOO)", Py_True, cls, Py_None, Py_None);
-        goto done;
-    }
-    if ((renewal = index_tuple(found, renewal_points(mid, up, n, sorted, found))) == NULL)
-        goto done;
-    /* diamond points: vertical mid-edges k with every mid-edge in the
-       double cone of slopes +-60 degrees and apexes 2 below and above k */
-    Py_ssize_t nf = 0;
-    for (Py_ssize_t k = 0; k <= n; k++) {
-        if (floor_mod(mid[k].u, 2))
-            continue;
-        Py_ssize_t i = 0;
-        for (; i <= n; i++) {
-            long long d = 3 * llabs(mid[i].u - mid[k].u);
-            if (!(mid[i].v - mid[k].v + 2 >= d || mid[k].v + 2 - mid[i].v >= d))
-                break;
-        }
-        if (i > n)
-            found[nf++] = k;
-    }
-    if ((diamond = index_tuple(found, nf)) != NULL)
-        out = Py_BuildValue("(OsOO)", Py_True, cls, renewal, diamond);
+    if ((renewal = index_tuple(found, renewal_points(w.pt, w.up, n, w.pt + 2 * n + 1, found)))
+            != NULL
+        && (diamond = index_tuple(found, diamond_points(w.pt, n, found))) != NULL)
+        out = Py_BuildValue("(OsOO)", Py_True, CLASS_NAMES[cls], renewal, diamond);
 done:
     Py_XDECREF(renewal);
     Py_XDECREF(diamond);
-    PyMem_Free(pt);
+    trace_free(&w);
+    PyMem_Free(turn);
     PyMem_Free(found);
-    PyMem_Free(up);
     return out;
 }
 
 /* ---- bridges ---- */
 
-/* The second coordinate, times scale, of each of the n pairs of ints in
-   tables.<name>, into out; ValueError unless it is a tuple of such pairs
-   with every coordinate read within LONG_MAX / 8 in size. */
-static int get_heights(PyObject *tables, const char *name, long n, int scale, long long *out)
+/* The pairs of ints in tables.<name>, each coordinate times scale, into
+   out; ValueError unless it is a tuple of n such pairs with every
+   coordinate read within LONG_MAX / 8 in size. */
+static int get_points(PyObject *tables, const char *name, long n, int scale, Point *out)
 {
     PyObject *seq = PyObject_GetAttrString(tables, name);
     if (seq == NULL)
@@ -968,12 +1046,16 @@ static int get_heights(PyObject *tables, const char *name, long n, int scale, lo
     int ok = PyTuple_Check(seq) && PyTuple_GET_SIZE(seq) == n;
     for (long i = 0; ok && i < n; i++) {
         PyObject *p = PyTuple_GET_ITEM(seq, i);
-        int overflow = 0;
-        ok = PyTuple_Check(p) && PyTuple_GET_SIZE(p) == 2
-             && PyLong_Check(PyTuple_GET_ITEM(p, 0)) && PyLong_Check(PyTuple_GET_ITEM(p, 1));
-        long v = ok ? PyLong_AsLongAndOverflow(PyTuple_GET_ITEM(p, 1), &overflow) : 0;
-        ok = ok && !overflow && v <= LONG_MAX / 8 && v >= -(LONG_MAX / 8);
-        out[i] = (long long)scale * v;
+        ok = PyTuple_Check(p) && PyTuple_GET_SIZE(p) == 2;
+        long c[2] = {0, 0};
+        for (int k = 0; ok && k < 2; k++) {
+            PyObject *x = PyTuple_GET_ITEM(p, k);
+            int overflow = 0;
+            ok = PyLong_Check(x);
+            c[k] = ok ? PyLong_AsLongAndOverflow(x, &overflow) : 0;
+            ok = ok && !overflow && c[k] <= LONG_MAX / 8 && c[k] >= -(LONG_MAX / 8);
+        }
+        out[i] = (Point){(long long)scale * c[0], (long long)scale * c[1]};
     }
     Py_DECREF(seq);
     if (!ok)
@@ -982,28 +1064,35 @@ static int get_heights(PyObject *tables, const char *name, long n, int scale, lo
     return ok ? 0 : -1;
 }
 
-typedef struct {
+typedef struct Bridger Bridger;
+
+/* Called on each bridge of the given length, its turns in b->turns;
+   0, or -1 with an exception set to stop the walk. */
+typedef int (*BridgeHook)(Bridger *b, int length);
+
+struct Bridger {
     const int32_t *step_vert, *step_mid, *step_dir;
-    const long long *mid_v, *vert_v;    /* doubled heights */
+    Point *mid_pt, *vert_pt;            /* doubled coordinates */
     uint8_t *vis_mid, *vis_vert;
     uint8_t *turns, *up;                /* per step: 0 left, 1 right; per path mid-edge */
     Point *path, *lo;                   /* the path's mid-edges (heights only); scratch */
     Py_ssize_t *found;
-    PyObject *turn[2], *out;            /* 'L', 'R'; the list of turn tuples */
+    PyObject *turn[2];                  /* 'L', 'R' */
     int max_len, irreducible;           /* -1 keeps every bridge */
-} Bridger;
+    int start_mid, start_dir;
+    BridgeHook hook;
+    void *ctx;                          /* the hook's */
+    Tables t;
+    void *mem;
+};
 
-/* Append the walk's turns, as a tuple of 'L' and 'R', to the output. */
-static int emit(Bridger *b, int length)
+/* The walk's turns as a tuple of 'L' and 'R'. */
+static PyObject *turn_tuple(Bridger *b, int length)
 {
     PyObject *t = PyTuple_New(length);
-    if (t == NULL)
-        return -1;
-    for (int i = 0; i < length; i++)
+    for (int i = 0; t != NULL && i < length; i++)
         PyTuple_SET_ITEM(t, i, Py_NewRef(b->turn[b->turns[i]]));
-    int rc = PyList_Append(b->out, t);
-    Py_DECREF(t);
-    return rc;
+    return t;
 }
 
 /* The walk that tally_class visits at (mid, d, length), then its
@@ -1012,14 +1101,14 @@ static int emit(Bridger *b, int length)
    highest vertex and last the index of its last one. */
 static int grow(Bridger *b, int mid, int d, int length, int last, long long top)
 {
-    b->path[length].v = b->mid_v[mid];
+    b->path[length].v = b->mid_pt[mid].v;
     if (length > 0) {
-        b->up[length] = b->mid_v[mid] == b->vert_v[last] + 2;
-        int bridge = b->up[length] && b->vert_v[last] == top;
+        b->up[length] = b->mid_pt[mid].v == b->vert_pt[last].v + 2;
+        int bridge = b->up[length] && b->vert_pt[last].v == top;
         if (bridge && b->irreducible >= 0)
             bridge = (renewal_points(b->path, b->up, length, b->lo, b->found) == 2)
                      == b->irreducible;
-        if (bridge && emit(b, length) < 0)
+        if (bridge && b->hook(b, length) < 0)
             return -1;
     }
     if (length >= b->max_len)
@@ -1029,7 +1118,7 @@ static int grow(Bridger *b, int mid, int d, int length, int last, long long top)
         return 0;
     b->vis_vert[v] = 1;
     int base = 4 * mid + 2 * d, rc = 0;
-    long long ntop = b->vert_v[v] > top ? b->vert_v[v] : top;
+    long long ntop = b->vert_pt[v].v > top ? b->vert_pt[v].v : top;
     for (int t = 0; t < 2 && rc == 0; t++) {
         int nm = b->step_mid[base + t];
         if (!b->vis_mid[nm]) {
@@ -1043,50 +1132,188 @@ static int grow(Bridger *b, int mid, int d, int length, int last, long long top)
     return rc;
 }
 
+/* Open the tables for a walk over the bridges of at most max_len steps
+   (b->max_len is that cap, lowered to what the tables hold) and read
+   their coordinates; release with bridger_close, also on failure. */
+static int bridger_open(Bridger *b, PyObject *tables, int max_len, int irreducible)
+{
+    Tables *t = &b->t;
+    b->mem = NULL;
+    b->turn[0] = b->turn[1] = NULL;
+    if (open_tables(tables, max_len, t) < 0)
+        return -1;
+    /* a self-avoiding walk visits each mid-edge at most once */
+    const long n = (max_len < t->n_mids ? max_len : t->n_mids - 1) + 1;
+    /* mid and vertex coordinates, path and scratch points, found indices,
+       then the mid-edge and vertex marks, turns and up flags */
+    const size_t words = (size_t)(t->n_mids + t->n_verts + 2 * n) * sizeof(Point)
+                         + (size_t)n * sizeof(Py_ssize_t);
+    uint8_t *mem = b->mem = PyMem_Calloc(words + (size_t)(t->n_mids + t->n_verts + 2 * n), 1);
+    if (mem == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    Point *path = (Point *)mem + t->n_mids + t->n_verts;
+    uint8_t *vis = mem + words;
+    b->step_vert = t->b[0].buf;
+    b->step_mid = t->b[1].buf;
+    b->step_dir = t->b[2].buf;
+    b->mid_pt = (Point *)mem;
+    b->vert_pt = b->mid_pt + t->n_mids;
+    b->vis_mid = vis;
+    b->vis_vert = vis + t->n_mids;
+    b->turns = b->vis_vert + t->n_verts;
+    b->up = b->turns + n;
+    b->path = path;
+    b->lo = path + n;
+    b->found = (Py_ssize_t *)(path + 2 * n);
+    b->max_len = (int)n - 1;
+    b->irreducible = irreducible;
+    b->start_mid = (int)t->start_mid;
+    b->start_dir = (int)t->start_dir;
+    b->turn[0] = PyUnicode_InternFromString("L");
+    b->turn[1] = PyUnicode_InternFromString("R");
+    if (b->turn[0] == NULL || b->turn[1] == NULL
+        || get_points(tables, "mids", t->n_mids, 1, b->mid_pt) < 0
+        || get_points(tables, "verts", t->n_verts, 2, b->vert_pt) < 0)
+        return -1;
+    return 0;
+}
+
+/* Call hook(b, length) on each bridge, in depth-first order. */
+static int bridger_run(Bridger *b, BridgeHook hook, void *ctx)
+{
+    b->hook = hook;
+    b->ctx = ctx;
+    b->vis_mid[b->start_mid] = 1;
+    return grow(b, b->start_mid, b->start_dir, 0, -1, LLONG_MIN);
+}
+
+static void bridger_close(Bridger *b)
+{
+    Py_XDECREF(b->turn[0]);
+    Py_XDECREF(b->turn[1]);
+    PyMem_Free(b->mem);
+    close_tables(&b->t);
+}
+
+/* Append the bridge's turn tuple to the list ctx. */
+static int emit(Bridger *b, int length)
+{
+    PyObject *t = turn_tuple(b, length);
+    int rc = t == NULL ? -1 : PyList_Append(b->ctx, t);
+    Py_XDECREF(t);
+    return rc;
+}
+
 static PyObject *bridges(PyObject *self, PyObject *args)
 {
     PyObject *tables, *irr, *out = NULL;
     int max_len, irreducible = -1;
-    Tables t;
-    void *mem = NULL;
+    Bridger b;
 
     if (!PyArg_ParseTuple(args, "OiO:bridges", &tables, &max_len, &irr))
         return NULL;
     if (irr != Py_None && (irreducible = PyObject_IsTrue(irr)) < 0)
         return NULL;
-    if (open_tables(tables, max_len, &t) < 0)
+    if (bridger_open(&b, tables, max_len, irreducible) == 0 && (out = PyList_New(0)) != NULL)
+        bridger_run(&b, emit, out);
+    bridger_close(&b);
+    if (PyErr_Occurred())
+        Py_CLEAR(out);
+    return out;
+}
+
+/* ---- stickbreak sweep ---- */
+
+typedef struct {
+    Point start;                /* the start mid-edge, left with heading */
+    int heading;
+    Trace w;
+    uint8_t *out;               /* the spliced turns */
+    Py_ssize_t *dia;            /* the bridge's diamond points */
+    long long enumerated, used, pairs, failures;
+    PyObject *first;            /* (turns, i, j) of the first failure */
+} Sweep;
+
+/* The turns of the stickbreak of a bridge at its diamond points di < dj:
+   one right turn spliced in before step di and one left turn before step
+   dj, which rotates the path between them by pi/3 clockwise.  Writes
+   them into out and returns how many. */
+static Py_ssize_t splice(const uint8_t *turn, Py_ssize_t n, Py_ssize_t di, Py_ssize_t dj,
+                         uint8_t *out)
+{
+    memcpy(out, turn, (size_t)di);
+    out[di] = 1;
+    memcpy(out + di + 1, turn + di, (size_t)(dj - di));
+    out[dj + 1] = 0;
+    memcpy(out + dj + 2, turn + dj, (size_t)(n - dj));
+    return n + 2;
+}
+
+/* Stickbreak the bridge at each pair of its diamond points; an output
+   passes iff it is a self-avoiding bridge two steps longer. */
+static int sweep_bridge(Bridger *b, int length)
+{
+    Sweep *s = b->ctx;
+    s->enumerated++;
+    trace_walk(&s->w, s->start, s->heading, b->turns, length);
+    const Py_ssize_t nd = diamond_points(s->w.pt, length, s->dia);
+    s->used += nd >= 2;
+    for (Py_ssize_t i = 0; i < nd; i++)
+        for (Py_ssize_t j = i + 1; j < nd; j++) {
+            Py_ssize_t m = splice(b->turns, length, s->dia[i], s->dia[j], s->out);
+            trace_walk(&s->w, s->start, s->heading, s->out, m);
+            s->pairs++;
+            if (m == length + 2 && walk_class(&s->w, m) == CLS_BRIDGE)
+                continue;
+            s->failures++;
+            if (s->first == NULL
+                && (s->first = Py_BuildValue("(Nnn)", turn_tuple(b, length), i, j)) == NULL)
+                return -1;
+        }
+    return 0;
+}
+
+static PyObject *stickbreak_sweep(PyObject *self, PyObject *args)
+{
+    PyObject *tables, *out = NULL;
+    int max_len;
+    Bridger b;
+    Sweep s = {{0, 0}, 0, {NULL, NULL, NULL, 0}, NULL, NULL, 0, 0, 0, 0, NULL};
+
+    if (!PyArg_ParseTuple(args, "Oi:stickbreak_sweep", &tables, &max_len))
+        return NULL;
+    if (bridger_open(&b, tables, max_len, -1) < 0)
         goto done;
-    /* a self-avoiding walk visits each mid-edge at most once */
-    const long n = (max_len < t.n_mids ? max_len : t.n_mids - 1) + 1;
-    /* mid and vertex heights, path and scratch points, found indices,
-       then the mid-edge and vertex marks, turns and up flags */
-    const size_t words = (size_t)(t.n_mids + t.n_verts) * sizeof(long long)
-                         + (size_t)(2 * n) * sizeof(Point) + (size_t)n * sizeof(Py_ssize_t);
-    if ((mem = PyMem_Calloc(words + (size_t)(t.n_mids + t.n_verts + 2 * n), 1)) == NULL) {
+    /* the start heading points from the start mid-edge at the vertex
+       ahead; with no vertex ahead there is no bridge */
+    const int v = b.step_vert[2 * b.start_mid + b.start_dir];
+    s.start = b.mid_pt[b.start_mid];
+    s.heading = -1;
+    for (int h = 0; v >= 0 && h < 6; h++)
+        if (b.vert_pt[v].u - s.start.u == STEP_DU[h] && b.vert_pt[v].v - s.start.v == STEP_DV[h])
+            s.heading = h;
+    if (v >= 0 && s.heading < 0) {
+        PyErr_SetString(PyExc_ValueError, "the start mid-edge is not next to its vertex ahead");
+        goto done;
+    }
+    const Py_ssize_t cap = b.max_len + 2;
+    if (trace_alloc(&s.w, cap) < 0)
+        goto done;
+    if ((s.out = PyMem_Malloc(cap)) == NULL || (s.dia = PyMem_New(Py_ssize_t, cap)) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    long long *mid_v = mem, *vert_v = mid_v + t.n_mids;
-    Point *path = (Point *)(vert_v + t.n_verts);
-    Py_ssize_t *found = (Py_ssize_t *)(path + 2 * n);
-    uint8_t *vis = (uint8_t *)mem + words;
-    if (get_heights(tables, "mids", t.n_mids, 1, mid_v) < 0
-        || get_heights(tables, "verts", t.n_verts, 2, vert_v) < 0
-        || (out = PyList_New(0)) == NULL)
-        goto done;
-    Bridger b = {t.b[0].buf, t.b[1].buf, t.b[2].buf, mid_v, vert_v, vis, vis + t.n_mids,
-                 vis + t.n_mids + t.n_verts, vis + t.n_mids + t.n_verts + n, path, path + n,
-                 found, {PyUnicode_InternFromString("L"), PyUnicode_InternFromString("R")}, out,
-                 (int)n - 1, irreducible};
-    if (b.turn[0] != NULL && b.turn[1] != NULL) {
-        vis[t.start_mid] = 1;
-        grow(&b, (int)t.start_mid, (int)t.start_dir, 0, -1, LLONG_MIN);
-    }
-    Py_XDECREF(b.turn[0]);
-    Py_XDECREF(b.turn[1]);
+    if (bridger_run(&b, sweep_bridge, &s) == 0)
+        out = Py_BuildValue("(LLLLO)", s.enumerated, s.used, s.pairs, s.failures,
+                            s.first ? s.first : Py_None);
 done:
-    PyMem_Free(mem);
-    close_tables(&t);
+    bridger_close(&b);
+    trace_free(&s.w);
+    PyMem_Free(s.out);
+    PyMem_Free(s.dia);
+    Py_XDECREF(s.first);
     if (PyErr_Occurred())
         Py_CLEAR(out);
     return out;
@@ -1454,6 +1681,9 @@ static PyMethodDef methods[] = {
      "Spectral radius of M = coo(row, col, w) by power iteration from start, or None."},
     {"bridges", bridges, METH_VARARGS,
      "Turn tuples of the bridges of at most max_len steps, all or (not) irreducible."},
+    {"stickbreak_sweep", stickbreak_sweep, METH_VARARGS,
+     "(bridges, bridges with two diamond points, pairs, failures, first failure or None) of "
+     "the stickbreak sweep over the bridges of at most max_len steps."},
     {"walk_facts", walk_facts, METH_VARARGS,
      "(self_avoiding, class, renewal points, diamond points) of the walk (U, V, heading, turns)."},
     {"cyclo_mul", (PyCFunction)(void (*)(void))cyclo_mul, METH_FASTCALL,
@@ -1468,8 +1698,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_dfs",
-    .m_doc = "Compiled walk and bridge enumeration, strip transfer operator, spectral radius, "
-              "walk facts and Cyclo48 arithmetic.",
+    .m_doc = "Compiled walk and bridge enumeration, stickbreak sweep, strip transfer operator, "
+              "spectral radius, walk facts and Cyclo48 arithmetic.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -8,11 +8,13 @@ to 1 (Kesten's relation); this module computes exact truncated partial
 sums of that series in Q(zeta_48).  Those sums need only counts: the
 kernel's top-line (class B) histograms of strip prefixes count the
 bridges by height and length, and renewal inversion turns them into
-irreducible counts.  The bridges themselves (for stickbreak and the
-sampler) come from the kernel's bridge enumerator, which also decides
-irreducibility by the renewal rule of ``Walk.facts``; the half-plane and
-strip walks (for unfolding and arches) from
-:func:`hexsaw.enumeration.iter_saws` passes.
+irreducible counts.  The bridges themselves (for the sampler) come from
+the kernel's bridge enumerator, which also decides irreducibility by the
+renewal rule of ``Walk.facts``; the half-plane and strip walks (for
+unfolding and arches) from :func:`hexsaw.enumeration.iter_saws` passes.
+The stickbreak sweep runs whole in that enumerator: it splices and
+judges each perturbation with the same C code as ``Walk.facts`` and
+returns counts, building no ``Walk``.
 
 Coordinates follow :mod:`hexsaw.lattice`: mid-edges carry doubled
 integer pairs (U, V) with real position (U*sqrt(3)/4, V/4), so a
@@ -26,7 +28,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import domains as dm
 from . import enumeration as en
@@ -125,6 +127,13 @@ def iter_half_plane_walks(max_len: int) -> Iterator[Walk]:
             yield v.walk
 
 
+def _check_max_len(max_len: int) -> None:
+    if max_len < 0:
+        raise InvalidParameterError(f"need max_len >= 0, got {max_len}")
+    if max_len > N_CAP:
+        raise CapacityError(f"bridge enumeration capped at length {N_CAP}")
+
+
 def iter_bridges(max_len: int, irreducible: bool | None = None) -> Iterator[Walk]:
     """Every bridge of at most max_len steps, in the depth-first order of
     :func:`iter_half_plane_walks`: the half-plane walks whose last step
@@ -132,10 +141,7 @@ def iter_bridges(max_len: int, irreducible: bool | None = None) -> Iterator[Walk
     or False, only the bridges with no interior renewal point, or only
     those with one.  The kernel enumerates them and applies the renewal
     rule, so a Walk is built only for the bridges yielded."""
-    if max_len < 0:
-        raise InvalidParameterError(f"need max_len >= 0, got {max_len}")
-    if max_len > N_CAP:
-        raise CapacityError(f"bridge enumeration capped at length {N_CAP}")
+    _check_max_len(max_len)
     tables = en.build_tables(en.half_plane_domain(max_len))
     for turns in _kernel.bridges(tables, max_len, irreducible):
         yield Walk(turns=turns)
@@ -152,10 +158,7 @@ def bridge_height_length_counts(
     nothing, heights and lengths adding, so the irreducible counts are
     the renewal inversion I = B - I*B.
     """
-    if max_len < 0:
-        raise InvalidParameterError(f"need max_len >= 0, got {max_len}")
-    if max_len > N_CAP:
-        raise CapacityError(f"bridge enumeration capped at length {N_CAP}")
+    _check_max_len(max_len)
     top = en.CLASS_ID[dm.B_TOP]
     counts: dict[tuple[int, int], int] = {}
     for h in range(1, max_len // 2 + 1):
@@ -275,6 +278,27 @@ def rotated_segment(b: Walk, i: int, j: int) -> Walk:
     out = stickbreak(b, i, j)
     d = diamond_points(b)
     return out.subwalk(d[i] + 1, d[j] + 1)
+
+
+class StickbreakSweep(NamedTuple):
+    """The counts of :func:`stickbreak_sweep`."""
+
+    bridges: int                    # bridges enumerated
+    used: int                       # those with at least two diamond points
+    pairs: int                      # diamond-point pairs perturbed
+    failures: int                   # outputs that are not a bridge 2 steps longer
+    first_failure: tuple[tuple[str, ...], int, int] | None   # (turns, i, j)
+
+
+def stickbreak_sweep(max_len: int) -> StickbreakSweep:
+    """``stickbreak(b, i, j)`` for every bridge b of at most max_len steps
+    and every pair i < j of its diamond points, each output judged a
+    pass iff it is a self-avoiding bridge two steps longer than b.  The
+    kernel runs the sweep inside its bridge enumerator and keeps only the
+    counts and the first failing (turns of b, i, j)."""
+    _check_max_len(max_len)
+    tables = en.build_tables(en.half_plane_domain(max_len))
+    return StickbreakSweep(*_kernel.stickbreak_sweep(tables, max_len))
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,10 @@ from . import identity as idt
 from . import strip as sp
 from .errors import (
     CapacityError,
-    ClassificationError,
     HexsawError,
     InvalidParameterError,
     NonConvergenceError,
 )
-from .lattice import classify_walk
 from .model import constants
 
 SCHEMA_VERSION = 1
@@ -209,24 +207,15 @@ def _cmd_stickbreak_sweep(args):
         # a check of no pair has no verdict
         raise InvalidParameterError(
             f"need --max-len >= 2, got {args.max_len}: no bridge is shorter than 2 steps")
-    checked = failures = bridges_used = 0
-    for b in br.iter_bridges(args.max_len):
-        d = br.diamond_points(b)
-        if len(d) < 2:
-            continue
-        bridges_used += 1
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                out = br.stickbreak(b, i, j)
-                checked += 1
-                try:
-                    ok = classify_walk(out) == "bridge" and len(out) == len(b) + 2
-                except ClassificationError:   # not self-avoiding, or empty
-                    ok = False
-                failures += not ok
-    results = {"max_len": args.max_len, "bridges": bridges_used,
-               "pairs_checked": checked, "failures": failures}
-    return results, failures == 0 and checked > 0, None
+    sweep = br.stickbreak_sweep(args.max_len)
+    first = sweep.first_failure
+    if first is not None:
+        turns, i, j = first
+        first = {"turns": "".join(turns), "i": i, "j": j}
+    results = {"max_len": args.max_len, "bridges": sweep.used,
+               "pairs_checked": sweep.pairs, "failures": sweep.failures,
+               "bridges_enumerated": sweep.bridges, "first_failure": first}
+    return results, sweep.failures == 0 and sweep.pairs > 0, None
 
 
 def _cmd_sample(args):

@@ -18,12 +18,13 @@ in 128-bit integers while every numerator and denominator is below 2^60
 and on Python ints beyond; ``tests/cyclo_oracle.py`` keeps the Python
 twin they are tested against.
 
-The Galois automorphisms sigma_k: z -> z^k, k a unit mod 48, act by
-signed permutation-like tables on the numerators and keep the
-denominator; complex conjugation is sigma_47.  Inverses use no rational
-Euclid: a tower of four quadratic steps through the Galois group turns
-a into its norm N(a), a positive rational, and a^-1 is the product of
-the four cofactors divided by N(a).  These, powers, signs and
+The Galois automorphisms sigma_k: z -> z^k, k a unit mod 48, act on
+the numerators by tables compiled once, each image numerator a signed
+sum of one or two of them, and keep the denominator; complex
+conjugation is sigma_47.  Inverses use no rational Euclid: a tower of
+four quadratic steps through the Galois group turns a into its norm
+N(a), a positive rational, and a^-1 is the product of the four
+cofactors divided by N(a).  These, powers, signs and
 comparisons are Python code over the kernel's products and sums.
 
 Signs and float values of real elements come from exact integer
@@ -59,8 +60,15 @@ def _zeta_terms(j: int) -> tuple:
     return ((j - 8, sign), (j - 16, -sign))     # z^16 = z^8 - 1
 
 
-def _sigma_table(k: int) -> tuple:
-    return tuple(_zeta_terms(k * i) for i in range(_DEG))
+def _sigma_table(k: int):
+    """sigma_k as a function of a numerator tuple n, compiled once: the
+    image is one tuple expression whose entry t is the signed sum of the
+    n[i] whose z^(k*i) has a term at z^t."""
+    cols: list[str] = [""] * _DEG
+    for i in range(_DEG):
+        for t, s in _zeta_terms(k * i):
+            cols[t] += f"{'-' if s < 0 else '+'}n[{i}]"
+    return eval("lambda n: (" + ", ".join(c.lstrip("+") for c in cols) + ",)")
 
 
 # sigma_k for the tower 47 (complex conjugation), 7, 17, 5 of the Galois
@@ -97,15 +105,10 @@ def _add(a: "Cyclo48", b: "Cyclo48", s: int = 1) -> "Cyclo48":
     return out
 
 
-def _apply(table: tuple, a: "Cyclo48") -> "Cyclo48":
+def _apply(table, a: "Cyclo48") -> "Cyclo48":
     """sigma(a) for an automorphism table; the content and d are unchanged."""
-    out = [0] * _DEG
-    for x, terms in zip(a.n, table):
-        if x:
-            for t, s in terms:
-                out[t] += s * x
     res = object.__new__(Cyclo48)
-    res.n = tuple(out)
+    res.n = table(a.n)
     res.d = a.d
     return res
 

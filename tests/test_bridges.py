@@ -343,6 +343,34 @@ def test_stickbreak_properties():
     assert checked > 50
 
 
+@pytest.fixture(scope="module")
+def python_sweeps():
+    """The Python sweep's counts at every max_len 2..14 and at 16."""
+    return {N: walk_oracle.stickbreak_sweep(N) for N in list(range(2, 15)) + [16]}
+
+
+def test_stickbreak_sweep_matches_python_loop(python_sweeps):
+    """The kernel's sweep counts what the loop over Walks counts: the
+    bridges, those with two diamond points, the pairs and the failures."""
+    for N, ref in python_sweeps.items():
+        assert br.stickbreak_sweep(N) == ref, N
+    assert python_sweeps[14][:4] == (2532, 986, 8722, 0)
+
+
+def test_stickbreak_sweep_at_the_cap():
+    assert br.stickbreak_sweep(br.N_CAP) == (86382, 28078, 288150, 0, None)
+
+
+def test_stickbreak_sweep_guard():
+    """The sweep refuses what iter_bridges refuses; below 2 steps there is
+    no bridge."""
+    with pytest.raises(InvalidParameterError, match="max_len"):
+        br.stickbreak_sweep(-1)
+    with pytest.raises(CapacityError, match="capped"):
+        br.stickbreak_sweep(br.N_CAP + 1)
+    assert br.stickbreak_sweep(0) == br.stickbreak_sweep(1) == (0, 0, 0, 0, None)
+
+
 def test_rotated_segment_width_bound():
     """The rotated middle has width at least half the height it spanned
     in the original bridge."""

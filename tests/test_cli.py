@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import walk_oracle
 from hexsaw import bridges as br
 from hexsaw.bridges import N_CAP
 from hexsaw.cli import SCHEMA_VERSION, main
@@ -316,12 +317,17 @@ def test_loops_at_n0_change_nothing(capsys):
 ], ids=["self-intersecting", "not-a-bridge", "wrong-length", "empty"])
 def test_stickbreak_sweep_counts_failures(capsys, monkeypatch, bad):
     """A stickbreak output that is not a bridge two steps longer is a
-    counted failure: exit 1 with a report, not an error."""
+    counted failure: exit 1 with a report that names the first failing
+    bridge and pair, not an error.  The failures come from the Python
+    sweep over a broken stickbreak, standing in for the kernel's."""
     monkeypatch.setattr(br, "stickbreak", lambda b, i, j: bad(b))
+    monkeypatch.setattr(br, "stickbreak_sweep", walk_oracle.stickbreak_sweep)
     code, out = run(capsys, "stickbreak-sweep", "--max-len", "6")
     assert code == 1 and capsys.readouterr().err == ""
     results = json.loads(out)["results"]
     assert results["failures"] == results["pairs_checked"] > 0
+    first = results["first_failure"]
+    assert first["i"] < first["j"] and first["turns"]
 
 
 def test_stickbreak_sweep_is_capped(capsys):

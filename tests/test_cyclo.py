@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclo_oracle
-from hexsaw.cyclo import ONE, SQRT2, ZERO, Cyclo48, _cos_table, _kernel, two_cos
+from hexsaw.cyclo import (
+    _TOWER,
+    ONE,
+    SQRT2,
+    ZERO,
+    Cyclo48,
+    _apply,
+    _cos_table,
+    _kernel,
+    two_cos,
+)
 from hexsaw.errors import ScalarModeError
 from mp_oracle import eval_mp
 
@@ -52,6 +62,23 @@ def test_conjugation_is_automorphism(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
     assert a.conjugate().conjugate() == a
+
+
+@pytest.mark.parametrize("k, table", zip((47, 7, 17, 5), _TOWER), ids=["47", "7", "17", "5"])
+@settings(max_examples=40, deadline=None)
+@given(a=elements, b=elements, q=small)
+def test_tower_tables_are_automorphisms(k, table, a, b, q):
+    """Each inverse-tower table is sigma_k: it sends z to z^k, preserves
+    products and sums and fixes the rationals; conjugate is sigma_47."""
+    def sigma(x):
+        return _apply(table, x)
+
+    assert sigma(Cyclo48.zeta_pow(1)) == Cyclo48.zeta_pow(k)
+    assert sigma(a * b) == sigma(a) * sigma(b)
+    assert sigma(a + b) == sigma(a) + sigma(b)
+    assert sigma(Cyclo48.from_rational(q)) == q
+    if k == 47:
+        assert a.conjugate() == sigma(a)
 
 
 @settings(max_examples=40, deadline=None)

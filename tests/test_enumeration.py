@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,16 @@ from hexsaw.model import constants
 
 def test_backend_flag():
     assert en.backend_name() == "compiled"
+
+
+def test_kernel_header_names_every_function(c_kernel):
+    """The header comment of _dfs.c states the contract of each function
+    the kernel exports, each named as it is called: name(args)."""
+    src = (Path(__file__).resolve().parents[1] / "src" / "hexsaw" / "_dfs.c").read_text()
+    header = src[:src.index("*/")]
+    names = [n for n, f in vars(c_kernel).items() if callable(f) and not n.startswith("_")]
+    assert names
+    assert [n for n in names if not re.search(rf"\b{n}\(\w", header)] == []
 
 
 def test_import_without_kernel_names_the_build():
@@ -118,6 +129,24 @@ def test_c_bridges_rejects_malformed_tables(c_kernel):
     for irreducible in (None, True, False):
         assert c_kernel.bridges(tables, 0, irreducible) == []
     assert c_kernel.bridges(tables, 2, None) == [("L", "R"), ("R", "L")]
+
+
+def test_c_stickbreak_sweep_rejects_malformed_tables(c_kernel):
+    """The sweep opens the tables as the bridge entry does."""
+    tables = en.build_tables(en.half_plane_domain(4))
+    moved = list(tables.mids)
+    moved[tables.start_mid] = (4, 0)   # no longer next to the vertex ahead
+    for bad in _malformed_tables(tables) + (
+        dataclasses.replace(tables, mids=tables.mids[:-1] + ((0,),)),
+        dataclasses.replace(tables, verts=tables.verts[:-1] + ((1.5, 0),)),
+        dataclasses.replace(tables, mids=tuple(moved)),
+    ):
+        with pytest.raises(ValueError):
+            c_kernel.stickbreak_sweep(bad, 4)
+    with pytest.raises(ValueError):
+        c_kernel.stickbreak_sweep(tables, -1)
+    for max_len in (0, 1):
+        assert c_kernel.stickbreak_sweep(tables, max_len) == (0, 0, 0, 0, None)
 
 
 def test_c_spectral_radius_rejects_malformed_matrices(c_kernel):

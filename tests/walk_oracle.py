@@ -1,15 +1,20 @@
 """Pure-Python self-avoidance, classification, renewal points and
-diamond points, a test oracle for the kernel's ``walk_facts``, and the
-brute-force source of walks, every turn sequence of a length.
+diamond points, a test oracle for the kernel's ``walk_facts``, the
+brute-force source of walks, every turn sequence of a length, and the
+stickbreak sweep as a loop over ``Walk`` objects, an oracle for the
+kernel's ``stickbreak_sweep``.
 
-These are the package's former Python bodies of ``Walk.is_self_avoiding``,
-``classify_walk``, ``renewal_points`` and ``diamond_points``, which read
-the walk's Python trace (``Walk.mids``, ``Walk.headings``) and never the
-kernel.
+The first four are the package's former Python bodies of
+``Walk.is_self_avoiding``, ``classify_walk``, ``renewal_points`` and
+``diamond_points``, which read the walk's Python trace (``Walk.mids``,
+``Walk.headings``) and never the kernel.  The sweep is the command
+line's former loop: one ``Walk``, ``stickbreak`` and ``classify_walk``
+call per diamond-point pair.
 """
 
 from typing import Iterator
 
+from hexsaw import bridges as br
 from hexsaw import lattice
 from hexsaw.errors import ClassificationError
 from hexsaw.lattice import Turn, Walk
@@ -114,3 +119,28 @@ def diamond_points(b: Walk) -> tuple[int, ...]:
         if ok:
             out.append(k)
     return tuple(out)
+
+
+def stickbreak_sweep(max_len: int) -> br.StickbreakSweep:
+    """``bridges.stickbreak_sweep``'s counts, from ``bridges.stickbreak``
+    on each diamond-point pair of each ``bridges.iter_bridges`` bridge."""
+    enumerated = checked = failures = bridges_used = 0
+    first = None
+    for b in br.iter_bridges(max_len):
+        enumerated += 1
+        d = br.diamond_points(b)
+        if len(d) < 2:
+            continue
+        bridges_used += 1
+        for i in range(len(d)):
+            for j in range(i + 1, len(d)):
+                out = br.stickbreak(b, i, j)
+                checked += 1
+                try:
+                    ok = lattice.classify_walk(out) == "bridge" and len(out) == len(b) + 2
+                except ClassificationError:   # not self-avoiding, or empty
+                    ok = False
+                failures += not ok
+                if not ok and first is None:
+                    first = (b.turns, i, j)
+    return br.StickbreakSweep(enumerated, bridges_used, checked, failures, first)
