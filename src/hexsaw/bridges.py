@@ -140,11 +140,13 @@ def iter_bridges(max_len: int, irreducible: bool | None = None) -> Iterator[Walk
     leaves their highest vertex straight up.  With ``irreducible`` True
     or False, only the bridges with no interior renewal point, or only
     those with one.  The kernel enumerates them and applies the renewal
-    rule, so a Walk is built only for the bridges yielded."""
+    rule, so a Walk is built only for the bridges yielded, and built
+    without re-checking what the kernel has checked."""
     _check_max_len(max_len)
     tables = en.build_tables(en.half_plane_domain(max_len))
+    make = Walk._from_kernel
     for turns in _kernel.bridges(tables, max_len, irreducible):
-        yield Walk(turns=turns)
+        yield make(turns)
 
 
 def bridge_height_length_counts(

@@ -20,16 +20,26 @@ up-vertex row (EMINUS).  The rectangle carries no weighted surface.
 Strip prefix: the infinite strip of height T cut at |u| <= 2*Lmax + 1.
 Tallies agree with the infinite strip for walks of length <= 2*Lmax;
 enumerating longer walks raises TruncationError upstream.
+
+A domain's sorted mid-edges, their boundary classes and the kernel's
+step tables all come from one pass over its vertices
+(:attr:`Domain.layout`), made on first use: a vertex's three mid-edges
+are twice the vertex plus its three heading steps, a mid-edge met from
+one domain vertex only is a boundary mid-edge classified by that
+vertex, and a walk entering a vertex through one of its mid-edges turns
+left or right into the other two.  ``mids`` and ``boundary`` are views
+of that pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from . import lattice
-from .lattice import is_vertex, mid_endpoints, vertex_mids, vertex_type
+from .lattice import is_vertex
 
 # Boundary classes.
 A_START = "a"        # the marked starting mid-edge itself
@@ -40,6 +50,27 @@ E_LEFT = "EBAR"
 E_PLUS = "E+"
 E_MINUS = "E-"
 INTERIOR = "int"
+
+
+class Layout(NamedTuple):
+    """A domain's mid-edges, boundary classes and kernel step tables, as
+    Python sequences.  A mid-edge's direction flag ``dir`` is 1 when it
+    is traversed along heading 3, 4 or 5, and 0 along 0, 1 or 2."""
+
+    mids: tuple[tuple[int, int], ...]    # sorted
+    verts: tuple[tuple[int, int], ...]   # sorted
+    classes: tuple[str, ...]             # boundary class of each mid-edge
+    step_vert: tuple[int, ...]  # [2*mid + dir] -> vertex ahead, -1 if outside
+    step_mid: tuple[int, ...]   # [4*mid + 2*dir + turn] -> next mid (turn 0 = L)
+    step_dir: tuple[int, ...]   # [4*mid + 2*dir + turn] -> next dir
+
+
+# The headings from a vertex out through its three mid-edges, in the
+# cyclic order of left turns: a walk that enters the vertex through the
+# k-th leaves it through the (k+1)-th on a left turn and the (k-1)-th on
+# a right turn.  Y vertices point up, lambda vertices down.
+_Y_HEADINGS = (0, 2, 4)
+_LAM_HEADINGS = (3, 5, 1)
 
 
 @dataclass(frozen=True)
@@ -58,37 +89,76 @@ class Domain:
                 raise InvalidParameterError(f"({u}, {v}) is not a lattice vertex")
         if not self.surface <= self.vertices:
             raise InvalidParameterError("surface vertices must lie in the domain")
-        if lattice.START_MID not in self.mids:
+        # the start mid-edge joins (0, -1) and (0, 1)
+        if (0, 1) not in self.vertices and (0, -1) not in self.vertices:
             raise InvalidParameterError("domain does not contain the start mid-edge")
 
     @cached_property
+    def layout(self) -> Layout:
+        """Mid-edges, boundary classes and step tables in one pass over
+        the vertices.  Vertex (u, v)'s mid-edges are (2u, 2v) plus the
+        steps of its three out-headings j, and a mid-edge met from one
+        domain vertex only is a boundary mid-edge, classified by that
+        vertex.  A walk leaving the vertex along j has dir [j >= 3]; one
+        entering it through that mid-edge moves along j + 3, the other
+        dir."""
+        steps = lattice.HEADING_STEPS
+        verts = tuple(sorted(self.vertices))
+        # mid-edge -> whether its owner is a lambda vertex, or None once
+        # a second domain vertex meets it
+        owner: dict[tuple[int, int], bool | None] = {}
+        incident = []
+        for u, v in verts:
+            lam = v % 3 == 1
+            ms = []
+            for h in _LAM_HEADINGS if lam else _Y_HEADINGS:
+                du, dv = steps[h]
+                m = (2 * u + du, 2 * v + dv)
+                owner[m] = None if m in owner else lam
+                ms.append(m)
+            incident.append((lam, ms))
+        mids = tuple(sorted(owner))
+        mid_idx = {m: i for i, m in enumerate(mids)}
+        n = len(mids)
+        step_vert = [-1] * (2 * n)
+        step_mid = [0] * (4 * n)
+        step_dir = [0] * (4 * n)
+        for vi, (lam, ms) in enumerate(incident):
+            ix = [mid_idx[m] for m in ms]
+            # the dir leaving through each mid-edge; entering is the other
+            outs = (1, 1, 0) if lam else (0, 0, 1)
+            for k in range(3):
+                i, back = ix[k], 1 - outs[k]
+                step_vert[2 * i + back] = vi
+                base = 4 * i + 2 * back
+                left, right = (k + 1) % 3, (k - 1) % 3
+                step_mid[base] = ix[left]
+                step_dir[base] = outs[left]
+                step_mid[base + 1] = ix[right]
+                step_dir[base + 1] = outs[right]
+        classes = tuple(INTERIOR if owner[m] is None
+                        else self._classify_boundary(m, owner[m]) for m in mids)
+        return Layout(mids, verts, classes,
+                      tuple(step_vert), tuple(step_mid), tuple(step_dir))
+
+    @cached_property
     def mids(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for vtx in self.vertices:
-            out.update(vertex_mids(*vtx))
-        return frozenset(out)
+        return frozenset(self.layout.mids)
 
     @cached_property
     def boundary(self) -> dict[tuple[int, int], str]:
         """Boundary class of every mid-edge (INTERIOR for full edges)."""
-        out = {}
-        for m in self.mids:
-            p, q = mid_endpoints(*m)
-            inside = [vtx for vtx in (p, q) if vtx in self.vertices]
-            if len(inside) == 2:
-                out[m] = INTERIOR
-            else:
-                out[m] = self._classify_boundary(m, inside[0])
-        return out
+        layout = self.layout
+        return dict(zip(layout.mids, layout.classes))
 
-    def _classify_boundary(self, m, owner) -> str:
+    def _classify_boundary(self, m, lam_owner: bool) -> str:
         U, V = m
         if V == 0:
             return A_START if m == lattice.START_MID else A_BOTTOM
         if V == 6 * self.T:
             return B_TOP
         if self.kind == "rectangle":
-            return E_PLUS if vertex_type(*owner) == "lam" else E_MINUS
+            return E_PLUS if lam_owner else E_MINUS
         return E_RIGHT if U > 0 else E_LEFT
 
     def boundary_mids(self, cls: str) -> list[tuple[int, int]]:

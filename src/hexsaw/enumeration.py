@@ -1,6 +1,7 @@
 """Exhaustive enumeration of walks and loop configurations in a domain.
 
-Both enumerators walk the same step tables (:func:`build_tables`).  The
+Both enumerators walk the same step tables (:func:`build_tables`), the
+domain's one-pass :attr:`~hexsaw.domains.Domain.layout` as arrays.  The
 hot path (full endpoint histograms keyed by boundary class, length and
 surface contacts) runs through the compiled kernel ``_dfs``, which must
 be built: importing the package without it raises ``ImportError``, and
@@ -20,6 +21,7 @@ enumerator instead (:func:`hexsaw.bridges.iter_bridges`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -56,47 +58,21 @@ class KernelTables:
 
 @lru_cache(maxsize=64)
 def build_tables(domain: dm.Domain) -> KernelTables:
-    mids = tuple(sorted(domain.mids))
-    verts = tuple(sorted(domain.vertices))
-    mid_idx = {m: i for i, m in enumerate(mids)}
-    vert_idx = {v: i for i, v in enumerate(verts)}
-    headings = [lattice.mid_headings(*m) for m in mids]
-
-    step_vert = np.full(2 * len(mids), -1, dtype=np.int32)
-    step_mid = np.zeros(4 * len(mids), dtype=np.int32)
-    step_dir = np.zeros(4 * len(mids), dtype=np.int32)
-    for i, m in enumerate(mids):
-        for d, h in enumerate(headings[i]):
-            du, dv = lattice.HEADING_STEPS[h]
-            vtx = ((m[0] + du) // 2, (m[1] + dv) // 2)
-            if vtx not in domain.vertices:
-                continue
-            step_vert[2 * i + d] = vert_idx[vtx]
-            for t, turn in enumerate(("L", "R")):
-                _, nm, nh = lattice.step(m, h, turn)
-                j = mid_idx[nm]
-                step_mid[4 * i + 2 * d + t] = j
-                step_dir[4 * i + 2 * d + t] = headings[j].index(nh)
-
-    vert_surface = np.array(
-        [1 if v in domain.surface else 0 for v in verts], dtype=np.uint8
-    )
-    mid_class = np.array(
-        [CLASS_ID[domain.boundary[m]] for m in mids], dtype=np.int32
-    )
-    sm = mid_idx[lattice.START_MID]
+    layout = domain.layout
+    surface = domain.surface
+    vert_surface = [1 if v in surface else 0 for v in layout.verts]
     return KernelTables(
-        mids=mids,
-        verts=verts,
-        step_vert=step_vert,
-        step_mid=step_mid,
-        step_dir=step_dir,
-        vert_surface=vert_surface,
-        mid_class=mid_class,
-        start_mid=sm,
-        start_dir=headings[sm].index(lattice.START_HEADING),
+        mids=layout.mids,
+        verts=layout.verts,
+        step_vert=np.array(layout.step_vert, dtype=np.int32),
+        step_mid=np.array(layout.step_mid, dtype=np.int32),
+        step_dir=np.array(layout.step_dir, dtype=np.int32),
+        vert_surface=np.array(vert_surface, dtype=np.uint8),
+        mid_class=np.array([CLASS_ID[c] for c in layout.classes], dtype=np.int32),
+        start_mid=bisect_left(layout.mids, lattice.START_MID),
+        start_dir=int(lattice.START_HEADING >= 3),
         n_classes=len(CLASS_ORDER),
-        n_surface=int(vert_surface.sum()),
+        n_surface=sum(vert_surface),
     )
 
 

@@ -189,6 +189,17 @@ class Walk:
                 f"heading {self.heading} does not traverse mid-edge {self.start}"
             )
 
+    @classmethod
+    def _from_kernel(cls, turns: tuple[Turn, ...]) -> "Walk":
+        """The walk from a along ``turns``, a tuple of "L" and "R" that
+        the kernel made.  The kernel has already checked the start, the
+        turns and the heading, so ``__post_init__`` is skipped: this is
+        the fast path for walks the kernel enumerates."""
+        w = object.__new__(cls)
+        fields = w.__dict__
+        fields["start"], fields["heading"], fields["turns"] = START_MID, START_HEADING, turns
+        return w
+
     def __len__(self) -> int:
         return len(self.turns)
 

@@ -244,10 +244,12 @@ def test_iter_bridges_runs_no_python_walk_search(monkeypatch):
 
 def test_bridge_paths_skip_classify_walk(monkeypatch):
     """Kesten sums read kernel counts only, and iter_bridges builds a
-    Walk for the bridges it yields, not for every half-plane walk."""
-    calls = {"classify": 0, "walks": 0}
+    Walk for the bridges it yields, not for every half-plane walk, each
+    through the trusted constructor (no ``__post_init__`` re-check)."""
+    calls = {"classify": 0, "walks": 0, "trusted": 0}
     classify = lattice.classify_walk
     post_init = Walk.__post_init__
+    from_kernel = Walk._from_kernel
 
     def counted_classify(w):
         calls["classify"] += 1
@@ -257,12 +259,32 @@ def test_bridge_paths_skip_classify_walk(monkeypatch):
         calls["walks"] += 1
         post_init(self)
 
+    def counted_from_kernel(cls, turns):
+        calls["trusted"] += 1
+        return from_kernel(turns)
+
     monkeypatch.setattr(lattice, "classify_walk", counted_classify)
     monkeypatch.setattr(Walk, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Walk, "_from_kernel", classmethod(counted_from_kernel))
     br.kesten_partial(12)
-    assert calls == {"classify": 0, "walks": 0}
+    assert calls == {"classify": 0, "walks": 0, "trusted": 0}
     yielded = sum(1 for _ in br.iter_bridges(12))
-    assert calls == {"classify": 0, "walks": yielded}
+    assert calls == {"classify": 0, "walks": 0, "trusted": yielded}
+
+
+def test_trusted_walks_equal_checked_walks():
+    """A bridge built by the trusted constructor equals, hashes as and
+    has the facts of the same turns through the public constructor."""
+    n = 0
+    for b in br.iter_bridges(12):
+        w = Walk(turns=b.turns)
+        assert type(b) is Walk and b == w and hash(b) == hash(w)
+        assert (b.start, b.heading, b.turns) == (w.start, w.heading, w.turns)
+        assert type(b.turns) is tuple and type(b.start) is tuple
+        assert b.facts == w.facts
+        assert b.mids == w.mids and b.vertices == w.vertices
+        n += 1
+    assert n == sum(br.bridge_height_length_counts(12).values())
 
 
 def test_truncated_bridge_sums_bound_strip_series():

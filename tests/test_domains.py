@@ -4,9 +4,12 @@ The boundary oracle below re-derives every class from coordinate
 predicates alone, independent of the owner-vertex logic in the package.
 """
 
+import numpy as np
 import pytest
 
+import geometry_oracle
 from hexsaw import domains as dm
+from hexsaw import enumeration as en
 from hexsaw import lattice
 from hexsaw.errors import InvalidParameterError
 
@@ -108,5 +111,50 @@ def test_guards():
         dm.build_trapezoid(0, 1)
     with pytest.raises(InvalidParameterError):
         dm.build_strip_prefix(1, 1, surface="left")
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="not a lattice vertex"):
         dm.Domain("x", 1, 1, frozenset({(0, 0)}), frozenset())
+
+
+def test_guard_start_mid_edge():
+    with pytest.raises(InvalidParameterError,
+                       match="^domain does not contain the start mid-edge$"):
+        dm.Domain("x", 1, 1, frozenset({(2, 1)}), frozenset())
+    # either endpoint of the start edge carries it
+    for vtx in ((0, 1), (0, -1)):
+        d = dm.Domain("x", 1, 1, frozenset({vtx}), frozenset())
+        assert lattice.START_MID in d.mids
+        assert d.boundary[lattice.START_MID] == dm.A_START
+
+
+def test_guard_surface_outside_domain():
+    with pytest.raises(InvalidParameterError,
+                       match="^surface vertices must lie in the domain$"):
+        dm.Domain("x", 1, 1, frozenset({(0, 1)}), frozenset({(2, 1)}))
+
+
+# -- the one-pass layout against the per-mid-edge oracle ------------------
+
+GEOMETRY_FAMILIES = {
+    "trapezoid": [dm.build_trapezoid(T, L) for T in range(1, 6) for L in range(1, 5)],
+    "rectangle": [dm.build_rectangle(T, L) for T in range(1, 6) for L in range(1, 5)],
+    "strip-prefix": [dm.build_strip_prefix(T, L, surface=s)
+                     for T in range(1, 5) for L in range(1, 5) for s in ("top", "bottom")],
+    "half-plane": [en.half_plane_domain(N) for N in range(1, 21)],
+}
+
+
+@pytest.mark.parametrize("family", GEOMETRY_FAMILIES)
+def test_layout_matches_per_mid_edge_oracle(family):
+    """build_tables, Domain.mids and Domain.boundary equal the former
+    per-mid-edge passes, array for array (values, dtypes and order)."""
+    for domain in GEOMETRY_FAMILIES[family]:
+        assert domain.mids == geometry_oracle.mids(domain)
+        assert domain.boundary == geometry_oracle.boundary(domain)
+        got, want = en.build_tables(domain), geometry_oracle.build_tables(domain)
+        for name in en.KernelTables.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            assert type(a) is type(b), name
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            else:
+                assert a == b, name
