@@ -5,6 +5,20 @@ histogram form of enumeration.iter_saws on the same tables.  It reads
 the KernelTables arrays through the buffer protocol (no numpy headers),
 checks every size and entry so that malformed tables raise ValueError,
 and returns counts[class, length, contacts] as an int64 numpy array.
+tables.mirror_class is None or the class permutation of the reflection
+U -> -U, which the tables then promise to be symmetric under: it fixes
+the start mid-edge and its first vertex, maps the walks whose first turn
+is right one to one onto those whose first turn is left, keeps length
+and contacts, and sends an end of class c to one of class mirror_class[c].
+With a permutation, tally_class walks only the subtree of the first
+left turn, folds each class's counts with its mirror's (a fixed class
+doubles, a swapped pair c, p both become H[c] + H[p]), then counts the
+empty walk; the array equals the full search's.  A mirror_class that is
+not n_classes native ints in range, not an involution, or moving the
+class of the start mid-edge raises ValueError, in every entry that
+opens the tables (tally_class, bridges, stickbreak_sweep).  The module
+exports KERNEL_ABI, which lattice compares with its own at import;
+raise both when an entry's arguments or the tables it reads change.
 
 bridges(tables, max_len, irreducible) walks the same tree on the tables
 of enumeration.half_plane_domain and returns a list with the turn tuple
@@ -112,6 +126,8 @@ arithmetic, and the tests compare these entries with it. */
 #include <stdint.h>
 #include <string.h>
 
+#define KERNEL_ABI 2            /* lattice.KERNEL_ABI must equal it */
+
 typedef struct {
     const int32_t *step_vert, *step_mid, *step_dir, *mid_class;
     const uint8_t *vert_surface;
@@ -140,6 +156,30 @@ static void walk(Walker *w, int mid, int d, int length, int contacts)
         }
     }
     w->vis_vert[v] = 0;
+}
+
+/* walk(w, mid, d, 0, 0) on tables symmetric under the reflection whose
+   class permutation is mirror (see the header): the left subtree, the
+   fold, then the empty walk. */
+static void walk_mirrored(Walker *w, int mid, int d, const int32_t *mirror, long n_cls)
+{
+    int v = w->step_vert[2 * mid + d], left = w->step_mid[4 * mid + 2 * d];
+    if (w->max_len > 0 && v >= 0 && !w->vis_mid[left]) {
+        w->vis_vert[v] = 1;
+        w->vis_mid[left] = 1;
+        walk(w, left, w->step_dir[4 * mid + 2 * d], 1, w->vert_surface[v]);
+    }
+    const Py_ssize_t row = w->n_len * w->n_con;
+    for (long c = 0; c < n_cls; c++) {
+        int64_t *h = w->counts + c * row, *g = w->counts + mirror[c] * row;
+        if (mirror[c] == c)
+            for (Py_ssize_t i = 0; i < row; i++)
+                h[i] *= 2;
+        else if (mirror[c] > c)
+            for (Py_ssize_t i = 0; i < row; i++)
+                h[i] = g[i] = h[i] + g[i];
+    }
+    w->counts[w->mid_class[mid] * row]++;
 }
 
 static int get_long(PyObject *tables, const char *name, int size_of, long *out)
@@ -174,13 +214,19 @@ static int get_buffer(PyObject *obj, const char *name, Py_buffer *buf, Py_ssize_
 }
 
 /* A C-contiguous table of n native ints of the given size and formats,
-   every value in [lo, hi). */
+   every value in [lo, hi); if nullable, None gives a buffer whose buf and
+   obj are NULL. */
 static int get_table(PyObject *tables, const char *name, Py_buffer *buf, long n,
-                     Py_ssize_t itemsize, const char *formats, long lo, long hi)
+                     Py_ssize_t itemsize, const char *formats, long lo, long hi, int nullable)
 {
     PyObject *obj = PyObject_GetAttrString(tables, name);
     if (obj == NULL)
         return -1;
+    if (nullable && obj == Py_None) {
+        Py_DECREF(obj);
+        buf->buf = buf->obj = NULL;
+        return 0;
+    }
     int rc = get_buffer(obj, name, buf, n, itemsize, formats, 0);
     Py_DECREF(obj);
     if (rc < 0)
@@ -198,11 +244,13 @@ static int get_table(PyObject *tables, const char *name, Py_buffer *buf, long n,
 }
 
 /* The KernelTables fields both enumerators read: the sizes, the start,
-and the five step tables as buffers, every size and entry checked
-(ValueError).  Release the buffers with close_tables, also on failure. */
+the five step tables and mirror_class as buffers, every size and entry
+checked (ValueError).  Release the buffers with close_tables, also on
+failure. */
 typedef struct {
     long n_mids, n_verts, n_cls, n_srf, start_mid, start_dir;
-    Py_buffer b[5];     /* step_vert, step_mid, step_dir, mid_class, vert_surface */
+    /* step_vert, step_mid, step_dir, mid_class, vert_surface, mirror_class */
+    Py_buffer b[6];     /* mirror_class's buf is NULL for None */
     int got;
 } Tables;
 
@@ -221,18 +269,31 @@ static int open_tables(PyObject *tables, int max_len, Tables *t)
         PyErr_SetString(PyExc_ValueError, "max_len, mids, start_mid or start_dir out of range");
         return -1;
     }
-    const struct { const char *name; long n, lo, hi; } spec[5] = {
+    const struct { const char *name; long n, lo, hi; } spec[6] = {
         {"step_vert", 2 * t->n_mids, -1, t->n_verts},
         {"step_mid", 4 * t->n_mids, 0, t->n_mids},
         {"step_dir", 4 * t->n_mids, 0, 2},
         {"mid_class", t->n_mids, 0, t->n_cls},
         {"vert_surface", t->n_verts, 0, 2},
+        {"mirror_class", t->n_cls, 0, t->n_cls},
     };
-    for (; t->got < 5; t->got++) {
+    for (; t->got < 6; t->got++) {
         int u8 = t->got == 4;
         if (get_table(tables, spec[t->got].name, &t->b[t->got], spec[t->got].n, u8 ? 1 : 4,
-                      u8 ? "B" : "il", spec[t->got].lo, spec[t->got].hi) < 0)
+                      u8 ? "B" : "il", spec[t->got].lo, spec[t->got].hi, t->got == 5) < 0)
             return -1;
+    }
+    const int32_t *mirror = t->b[5].buf;
+    if (mirror != NULL) {
+        long a = ((const int32_t *)t->b[3].buf)[t->start_mid];
+        int ok = mirror[a] == a;
+        for (long c = 0; ok && c < t->n_cls; c++)
+            ok = mirror[mirror[c]] == c;
+        if (!ok) {
+            PyErr_SetString(PyExc_ValueError,
+                            "mirror_class is not an involution fixing the start mid-edge's class");
+            return -1;
+        }
     }
     for (long i = 0; i < t->n_verts; i++)
         surface += ((const uint8_t *)t->b[4].buf)[i];
@@ -270,7 +331,10 @@ static PyObject *tally_class(PyObject *self, PyObject *args)
         Walker w = {t.b[0].buf, t.b[1].buf, t.b[2].buf, t.b[3].buf, t.b[4].buf, vis,
                     vis + t.n_mids, out.buf, max_len + 1, t.n_srf + 1, max_len};
         vis[t.start_mid] = 1;
-        walk(&w, (int)t.start_mid, (int)t.start_dir, 0, 0);
+        if (t.b[5].buf == NULL)
+            walk(&w, (int)t.start_mid, (int)t.start_dir, 0, 0);
+        else
+            walk_mirrored(&w, (int)t.start_mid, (int)t.start_dir, t.b[5].buf, t.n_cls);
     } else
         PyErr_NoMemory();
     PyBuffer_Release(&out);
@@ -1704,12 +1768,14 @@ static struct PyModuleDef module = {
     .m_methods = methods,
 };
 
-/* The transfer operator's layout constants, as the header describes them. */
+/* The contract version and the transfer operator's layout constants, as
+   the header describes them. */
 PyMODINIT_FUNC PyInit__dfs(void)
 {
     PyObject *m = PyModule_Create(&module), *kinds = NULL, *math = NULL;
     if (m == NULL || (math = PyImport_ImportModule("math")) == NULL
         || (gcd_fn = PyObject_GetAttrString(math, "gcd")) == NULL
+        || PyModule_AddIntConstant(m, "KERNEL_ABI", KERNEL_ABI) < 0
         || PyModule_AddIntConstant(m, "CYCLO_FAST_BITS", FAST_BITS) < 0
         || PyModule_AddIntConstant(m, "T_MAX", T_MAX) < 0
         || PyModule_AddIntConstant(m, "FLAG_SHIFT", FLAG_SHIFT) < 0

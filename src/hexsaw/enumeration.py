@@ -5,7 +5,13 @@ domain's one-pass :attr:`~hexsaw.domains.Domain.layout` as arrays.  The
 hot path (full endpoint histograms keyed by boundary class, length and
 surface contacts) runs through the compiled kernel ``_dfs``, which must
 be built: importing the package without it raises ``ImportError``, and
-its histograms are checked against :func:`iter_saws`.  Everything that
+its histograms are checked against :func:`iter_saws`.  Every domain the
+package builds is symmetric under the reflection U -> -U, which fixes
+a, swaps left and right turns and keeps length and contacts;
+:func:`build_tables` checks that from the domain and records the
+reflection's class permutation (E <-> EBAR on trapezoids and strips) as
+``mirror_class``, and the kernel then walks only the walks whose first
+turn is left and folds in their mirror images.  Everything that
 needs per-walk detail (turns, winding phases, penultimate mid-edges,
 loop decoration) uses :func:`iter_saws`, the package's one walk
 generator, and is only intended for small domains.  Such a pass is
@@ -54,6 +60,28 @@ class KernelTables:
     start_dir: int
     n_classes: int
     n_surface: int
+    # [class] -> class of the mirror image under (U, V) -> (-U, V), an
+    # involution fixing A_START; None unless the domain is symmetric.
+    # With it the kernel walks the first-left-turn subtree and folds.
+    mirror_class: np.ndarray | None
+
+
+def _mirror_class(domain: dm.Domain) -> np.ndarray | None:
+    """The class permutation of the reflection (u, v) -> (-u, v), or None
+    unless the vertices and the surface are symmetric and one map of
+    classes sends every mid-edge's class to its mirror's.  That map is an
+    involution (the reflection is one) and fixes A_START (the start
+    mid-edge is its own mirror)."""
+    for vs in (domain.vertices, domain.surface):
+        if {(-u, v) for u, v in vs} != vs:
+            return None
+    boundary = domain.boundary
+    image: dict[str, str] = {}
+    for (U, V), c in boundary.items():
+        mirror = boundary[-U, V]
+        if image.setdefault(c, mirror) != mirror:
+            return None
+    return np.array([CLASS_ID[image.get(c, c)] for c in CLASS_ORDER], dtype=np.int32)
 
 
 @lru_cache(maxsize=64)
@@ -73,6 +101,7 @@ def build_tables(domain: dm.Domain) -> KernelTables:
         start_dir=int(lattice.START_HEADING >= 3),
         n_classes=len(CLASS_ORDER),
         n_surface=sum(vert_surface),
+        mirror_class=_mirror_class(domain),
     )
 
 
@@ -80,6 +109,8 @@ def _resolve_max_len(domain: dm.Domain, max_len: int | None) -> int:
     hard = len(domain.mids) - 1
     if max_len is None:
         max_len = hard
+    if max_len < 0:
+        raise InvalidParameterError(f"need max_len >= 0, got {max_len}")
     if domain.max_reliable_len is not None and max_len > domain.max_reliable_len:
         raise TruncationError(
             f"walks of length {max_len} can reach the truncation cut "

@@ -24,7 +24,8 @@ Self-avoidance, the class of :func:`classify_walk` and a bridge's
 renewal and diamond points come from one call of the compiled kernel's
 ``walk_facts`` per walk, cached on the walk (:attr:`Walk.facts`).  This
 module holds the package's one import of the kernel, so importing
-``hexsaw`` from a checkout where it was never built raises
+``hexsaw`` from a checkout where it was never built, or where the build
+is older than the kernel contract (:data:`KERNEL_ABI`), raises
 ``ImportError``.
 """
 
@@ -37,14 +38,21 @@ from typing import Literal, NamedTuple
 
 from .errors import ClassificationError, InvalidParameterError
 
+#: The contract of the kernel this package calls; ``_dfs.c`` exports the
+#: same number, and both rise when an entry's arguments or tables change.
+KERNEL_ABI = 2
+
+_BUILD_HINT = ("run 'python setup.py build_ext --inplace' in a source checkout, "
+               "or 'pip install -e .'")
+
 try:
     from . import _dfs as _kernel
 except ImportError as exc:
-    raise ImportError(
-        "the compiled kernel hexsaw._dfs is not built; run "
-        "'python setup.py build_ext --inplace' in a source checkout, "
-        "or 'pip install -e .'"
-    ) from exc
+    raise ImportError(f"the compiled kernel hexsaw._dfs is not built; {_BUILD_HINT}") from exc
+_abi = getattr(_kernel, "KERNEL_ABI", None)
+if _abi != KERNEL_ABI:
+    raise ImportError(f"the compiled kernel hexsaw._dfs is stale (KERNEL_ABI {_abi}, "
+                      f"need {KERNEL_ABI}); rebuild it: {_BUILD_HINT}")
 
 Turn = Literal["L", "R"]
 

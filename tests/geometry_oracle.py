@@ -8,6 +8,8 @@ scan of each mid-edge, then ``_classify_boundary`` on its one inside
 vertex) and ``enumeration.build_tables`` (``mid_headings`` of each
 mid-edge and ``lattice.step`` of each turn).  They take the domain as
 an argument and read only its vertices, surface, kind and height.
+``mirror_class`` reflects each mid-edge and reads this module's own
+``boundary`` of both.
 """
 
 import numpy as np
@@ -47,6 +49,27 @@ def _classify_boundary(domain: dm.Domain, m, owner) -> str:
     if domain.kind == "rectangle":
         return dm.E_PLUS if vertex_type(*owner) == "lam" else dm.E_MINUS
     return dm.E_RIGHT if U > 0 else dm.E_LEFT
+
+
+def mirror_class(domain: dm.Domain, classes: dict) -> np.ndarray | None:
+    """The class permutation of the reflection (U, V) -> (-U, V), read
+    off the pairs (class of m, class of its mirror), or None if the
+    vertices or surface are not symmetric or the pairs are not one
+    involution fixing the start class."""
+    def mirrored(vs):
+        return frozenset((-u, v) for u, v in vs)
+
+    if mirrored(domain.vertices) != domain.vertices or mirrored(domain.surface) != domain.surface:
+        return None
+    pairs = {(en.CLASS_ID[c], en.CLASS_ID[classes[-U, V]]) for (U, V), c in classes.items()}
+    perm = dict(pairs)
+    if len(perm) != len(pairs):
+        return None
+    out = [perm.get(c, c) for c in range(len(en.CLASS_ORDER))]
+    start = en.CLASS_ID[dm.A_START]
+    if out[start] != start or any(out[p] != c for c, p in enumerate(out)):
+        return None
+    return np.array(out, dtype=np.int32)
 
 
 def build_tables(domain: dm.Domain) -> en.KernelTables:
@@ -92,4 +115,5 @@ def build_tables(domain: dm.Domain) -> en.KernelTables:
         start_dir=headings[sm].index(lattice.START_HEADING),
         n_classes=len(en.CLASS_ORDER),
         n_surface=int(vert_surface.sum()),
+        mirror_class=mirror_class(domain, classes),
     )

@@ -16,9 +16,10 @@ import transfer_oracle
 import walk_oracle
 from hexsaw import domains as dm
 from hexsaw import enumeration as en
+from hexsaw import lattice
 from hexsaw import strip as sp
 from hexsaw.cyclo import ONE
-from hexsaw.errors import CapacityError, TruncationError
+from hexsaw.errors import CapacityError, InvalidParameterError, TruncationError
 from hexsaw.lattice import Walk
 from hexsaw.model import constants
 
@@ -37,10 +38,12 @@ def test_kernel_header_names_every_function(c_kernel):
     assert [n for n in names if not re.search(rf"\b{n}\(\w", header)] == []
 
 
-def test_import_without_kernel_names_the_build():
-    """The compiled kernel is required: no fallback runs in its place."""
+def _import_error(kernel: str) -> str:
+    """The last stderr line of a fresh interpreter that registers the
+    expression ``kernel`` as hexsaw._dfs and imports hexsaw; it must fail
+    with an ImportError that names the build."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys; sys.modules['hexsaw._dfs'] = None; import hexsaw"
+    code = f"import sys, types; sys.modules['hexsaw._dfs'] = {kernel}; import hexsaw"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
@@ -49,6 +52,29 @@ def test_import_without_kernel_names_the_build():
     assert last.startswith("ImportError: ")
     assert "python setup.py build_ext --inplace" in last
     assert "pip install -e ." in last
+    return last
+
+
+def test_import_without_kernel_names_the_build():
+    """The compiled kernel is required: no fallback runs in its place."""
+    assert "not built" in _import_error("None")
+
+
+@pytest.mark.parametrize("abi", [None, lattice.KERNEL_ABI - 1], ids=["missing", "stale"])
+def test_import_with_stale_kernel_names_the_build(abi):
+    """A kernel built from an older _dfs.c (no KERNEL_ABI, or another
+    one) fails at import, and not in the middle of a command."""
+    kernel = "types.SimpleNamespace()" if abi is None else f"types.SimpleNamespace(KERNEL_ABI={abi})"
+    assert "stale" in _import_error(kernel)
+
+
+def _iter_saws_histogram(domain, n):
+    """counts[class, length, contacts] over the iter_saws walks of <= n steps."""
+    tables = en.build_tables(domain)
+    ref = np.zeros((tables.n_classes, n + 1, tables.n_surface + 1), dtype=np.int64)
+    for visit in en.iter_saws(domain, n):
+        ref[en.CLASS_ID[domain.boundary[visit.end]], visit.length, visit.contacts] += 1
+    return ref
 
 
 @pytest.mark.parametrize(
@@ -72,13 +98,80 @@ def test_c_kernel_matches_pure(c_kernel, domain, max_len):
     array for array, and class_histogram returns it."""
     tables = en.build_tables(domain)
     n = len(tables.mids) - 1 if max_len is None else max_len
-    ref = np.zeros((tables.n_classes, n + 1, tables.n_surface + 1), dtype=np.int64)
-    for visit in en.iter_saws(domain, n):
-        ref[en.CLASS_ID[domain.boundary[visit.end]], visit.length, visit.contacts] += 1
+    ref = _iter_saws_histogram(domain, n)
     got = c_kernel.tally_class(tables, n)
     assert got.dtype == np.int64 and got.shape == ref.shape
     assert (got == ref).all()
     assert (en.class_histogram(domain, max_len) == ref).all()
+
+
+E_SWAP = [0, 1, 2, 4, 3, 5, 6, 7]   # E <-> EBAR, every other class fixed
+MIRROR_FAMILIES = {
+    "trapezoid": ([dm.build_trapezoid(T, L) for T, L in ((1, 1), (1, 3), (2, 2), (3, 1), (3, 2))],
+                  E_SWAP),
+    "rectangle": ([dm.build_rectangle(T, L) for T, L in ((1, 1), (2, 2), (3, 3), (4, 2))],
+                  list(range(8))),
+    "strip-prefix": ([dm.build_strip_prefix(T, L, surface=s)
+                      for T, L in ((1, 4), (2, 3), (4, 4)) for s in ("top", "bottom")], E_SWAP),
+    "half-plane": ([en.half_plane_domain(N) for N in (1, 2, 7, 10)], E_SWAP),
+}
+
+
+@pytest.mark.parametrize("family", MIRROR_FAMILIES)
+def test_mirror_fold_matches_full_search(c_kernel, family):
+    """On the package's domains, all symmetric under U -> -U, the folded
+    search equals the full one and the iter_saws histogram, at every
+    max_len."""
+    domains, perm = MIRROR_FAMILIES[family]
+    for domain in domains:
+        tables = en.build_tables(domain)
+        assert tables.mirror_class.tolist() == perm
+        full = dataclasses.replace(tables, mirror_class=None)
+        n = domain.max_reliable_len or len(tables.mids) - 1
+        ref = _iter_saws_histogram(domain, n)
+        assert ref.sum() < 10**5
+        for m in range(n + 1):
+            got = c_kernel.tally_class(tables, m)
+            assert (got == c_kernel.tally_class(full, m)).all(), (domain, m)
+            assert (got == ref[:, : m + 1]).all(), (domain, m)
+
+
+def _grown(domain, extra=frozenset(), surface=None):
+    return dm.Domain(domain.kind, domain.T, domain.L, domain.vertices | extra,
+                     domain.surface if surface is None else surface)
+
+
+@pytest.mark.parametrize("domain", [
+    _grown(dm.build_trapezoid(2, 1), extra=frozenset({(4, 1)})),
+    _grown(dm.build_trapezoid(2, 1),
+           surface=frozenset(v for v in dm.build_trapezoid(2, 1).surface if v[0] > 0)),
+], ids=["extra-vertex", "one-sided-surface"])
+def test_asymmetric_domain_runs_the_full_search(c_kernel, domain):
+    tables = en.build_tables(domain)
+    assert tables.mirror_class is None
+    n = len(tables.mids) - 1
+    ref = _iter_saws_histogram(domain, n)
+    for m in range(n + 1):
+        assert (c_kernel.tally_class(tables, m) == ref[:, : m + 1]).all()
+
+
+def test_only_the_empty_walk(c_kernel):
+    """The vertex ahead of a is missing: the fold adds the empty walk once."""
+    domain = dm.Domain("x", 1, 1, frozenset({(0, -1)}), frozenset())
+    tables = en.build_tables(domain)
+    assert tables.mirror_class is not None
+    for m in range(len(tables.mids)):
+        got = c_kernel.tally_class(tables, m)
+        assert got.sum() == 1 and got[en.CLASS_ID[dm.A_START], 0, 0] == 1
+        assert (got == _iter_saws_histogram(domain, m)).all()
+
+
+def test_negative_max_len_is_refused():
+    domain = dm.build_trapezoid(1, 1)
+    with pytest.raises(InvalidParameterError, match="max_len"):
+        en.class_histogram(domain, -1)
+    with pytest.raises(InvalidParameterError, match="max_len"):
+        list(en.iter_saws(domain, -1))
 
 
 def test_iter_saws_walks_past_recursion_limit():
@@ -91,6 +184,12 @@ def test_iter_saws_walks_past_recursion_limit():
 def _malformed_tables(tables):
     wide = tables.step_mid.copy()
     wide[0] = len(tables.mids)
+    mirror = tables.mirror_class
+    out_of_range, cycle, moves_start = mirror.copy(), mirror.copy(), mirror.copy()
+    out_of_range[-1] = tables.n_classes
+    cycle[[3, 4, 5]] = (4, 5, 3)                # E -> EBAR -> E+ -> E
+    start, bottom = en.CLASS_ID[dm.A_START], en.CLASS_ID[dm.A_BOTTOM]
+    moves_start[[start, bottom]] = (bottom, start)   # an involution, but moving a
     return (
         dataclasses.replace(tables, step_mid=wide),
         dataclasses.replace(tables, step_vert=tables.step_vert.astype(np.int64)),
@@ -98,6 +197,11 @@ def _malformed_tables(tables):
         dataclasses.replace(tables, mid_class=tables.mid_class[::-1]),
         dataclasses.replace(tables, start_dir=2),
         dataclasses.replace(tables, n_surface=0),
+        dataclasses.replace(tables, mirror_class=mirror[:-1]),
+        dataclasses.replace(tables, mirror_class=mirror.astype(np.int64)),
+        dataclasses.replace(tables, mirror_class=out_of_range),
+        dataclasses.replace(tables, mirror_class=cycle),
+        dataclasses.replace(tables, mirror_class=moves_start),
     )
 
 
