@@ -137,9 +137,17 @@ typedef struct {
     int max_len;
 } Walker;
 
-static void walk(Walker *w, int mid, int d, int length, int contacts)
+static inline void count(Walker *w, int mid, int length, int contacts)
 {
     w->counts[((Py_ssize_t)w->mid_class[mid] * w->n_len + length) * w->n_con + contacts]++;
+}
+
+/* Count the walk that ends on mid (traversed in direction d), then its
+   extensions.  An extension that cannot grow (max_len long, or its vertex
+   ahead outside or visited) is counted without a call. */
+static void walk(Walker *w, int mid, int d, int length, int contacts)
+{
+    count(w, mid, length, contacts);
     if (length >= w->max_len)
         return;
     int v = w->step_vert[2 * mid + d];
@@ -147,13 +155,19 @@ static void walk(Walker *w, int mid, int d, int length, int contacts)
         return;
     w->vis_vert[v] = 1;
     int base = 4 * mid + 2 * d, c2 = contacts + w->vert_surface[v];
+    int last = length + 1 >= w->max_len;
     for (int t = 0; t < 2; t++) {
-        int nm = w->step_mid[base + t];
-        if (!w->vis_mid[nm]) {
-            w->vis_mid[nm] = 1;
-            walk(w, nm, w->step_dir[base + t], length + 1, c2);
-            w->vis_mid[nm] = 0;
+        int nm = w->step_mid[base + t], nd = w->step_dir[base + t];
+        if (w->vis_mid[nm])
+            continue;
+        int nv = w->step_vert[2 * nm + nd];
+        if (last || nv < 0 || w->vis_vert[nv]) {
+            count(w, nm, length + 1, c2);
+            continue;
         }
+        w->vis_mid[nm] = 1;
+        walk(w, nm, nd, length + 1, c2);
+        w->vis_mid[nm] = 0;
     }
     w->vis_vert[v] = 0;
 }
@@ -179,7 +193,7 @@ static void walk_mirrored(Walker *w, int mid, int d, const int32_t *mirror, long
             for (Py_ssize_t i = 0; i < row; i++)
                 h[i] = g[i] = h[i] + g[i];
     }
-    w->counts[w->mid_class[mid] * row]++;
+    count(w, mid, 0, 0);
 }
 
 static int get_long(PyObject *tables, const char *name, int size_of, long *out)
