@@ -16,9 +16,10 @@ doubles, a swapped pair c, p both become H[c] + H[p]), then counts the
 empty walk; the array equals the full search's.  A mirror_class that is
 not n_classes native ints in range, not an involution, or moving the
 class of the start mid-edge raises ValueError, in every entry that
-opens the tables (tally_class, bridges, stickbreak_sweep).  The module
-exports KERNEL_ABI, which lattice compares with its own at import;
-raise both when an entry's arguments or the tables it reads change.
+opens the tables (tally_class, bridges, bridge_counts,
+stickbreak_sweep).  The module exports KERNEL_ABI, which lattice
+compares with its own at import; raise both when an entry's arguments
+or the tables it reads change.
 
 bridges(tables, max_len, irreducible) walks the same tree on the tables
 of enumeration.half_plane_domain and returns a list with the turn tuple
@@ -31,16 +32,29 @@ point (the rule of walk_facts) equals the truth of irreducible.  The
 heights, in lattice's doubled units, are the second coordinates of
 tables.mids and twice those of tables.verts.  Malformed tables, as for
 tally_class, coordinates that are not tuples of pairs of ints within
-LONG_MAX / 8, and max_len < 0 raise ValueError; max_len 0 gives an empty
+LONG_MAX / 8 or that disagree with the step tables (a mid-edge not one
+half-edge step of lattice.HEADING_STEPS from a vertex that step_vert
+gives it), and max_len < 0 raise ValueError; max_len 0 gives an empty
 list.
+
+bridge_counts(tables, max_len) walks the same tree and finds the same
+bridges as bridges(tables, max_len, None), building no tuple, and returns
+counts[height, length] as an int64 numpy array of shape
+(max_len // 2 + 1, max_len + 1): the number of bridges of each length
+and height (V_end - V_start) / 6, read from the second coordinates of
+tables.mids.  A bridge of n steps rises at most n / 2, so a height that
+is not a whole number in 1..n/2 means step tables that are not the
+lattice's (a step_mid that jumps, say), and raises ValueError before it
+indexes the array.  Tables and max_len are checked as for bridges;
+max_len 0 or 1 gives no bridge.
 
 stickbreak_sweep(tables, max_len) checks the stickbreak lemma on every
 bridge that bridges(tables, max_len, None) lists, in the same walk, and
 keeps no list.  For each bridge it traces the turns from the start
-mid-edge tables.mids[start_mid] (its heading points at the vertex ahead,
-ValueError if it does not), finds the diamond points d[0] < d[1] < ... as
-walk_facts does, and for each pair i < j splices a right turn before
-step d[i] and a left turn before step d[j], as bridges.stickbreak does.
+mid-edge tables.mids[start_mid], heading at the vertex ahead, finds the
+diamond points d[0] < d[1] < ... as walk_facts does, and for each pair
+i < j splices a right turn before step d[i] and a left turn before step
+d[j], as bridges.stickbreak does.
 An output passes iff walk_facts' core finds it self-avoiding, of class
 bridge and two steps longer than the input.  It returns (bridges,
 bridges with two or more diamond points, pairs, failures, first), first
@@ -126,7 +140,7 @@ arithmetic, and the tests compare these entries with it. */
 #include <stdint.h>
 #include <string.h>
 
-#define KERNEL_ABI 2            /* lattice.KERNEL_ABI must equal it */
+#define KERNEL_ABI 3            /* lattice.KERNEL_ABI must equal it */
 
 typedef struct {
     const int32_t *step_vert, *step_mid, *step_dir, *mid_class;
@@ -1142,6 +1156,16 @@ static int get_points(PyObject *tables, const char *name, long n, int scale, Poi
     return ok ? 0 : -1;
 }
 
+/* The heading h of the half-edge step from a to b (b - a is
+   (STEP_DU[h], STEP_DV[h])), or -1 if there is none. */
+static int heading_of(Point a, Point b)
+{
+    for (int h = 0; h < 6; h++)
+        if (b.u - a.u == STEP_DU[h] && b.v - a.v == STEP_DV[h])
+            return h;
+    return -1;
+}
+
 typedef struct Bridger Bridger;
 
 /* Called on each bridge of the given length, its turns in b->turns;
@@ -1255,6 +1279,16 @@ static int bridger_open(Bridger *b, PyObject *tables, int max_len, int irreducib
         || get_points(tables, "mids", t->n_mids, 1, b->mid_pt) < 0
         || get_points(tables, "verts", t->n_verts, 2, b->vert_pt) < 0)
         return -1;
+    /* the coordinates agree with the step tables: each vertex that a
+       mid-edge leads to lies one half-edge step from it */
+    for (long i = 0; i < 2 * t->n_mids; i++) {
+        const int v = b->step_vert[i];
+        if (v >= 0 && heading_of(b->mid_pt[i / 2], b->vert_pt[v]) < 0) {
+            PyErr_Format(PyExc_ValueError, "mids[%ld] is not next to verts[%d], a vertex of its "
+                         "step tables", i / 2, v);
+            return -1;
+        }
+    }
     return 0;
 }
 
@@ -1300,6 +1334,56 @@ static PyObject *bridges(PyObject *self, PyObject *args)
     if (PyErr_Occurred())
         Py_CLEAR(out);
     return out;
+}
+
+/* ---- bridge counts ---- */
+
+typedef struct {
+    int64_t *counts;            /* counts[height, length], rows of n_len */
+    Py_ssize_t n_len;
+} Census;
+
+/* Count the bridge by its height (V_end - V_start) / 6 and its length.  A
+   bridge of n steps climbs at most n / 2, so a height that is not a whole
+   number in 1..n/2 means step tables that are not the lattice's:
+   ValueError, before any index is formed. */
+static int count_bridge(Bridger *b, int length)
+{
+    Census *c = b->ctx;
+    const long long dv = b->path[length].v - b->path[0].v;
+    if (dv % 6 != 0 || dv < 6 || dv > 3LL * length) {
+        PyErr_Format(PyExc_ValueError,
+                     "a bridge of %d steps rises %lld in mids: not a height in 1..%d", length,
+                     dv, length / 2);
+        return -1;
+    }
+    c->counts[dv / 6 * c->n_len + length]++;
+    return 0;
+}
+
+static PyObject *bridge_counts(PyObject *self, PyObject *args)
+{
+    PyObject *tables, *numpy = NULL, *counts = NULL;
+    int max_len;
+    Bridger b;
+    Py_buffer out;
+
+    if (!PyArg_ParseTuple(args, "Oi:bridge_counts", &tables, &max_len))
+        return NULL;
+    if (bridger_open(&b, tables, max_len, -1) == 0
+        && (numpy = PyImport_ImportModule("numpy")) != NULL
+        && (counts = PyObject_CallMethod(numpy, "zeros", "((ll)s)", (long)max_len / 2 + 1,
+                                         (long)max_len + 1, "int64")) != NULL
+        && PyObject_GetBuffer(counts, &out, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE) == 0) {
+        Census c = {out.buf, (Py_ssize_t)max_len + 1};
+        bridger_run(&b, count_bridge, &c);
+        PyBuffer_Release(&out);
+    }
+    bridger_close(&b);
+    Py_XDECREF(numpy);
+    if (PyErr_Occurred())
+        Py_CLEAR(counts);
+    return counts;
 }
 
 /* ---- stickbreak sweep ---- */
@@ -1368,14 +1452,7 @@ static PyObject *stickbreak_sweep(PyObject *self, PyObject *args)
        ahead; with no vertex ahead there is no bridge */
     const int v = b.step_vert[2 * b.start_mid + b.start_dir];
     s.start = b.mid_pt[b.start_mid];
-    s.heading = -1;
-    for (int h = 0; v >= 0 && h < 6; h++)
-        if (b.vert_pt[v].u - s.start.u == STEP_DU[h] && b.vert_pt[v].v - s.start.v == STEP_DV[h])
-            s.heading = h;
-    if (v >= 0 && s.heading < 0) {
-        PyErr_SetString(PyExc_ValueError, "the start mid-edge is not next to its vertex ahead");
-        goto done;
-    }
+    s.heading = v < 0 ? -1 : heading_of(s.start, b.vert_pt[v]);
     const Py_ssize_t cap = b.max_len + 2;
     if (trace_alloc(&s.w, cap) < 0)
         goto done;
@@ -1759,6 +1836,8 @@ static PyMethodDef methods[] = {
      "Spectral radius of M = coo(row, col, w) by power iteration from start, or None."},
     {"bridges", bridges, METH_VARARGS,
      "Turn tuples of the bridges of at most max_len steps, all or (not) irreducible."},
+    {"bridge_counts", bridge_counts, METH_VARARGS,
+     "counts[height, length] of the bridges of at most max_len steps, as int64."},
     {"stickbreak_sweep", stickbreak_sweep, METH_VARARGS,
      "(bridges, bridges with two diamond points, pairs, failures, first failure or None) of "
      "the stickbreak sweep over the bridges of at most max_len steps."},
@@ -1776,8 +1855,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_dfs",
-    .m_doc = "Compiled walk and bridge enumeration, stickbreak sweep, strip transfer operator, "
-              "spectral radius, walk facts and Cyclo48 arithmetic.",
+    .m_doc = "Compiled walk and bridge enumeration, bridge counts, stickbreak sweep, strip "
+              "transfer operator, spectral radius, walk facts and Cyclo48 arithmetic.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -5,16 +5,15 @@ sampler.
 A bridge decomposes uniquely at its renewal points into irreducible
 bridges.  The critical weights x_c^|gamma| of irreducible bridges sum
 to 1 (Kesten's relation); this module computes exact truncated partial
-sums of that series in Q(zeta_48).  Those sums need only counts: the
-kernel's top-line (class B) histograms of strip prefixes count the
-bridges by height and length, and renewal inversion turns them into
-irreducible counts.  The bridges themselves (for the sampler) come from
-the kernel's bridge enumerator, which also decides irreducibility by the
-renewal rule of ``Walk.facts``; the half-plane and strip walks (for
-unfolding and arches) from :func:`hexsaw.enumeration.iter_saws` passes.
-The stickbreak sweep runs whole in that enumerator: it splices and
-judges each perturbation with the same C code as ``Walk.facts`` and
-returns counts, building no ``Walk``.
+sums of that series in Q(zeta_48).  Every bridge comes from the
+kernel's one bridge enumerator: it counts the bridges by height and
+length for those sums (renewal inversion turns the counts into
+irreducible ones), lists them for the sampler's pool, deciding
+irreducibility by the renewal rule of ``Walk.facts``, and runs the
+stickbreak sweep whole, splicing and judging each perturbation with the
+same C code as ``Walk.facts`` and returning counts, building no
+``Walk``.  The half-plane and strip walks (for unfolding and arches)
+come from :func:`hexsaw.enumeration.iter_saws` passes.
 
 Coordinates follow :mod:`hexsaw.lattice`: mid-edges carry doubled
 integer pairs (U, V) with real position (U*sqrt(3)/4, V/4), so a
@@ -25,9 +24,9 @@ mid-edges is (max U - min U)*sqrt(3)/4.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from . import domains as dm
@@ -107,11 +106,9 @@ def irreducible_factors(b: Walk) -> BridgeDecomposition:
 
 def concat_bridges(factors: Sequence[Walk]) -> Walk:
     """Concatenate bridges started at a by splicing their turn lists."""
-    turns: tuple = ()
     for f in factors:
         _bridge_facts(f)
-        turns = turns + f.turns
-    return Walk(lattice.START_MID, 0, turns)
+    return Walk(lattice.START_MID, 0, tuple(chain.from_iterable(f.turns for f in factors)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +151,15 @@ def bridge_height_length_counts(
 ) -> dict[tuple[int, int], int]:
     """Counts of bridges by (height, length) up to max_len steps.
 
-    The bridges of height h are the walks of the height-h strip that end
-    on its top line (class B), counted by the kernel; the shortest has
-    2h steps.  A bridge is an irreducible bridge followed by a bridge or
-    nothing, heights and lengths adding, so the irreducible counts are
-    the renewal inversion I = B - I*B.
+    The kernel's bridge enumerator, on the tables :func:`iter_bridges`
+    reads, counts the bridges by height and length in one walk; the
+    shortest bridge of height h has 2h steps.  A bridge is an irreducible
+    bridge followed by a bridge or nothing, heights and lengths adding, so
+    the irreducible counts are the renewal inversion I = B - I*B.
     """
     _check_max_len(max_len)
-    top = en.CLASS_ID[dm.B_TOP]
-    counts: dict[tuple[int, int], int] = {}
-    for h in range(1, max_len // 2 + 1):
-        strip = dm.build_strip_prefix(h, dm.prefix_size(max_len))
-        per_len = en.class_histogram(strip, max_len)[top].sum(axis=1)
-        counts.update({(h, n): int(c) for n, c in enumerate(per_len) if c})
+    hist = _kernel.bridge_counts(en.build_tables(en.half_plane_domain(max_len)), max_len)
+    counts = {(h, n): c for h, row in enumerate(hist.tolist()) for n, c in enumerate(row) if c}
     if not irreducible_only:
         return counts
     irr: dict[tuple[int, int], int] = {}
@@ -213,6 +206,8 @@ def kesten_partials(Ns: Sequence[int]) -> list[RenewalStats]:
     bridges once, at the largest N.  The renewal inversion reads only
     shorter lengths, so the largest N's counts cut to lengths <= N are
     the counts at N."""
+    if not Ns:
+        raise InvalidParameterError("need at least one truncation N")
     for N in Ns:
         _check_truncation(N)
     top = kesten_partial(max(Ns))
@@ -422,7 +417,7 @@ def prime_arch_factors(w: Walk) -> list[Walk]:
 
 def concat_arches(factors: Sequence[Walk]) -> Walk:
     """Inverse of :func:`prime_arch_factors` (up to translation)."""
-    turns: tuple = ()
+    parts = []
     for idx, f in enumerate(factors):
         t = f.turns
         if idx > 0:
@@ -431,8 +426,8 @@ def concat_arches(factors: Sequence[Walk]) -> Walk:
             if t[-1] != "R":
                 raise ClassificationError("factor does not end with a seam step")
             t = t[:-1] + ("L",)
-        turns = turns + t
-    return Walk(lattice.START_MID, 0, turns)
+        parts.append(t)
+    return Walk(lattice.START_MID, 0, tuple(chain.from_iterable(parts)))
 
 
 def wavy_column_arch(T: int) -> Walk:
@@ -517,19 +512,17 @@ def sample_renewal(N: int, k: int, seed: int) -> tuple[Walk, dict]:
     """Concatenate k independent draws from the irreducible bridges of
     length <= N, drawn with probability x_c^|gamma| / Z_N: a truncated
     stand-in for the infinite irreducible-bridge measure.  The expected
-    factor height is read from the pool's own (height, length) counts."""
+    factor height is Kesten's mean height of the same truncation."""
     if k < 1:
         raise InvalidParameterError("need at least one factor")
-    _check_truncation(N)
-    pool = list(iter_bridges(N, irreducible=True))  # refuses N > N_CAP first
-    pool_heights = [int(height_width(b)[0]) for b in pool]
-    stats = _renewal_stats(N, dict(Counter(zip(pool_heights, map(len, pool)))))
+    stats = kesten_partial(N)   # refuses N < 2 and N > N_CAP first
+    pool = list(iter_bridges(N, irreducible=True))
     x_c = constants(0, "dilute").x_c.to_float()
     weights = [x_c ** len(b) for b in pool]
     rng = random.Random(seed)
-    picks = rng.choices(range(len(pool)), weights=weights, k=k)
-    bridge = concat_bridges([pool[p] for p in picks])
-    heights = [pool_heights[p] for p in picks]
+    drawn = rng.choices(pool, weights=weights, k=k)
+    bridge = concat_bridges(drawn)
+    heights = [int(height_width(b)[0]) for b in drawn]
     h_total, w_total = height_width(bridge)
     report = {
         "truncation_N": N,

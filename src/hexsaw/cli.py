@@ -174,7 +174,11 @@ def _cmd_bounds(args):
 
 
 def _cmd_kesten(args):
-    ns = [int(t) for t in args.N.split(",")]
+    try:
+        ns = [int(t) for t in args.N.split(",")]
+    except ValueError as exc:
+        raise InvalidParameterError(
+            f"--N: need comma-separated integers, got {args.N!r}") from exc
     stats = br.kesten_partials(ns)
     rows = [
         {

@@ -40,7 +40,7 @@ from .errors import ClassificationError, InvalidParameterError
 
 #: The contract of the kernel this package calls; ``_dfs.c`` exports the
 #: same number, and both rise when an entry's arguments or tables change.
-KERNEL_ABI = 2
+KERNEL_ABI = 3
 
 _BUILD_HINT = ("run 'python setup.py build_ext --inplace' in a source checkout, "
                "or 'pip install -e .'")

@@ -5,10 +5,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import walk_oracle
 from hexsaw import bridges as br
+from hexsaw import domains as dm
 from hexsaw import enumeration as en
 from hexsaw import lattice
 from hexsaw import strip as sp
@@ -122,26 +124,29 @@ def test_kesten_partials_increase_below_one():
 
 def test_kesten_partials_count_once(monkeypatch):
     """Rows from one count at the largest N equal per-N kesten_partial
-    rows exactly, and the count builds one strip table per height."""
+    rows exactly, and that count is one pass of the kernel's bridge
+    enumerator, with no strip histogram."""
     Ns = [4, 8, 12, 16, 5, 2, 16]
     want = [br.kesten_partial(N) for N in Ns]
-    calls = {"counts": 0, "strips": 0}
-    counts, histogram = br.bridge_height_length_counts, en.class_histogram
+    calls = {"counts": 0, "kernel": 0, "histograms": 0}
+    counts, kernel_counts, histogram = (
+        br.bridge_height_length_counts, br._kernel.bridge_counts, en.class_histogram)
 
-    def counted_counts(*args, **kwargs):
-        calls["counts"] += 1
-        return counts(*args, **kwargs)
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        return wrapper
 
-    def counted_histogram(*args, **kwargs):
-        calls["strips"] += 1
-        return histogram(*args, **kwargs)
-
-    monkeypatch.setattr(br, "bridge_height_length_counts", counted_counts)
-    monkeypatch.setattr(en, "class_histogram", counted_histogram)
+    monkeypatch.setattr(br, "bridge_height_length_counts", counted("counts", counts))
+    monkeypatch.setattr(br._kernel, "bridge_counts", counted("kernel", kernel_counts))
+    monkeypatch.setattr(en, "class_histogram", counted("histograms", histogram))
     assert br.kesten_partials(Ns) == want
-    assert calls == {"counts": 1, "strips": 8}
+    assert calls == {"counts": 1, "kernel": 1, "histograms": 0}
     with pytest.raises(InvalidParameterError, match="N >= 2"):
         br.kesten_partials([30, 1])   # checked before anything is counted
+    with pytest.raises(InvalidParameterError, match="truncation N"):
+        br.kesten_partials([])
 
 
 def test_kesten_float_at_N26(monkeypatch):
@@ -192,6 +197,26 @@ def _per_walk_bridge_counts(N):
         if br.is_irreducible(w):
             irr[key] = irr.get(key, 0) + 1
     return full, irr
+
+
+def _strip_prefix_counts(N):
+    """counts[height, length] of the bridges of at most N steps, counted
+    as the walks of each height-h strip prefix that end on its top line
+    (class B): one class_histogram search per height."""
+    counts = np.zeros((N // 2 + 1, N + 1), dtype=np.int64)
+    top = en.CLASS_ID[dm.B_TOP]
+    for h in range(1, N // 2 + 1):
+        strip = dm.build_strip_prefix(h, dm.prefix_size(N))
+        counts[h] = en.class_histogram(strip, N)[top].sum(axis=1)
+    return counts
+
+
+@pytest.mark.parametrize("N", list(range(17)) + [20])
+def test_kernel_bridge_counts_match_strip_prefix_histograms(N):
+    """The bridge enumerator's (height, length) counts on the half-plane
+    tables equal the class-B histograms of the strip prefixes."""
+    tables = en.build_tables(en.half_plane_domain(N))
+    assert (br._kernel.bridge_counts(tables, N) == _strip_prefix_counts(N)).all()
 
 
 def test_kernel_bridge_counts_match_per_walk_oracle():
@@ -480,8 +505,9 @@ def test_sampler_deterministic_and_renewed():
 
 @pytest.mark.parametrize("N", [8, 14])
 def test_sampler_expected_height_from_its_pool(N):
-    """The sampler counts its own pool by (height, length), and those
-    counts give Kesten's mean height, as the kernel counts do."""
+    """The sampler's expected factor height is the mean height of
+    Kesten's truncated sum at the same N, the distribution its pool is
+    drawn from."""
     _, rep = br.sample_renewal(N, 1, 0)
     assert rep["expected_factor_height"] == br.kesten_partial(N).mean_height_float
 

@@ -241,6 +241,14 @@ def test_usage_errors(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["", "4,,8", "4.5", "a"])
+def test_kesten_bad_truncation_list_names_the_option(capsys, text):
+    assert main(["kesten", "--N", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --N: need comma-separated integers, got {text!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("half-plane", "--N", "4", "--y", "nan"),
     ("half-plane", "--N", "4", "--y", "inf"),

@@ -216,12 +216,14 @@ def test_c_kernel_rejects_malformed_tables(c_kernel):
 
 def test_c_bridges_rejects_malformed_tables(c_kernel):
     """The bridge entry checks the tables as tally_class does, and also
-    the coordinate pairs it reads heights from."""
+    the coordinate pairs it reads heights from, and that they agree with
+    the step tables."""
     tables = en.build_tables(en.half_plane_domain(4))
     far = ((0, 2**62),) + tables.verts[1:]
     for bad in _malformed_tables(tables) + (
         dataclasses.replace(tables, mids=tables.mids[:-1] + ((0,),)),
         dataclasses.replace(tables, mids=list(tables.mids)),
+        dataclasses.replace(tables, mids=tuple((u, 3 * v) for u, v in tables.mids)),
         dataclasses.replace(tables, verts=tables.verts[:-1] + ((0, 1.5),)),
         dataclasses.replace(tables, verts=far),
     ):
@@ -233,6 +235,54 @@ def test_c_bridges_rejects_malformed_tables(c_kernel):
     for irreducible in (None, True, False):
         assert c_kernel.bridges(tables, 0, irreducible) == []
     assert c_kernel.bridges(tables, 2, None) == [("L", "R"), ("R", "L")]
+
+
+def _teleported(tables):
+    """The tables with the start's first left turn redirected to the
+    highest slanted mid-edge that climbs into a vertex with a vertical
+    edge above it: its coordinates still agree with the step tables, but
+    the next step up ends a "bridge" of two steps far above the start."""
+    mids, verts = tables.mids, tables.verts
+
+    def climbs(m, d):
+        v = tables.step_vert[2 * m + d]
+        return (v >= 0 and mids[m][1] == 2 * verts[v][1] - 1
+                and any(mids[tables.step_mid[4 * m + 2 * d + t]][1] == 2 * verts[v][1] + 2
+                        for t in (0, 1)))
+
+    far, d = max(((m, d) for m in range(len(mids)) for d in (0, 1) if climbs(m, d)),
+                 key=lambda md: mids[md[0]][1])
+    step_mid, step_dir = tables.step_mid.copy(), tables.step_dir.copy()
+    base = 4 * tables.start_mid + 2 * tables.start_dir
+    step_mid[base], step_dir[base] = far, d
+    return dataclasses.replace(tables, step_mid=step_mid, step_dir=step_dir)
+
+
+def test_c_bridge_counts_rejects_malformed_tables(c_kernel):
+    """The count entry opens the tables as the bridge entry does, and
+    never indexes past its array: coordinates that disagree with the step
+    tables (every V tripled) are refused when the tables are opened, and
+    a bridge that rises more than half its length (a step table that
+    jumps) when it is counted."""
+    tables = en.build_tables(en.half_plane_domain(4))
+    tripled = tuple((u, 3 * v) for u, v in tables.mids)
+    for bad in _malformed_tables(tables) + (
+        dataclasses.replace(tables, mids=tables.mids[:-1] + ((0,),)),
+        dataclasses.replace(tables, verts=tables.verts[:-1] + ((0, 1.5),)),
+        dataclasses.replace(tables, mids=tripled),
+        dataclasses.replace(tables, mids=tripled,
+                            verts=tuple((u, 3 * v) for u, v in tables.verts)),
+    ):
+        with pytest.raises(ValueError):
+            c_kernel.bridge_counts(bad, 4)
+    with pytest.raises(ValueError, match="rises"):
+        c_kernel.bridge_counts(_teleported(tables), 4)
+    with pytest.raises(ValueError):
+        c_kernel.bridge_counts(tables, -1)
+    for max_len in (0, 1):
+        counts = c_kernel.bridge_counts(tables, max_len)
+        assert counts.shape == (1, max_len + 1) and not counts.any()
+    assert c_kernel.bridge_counts(tables, 2).tolist() == [[0, 0, 0], [0, 0, 2]]
 
 
 def test_c_stickbreak_sweep_rejects_malformed_tables(c_kernel):
