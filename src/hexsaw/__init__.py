@@ -3,7 +3,7 @@ surface fugacity, verified by exhaustive enumeration at desk scale."""
 
 from .cyclo import Cyclo48
 from .model import ModelConstants, constants
-from .lattice import Walk, classify_walk, winding
+from .lattice import Walk, classify_walk
 from .domains import Domain, build_rectangle, build_strip_prefix, build_trapezoid
 from .enumeration import (
     backend_name,
@@ -31,7 +31,6 @@ from .bridges import (
     renewal_points,
     sample_renewal,
     stickbreak,
-    unfold,
 )
 
 __version__ = "0.1.0"
@@ -42,7 +41,6 @@ __all__ = [
     "constants",
     "Walk",
     "classify_walk",
-    "winding",
     "Domain",
     "build_trapezoid",
     "build_rectangle",
@@ -70,5 +68,4 @@ __all__ = [
     "renewal_points",
     "sample_renewal",
     "stickbreak",
-    "unfold",
 ]

@@ -80,7 +80,7 @@ def _document(args, results, ok: bool, t0: float) -> dict:
         "config": config,
         "results": results,
         "ok": bool(ok),
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
     }
 
 
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         results, ok, rows = args.func(args)
     except (CapacityError, NonConvergenceError) as exc:

@@ -93,25 +93,6 @@ def vertex_neighbors(u: int, v: int) -> list[tuple[int, int]]:
     return [(u, v - 2), (u - 1, v + 1), (u + 1, v + 1)]
 
 
-def mid_edge(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """Doubled coordinates of the midpoint of edge a--b."""
-    if b not in vertex_neighbors(*a):
-        raise InvalidParameterError(f"{a} and {b} are not adjacent")
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def mid_endpoints(U: int, V: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The two vertices of the edge whose midpoint is (U, V)."""
-    out = []
-    for du, dv in HEADING_STEPS:
-        uu, vv = U + du, V + dv
-        if uu % 2 == 0 and vv % 2 == 0 and is_vertex(uu // 2, vv // 2):
-            out.append((uu // 2, vv // 2))
-    if len(out) != 2:
-        raise InvalidParameterError(f"({U}, {V}) is not a mid-edge")
-    return out[0], out[1]
-
-
 @lru_cache(maxsize=None)
 def mid_headings(U: int, V: int) -> tuple[int, int]:
     """The two headings along which a walk can traverse this mid-edge."""
@@ -125,16 +106,6 @@ def mid_headings(U: int, V: int) -> tuple[int, int]:
     return hs[0], hs[1]
 
 
-def mid_orientation(U: int, V: int) -> int:
-    """0 = vertical, 1 = NE/SW slant, 2 = SE/NW slant."""
-    return mid_headings(U, V)[0] % 3
-
-
-def vertex_mids(u: int, v: int) -> list[tuple[int, int]]:
-    """The three mid-edges incident to a vertex."""
-    return [(u + w[0], v + w[1]) for w in vertex_neighbors(u, v)]
-
-
 def step(
     mid: tuple[int, int], heading: int, turn: Turn
 ) -> tuple[tuple[int, int], tuple[int, int], int]:
@@ -144,10 +115,6 @@ def step(
     nh = (heading - 1) % 6 if turn == "L" else (heading + 1) % 6
     ndu, ndv = HEADING_STEPS[nh]
     return (u, v), (2 * u + ndu, 2 * v + ndv), nh
-
-
-def real_xy(U: float, V: float) -> tuple[float, float]:
-    return (U * 3**0.5 / 4, V / 4)
 
 
 class WalkFacts(NamedTuple):
@@ -266,10 +233,6 @@ class Walk:
 
     def translate(self, dU: int, dV: int) -> "Walk":
         return Walk((self.start[0] + dU, self.start[1] + dV), self.heading, self.turns)
-
-
-def winding(w: Walk) -> int:
-    return w.winding()
 
 
 def classify_walk(w: Walk) -> str:

@@ -9,7 +9,9 @@ vertex) and ``enumeration.build_tables`` (``mid_headings`` of each
 mid-edge and ``lattice.step`` of each turn).  They take the domain as
 an argument and read only its vertices, surface, kind and height.
 ``mirror_class`` reflects each mid-edge and reads this module's own
-``boundary`` of both.
+``boundary`` of both.  ``vertex_mids`` and ``mid_endpoints``, once
+lattice helpers, live here too: the package reads every mid-edge off
+the layout pass and needs neither.
 """
 
 import numpy as np
@@ -17,7 +19,25 @@ import numpy as np
 from hexsaw import domains as dm
 from hexsaw import enumeration as en
 from hexsaw import lattice
-from hexsaw.lattice import mid_endpoints, vertex_mids, vertex_type
+from hexsaw.errors import InvalidParameterError
+from hexsaw.lattice import HEADING_STEPS, is_vertex, vertex_neighbors, vertex_type
+
+
+def mid_endpoints(U: int, V: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two vertices of the edge whose midpoint is (U, V)."""
+    out = []
+    for du, dv in HEADING_STEPS:
+        uu, vv = U + du, V + dv
+        if uu % 2 == 0 and vv % 2 == 0 and is_vertex(uu // 2, vv // 2):
+            out.append((uu // 2, vv // 2))
+    if len(out) != 2:
+        raise InvalidParameterError(f"({U}, {V}) is not a mid-edge")
+    return out[0], out[1]
+
+
+def vertex_mids(u: int, v: int) -> list[tuple[int, int]]:
+    """The three mid-edges incident to a vertex."""
+    return [(u + w[0], v + w[1]) for w in vertex_neighbors(u, v)]
 
 
 def mids(domain: dm.Domain) -> frozenset[tuple[int, int]]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import arch_lemmas
 import walk_oracle
 from hexsaw import bridges as br
 from hexsaw import domains as dm
@@ -445,27 +446,27 @@ def test_unfold_properties():
             w = Walk(turns=turns)
             if not w.is_self_avoiding():
                 continue
-            u = br.unfold(w)
+            u = arch_lemmas.unfold(w)
             assert len(u) == len(w)
             assert u.is_self_avoiding()
             # start minimal, end maximal in x over all vertices
             us = [2 * x for x, _ in u.vertices]
             assert all(u.start[0] <= x <= u.end[0] for x in us)
             # fixpoint
-            assert br.unfold(u) == u
+            assert arch_lemmas.unfold(u) == u
 
 
 def test_unfold_guard():
     with pytest.raises(ClassificationError):
-        br.unfold(Walk(turns=("R",) * 6))
+        arch_lemmas.unfold(Walk(turns=("R",) * 6))
 
 
 def test_wavy_column_arch():
     for T in (1, 2, 3, 4):
-        w = br.wavy_column_arch(T)
+        w = arch_lemmas.wavy_column_arch(T)
         assert len(w) == 4 * T - 1
-        assert br.is_unfolded_arch(w)
-        assert br.arch_seams(w) == []          # prime
+        assert arch_lemmas.is_unfolded_arch(w)
+        assert arch_lemmas.arch_seams(w) == []  # prime
         assert sum(1 for _, v in set(w.vertices) if v == 1) == 2
         assert max(v for _, v in w.vertices) == 3 * T - 1
 
@@ -473,19 +474,19 @@ def test_wavy_column_arch():
 def test_prime_factor_roundtrip():
     count = 0
     for w in br.iter_strip_walks(2, 11):
-        if not br.is_unfolded_arch(w):
+        if not arch_lemmas.is_unfolded_arch(w):
             continue
-        factors = br.prime_arch_factors(w)
-        assert all(br.is_unfolded_arch(f) for f in factors)
-        assert all(not br.arch_seams(f) for f in factors)
-        assert br.concat_arches(factors) == Walk(turns=w.turns)
+        factors = arch_lemmas.prime_arch_factors(w)
+        assert all(arch_lemmas.is_unfolded_arch(f) for f in factors)
+        assert all(not arch_lemmas.arch_seams(f) for f in factors)
+        assert arch_lemmas.concat_arches(factors) == Walk(turns=w.turns)
         count += 1
     assert count > 10
 
 
 @pytest.mark.parametrize("T", [1, 2])
 def test_prime_arch_series_identity(T):
-    rep = br.check_prime_arch_series(T, 13)
+    rep = arch_lemmas.check_prime_arch_series(T, 13)
     assert rep["ok"], (rep["full"], rep["rebuilt"])
 
 

@@ -6,7 +6,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -132,6 +134,15 @@ def test_sample_deterministic(capsys):
     assert code1 == code2 == 0
     doc1.pop("wall_time_s"), doc2.pop("wall_time_s")
     assert doc1 == doc2
+
+
+def test_wall_time_is_a_duration_when_the_clock_steps_back(capsys, monkeypatch):
+    """wall_time_s comes from a monotonic clock: a wall clock stepped back
+    an hour per reading during the run leaves it non-negative."""
+    clock = count(1_000_000, -3600)
+    monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+    code, doc = run_json(capsys, "strip-identity", "--T", "1", "--y", "2")
+    assert code == 0 and doc["wall_time_s"] >= 0
 
 
 def test_csv_output(capsys, tmp_path):

@@ -24,7 +24,7 @@ def _oracle_class(domain, mid):
     if domain.kind == "rectangle":
         # the half-edge points up out of the domain iff the missing
         # endpoint vertex sits above the inside one
-        p, q = lattice.mid_endpoints(U, V)
+        p, q = geometry_oracle.mid_endpoints(U, V)
         inside, outside = (p, q) if p in domain.vertices else (q, p)
         return dm.E_PLUS if outside[1] > inside[1] else dm.E_MINUS
     return dm.E_RIGHT if U > 0 else dm.E_LEFT
@@ -34,7 +34,7 @@ def _boundary_by_degree(domain):
     """A mid-edge is boundary iff one endpoint vertex lies outside."""
     out = {}
     for m in domain.mids:
-        p, q = lattice.mid_endpoints(*m)
+        p, q = geometry_oracle.mid_endpoints(*m)
         n_in = (p in domain.vertices) + (q in domain.vertices)
         assert n_in in (1, 2)
         if n_in == 1:
@@ -85,7 +85,7 @@ def test_rectangle_shape():
     # E+ mid-edges point up out of the domain: their inside vertex is a
     # down-pointing one
     for m in eplus:
-        p, q = lattice.mid_endpoints(*m)
+        p, q = geometry_oracle.mid_endpoints(*m)
         owner = p if p in d.vertices else q
         assert lattice.vertex_type(*owner) == "lam"
 

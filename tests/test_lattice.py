@@ -2,6 +2,7 @@
 
 import pytest
 
+import geometry_oracle
 import walk_oracle
 from hexsaw import lattice
 from hexsaw.errors import ClassificationError, InvalidParameterError
@@ -31,13 +32,18 @@ def test_vertex_types_and_neighbors():
 
 
 def test_mid_edge_roundtrip():
+    """A mid-edge is the sum of its two endpoint vertices; a vertical one
+    is traversed up or down, and a non-adjacent pair sums to no mid-edge."""
     a, b = (1, 2), (1, 4)
-    m = lattice.mid_edge(a, b)
+    assert b in lattice.vertex_neighbors(*a)
+    m = (a[0] + b[0], a[1] + b[1])
     assert m == (2, 6)
-    assert set(lattice.mid_endpoints(*m)) == {a, b}
-    assert lattice.mid_orientation(*m) == 0
+    assert set(geometry_oracle.mid_endpoints(*m)) == {a, b}
+    assert walk_oracle.mid_orientation(*m) == 0
+    assert lattice.mid_headings(*m) == (0, 3)
+    assert (0, 5) not in lattice.vertex_neighbors(1, 2)
     with pytest.raises(InvalidParameterError):
-        lattice.mid_edge((1, 2), (0, 5))
+        lattice.mid_headings(1, 7)
 
 
 def test_step_geometry():
@@ -122,7 +128,7 @@ def test_classify_heights_definition():
             expect = (
                 heads[0] == 0
                 and heads[-1] == 0
-                and lattice.mid_orientation(*mids[-1]) == 0
+                and walk_oracle.mid_orientation(*mids[-1]) == 0
                 and all(mids[0][1] < m[1] < mids[-1][1] for m in mids[1:-1])
             )
             assert (classify_walk(w) == "bridge") == expect
@@ -167,8 +173,3 @@ def test_walk_facts_match_oracle_on_all_short_walks(start, heading):
     assert {"not self-avoiding", "other"} <= seen
     if heading == 0:
         assert seen == {None, "bridge", "arch", "half-plane", "other", "not self-avoiding"}
-
-
-def test_real_coordinates():
-    x, y = lattice.real_xy(2, 6)
-    assert abs(x - 3**0.5 / 2) < 1e-15 and abs(y - 1.5) < 1e-15

@@ -7,7 +7,8 @@ kernel's ``stickbreak_sweep``.
 The first four are the package's former Python bodies of
 ``Walk.is_self_avoiding``, ``classify_walk``, ``renewal_points`` and
 ``diamond_points``, which read the walk's Python trace (``Walk.mids``,
-``Walk.headings``) and never the kernel.  The sweep is the command
+``Walk.headings``) and never the kernel; they tell a vertical mid-edge
+by this module's ``mid_orientation``, once a package lattice helper.  The sweep is the command
 line's former loop: one ``Walk``, ``stickbreak`` and ``classify_walk``
 call per diamond-point pair.
 """
@@ -17,7 +18,7 @@ from typing import Iterator
 from hexsaw import bridges as br
 from hexsaw import lattice
 from hexsaw.errors import ClassificationError
-from hexsaw.lattice import Turn, Walk
+from hexsaw.lattice import Turn, Walk, mid_headings
 
 
 def iter_turn_sequences(n: int) -> Iterator[tuple[Turn, ...]]:
@@ -28,6 +29,11 @@ def iter_turn_sequences(n: int) -> Iterator[tuple[Turn, ...]]:
     for rest in iter_turn_sequences(n - 1):
         yield ("L",) + rest
         yield ("R",) + rest
+
+
+def mid_orientation(U: int, V: int) -> int:
+    """0 = vertical, 1 = NE/SW slant, 2 = SE/NW slant."""
+    return mid_headings(U, V)[0] % 3
 
 
 def is_self_avoiding(w: Walk) -> bool:
@@ -52,8 +58,8 @@ def classify_walk(w: Walk) -> str:
     if n == 0:
         raise ClassificationError("the empty walk is not classifiable")
     vertical_up_ends = (
-        lattice.mid_orientation(*mids[0]) == 0
-        and lattice.mid_orientation(*mids[-1]) == 0
+        mid_orientation(*mids[0]) == 0
+        and mid_orientation(*mids[-1]) == 0
         and w.headings[0] == 0
         and w.headings[-1] == 0
     )
@@ -91,7 +97,7 @@ def renewal_points(b: Walk) -> list[int]:
     for i in range(1, n):
         if (
             heads[i] == 0
-            and lattice.mid_orientation(*mids[i]) == 0
+            and mid_orientation(*mids[i]) == 0
             and running_max < mids[i][1] < suffix_min[i + 1]
         ):
             out.append(i)
@@ -108,7 +114,7 @@ def diamond_points(b: Walk) -> tuple[int, ...]:
     mids = b.mids
     out = []
     for k, (uk, vk) in enumerate(mids):
-        if lattice.mid_orientation(uk, vk) != 0:
+        if mid_orientation(uk, vk) != 0:
             continue
         ok = True
         for (u, v) in mids:
