@@ -66,8 +66,8 @@ transfer(T) builds the height-T strip transfer operator for
 1 <= T <= T_MAX (ValueError otherwise), its contacts on the top row: the
 column moves of each parity, then a breadth-first search over cut states
 that composes each state with each move its mask and flags allow.  It
-returns (codes, src, dst, xpow, ypow, end) as int64 numpy arrays, laid
-out as follows; the module exports T_MAX, FLAG_SHIFT and END_KINDS.
+returns (codes, slot, xpow, ypow, row, col, end) as int64 numpy arrays,
+laid out as follows; the module exports T_MAX, FLAG_SHIFT and END_KINDS.
   - A state is the cut between two columns.  Its code holds slot i, the
     crossing at level i (0 at the bottom, i < T), in bits 3i..3i+2: 0 for
     no crossing, 1 and 2 for the lower and upper end of an arc pairing
@@ -85,11 +85,14 @@ out as follows; the module exports T_MAX, FLAG_SHIFT and END_KINDS.
   - Transitions come in state order, and for each state in the order of
     the column moves of its parity and left mask: level options in
     level_options' order, levels filled bottom to top.  Transition k
-    leads from state src[k] to dst[k], visits xpow[k] vertices, ypow[k]
-    of them on the top row, and places the free end as
-    END_KINDS[end[k]]: END_KINDS = (None, 'interior', 'bottom', 'top').
-tests/transfer_oracle.py is a pure-Python twin of transfer, compared
-with it array for array.
+    visits xpow[k] vertices, ypow[k] of them on the top row, and adds to
+    cell c = slot[k], the entry from state row[c] to col[c] that places
+    the free end as END_KINDS[end[c]]: END_KINDS = (None, 'interior',
+    'bottom', 'top').  A state's cells are its distinct (col, end) pairs,
+    numbered in the order its transitions first use them, after the
+    cells of the states before it.
+tests/transfer_oracle.py is a pure-Python twin of transfer, with each
+transition's row, col and end in place of its slot.
 
 spectral_radius(row, col, w, start, tol, iters) is strip._spectral_radius's
 power iteration with M^2 on M[row[k], col[k]] = w[k] (int64, int64 and
@@ -140,7 +143,7 @@ arithmetic, and the tests compare these entries with it. */
 #include <stdint.h>
 #include <string.h>
 
-#define KERNEL_ABI 3            /* lattice.KERNEL_ABI must equal it */
+#define KERNEL_ABI 4            /* lattice.KERNEL_ABI must equal it */
 
 typedef struct {
     const int32_t *step_vert, *step_mid, *step_dir, *mid_class;
@@ -396,9 +399,22 @@ typedef struct {
 } Move;
 
 typedef struct {
-    int32_t src, dst;
-    uint8_t xpow, ypow, end;
+    int32_t slot;          /* a cell: 2.3 M of them at T = T_MAX */
+    uint8_t xpow, ypow;
 } Transition;
+
+typedef struct {
+    int32_t row, col;
+    uint8_t end;
+} Cell;
+
+/* The operator as the search emits it, and the search's cell index. */
+typedef struct {
+    Transition *tr;
+    Cell *cell;
+    int32_t *cell_of;
+    Py_ssize_t ntr, ncell;
+} Operator;
 
 /* Grow *buf (of *cap items of the given size) to hold n + 1 items. */
 static int reserve(void **buf, Py_ssize_t *cap, Py_ssize_t n, size_t size)
@@ -406,6 +422,8 @@ static int reserve(void **buf, Py_ssize_t *cap, Py_ssize_t n, size_t size)
     if (n < *cap)
         return 0;
     Py_ssize_t c = *cap ? 2 * *cap : 64;
+    while (c <= n)
+        c *= 2;
     void *p = PyMem_Realloc(*buf, (size_t)c * size);
     if (p == NULL) {
         PyErr_NoMemory();
@@ -674,14 +692,17 @@ static Py_ssize_t intern(States *s, int64_t code)
 }
 
 /* The breadth-first search from the two empty sources: states in index
-   order are its frontiers one after another. */
-static int search(int T, const Columns *col, States *st, Transition **tr, Py_ssize_t *ntr)
+   order are its frontiers one after another.  op->cell_of[4 * dst + end]
+   is the last cell numbered for (dst, end), or -1, and the current
+   state's iff it is at least first, the state's first cell. */
+static int search(int T, const Columns *col, States *st, Operator *op)
 {
-    Py_ssize_t cap = 0;
+    Py_ssize_t trcap = 0, cellcap = 0, seen = 0;
     const int64_t labels_mask = ((int64_t)1 << FLAG_SHIFT) - 1;
     if (intern(st, 0) < 0 || intern(st, (int64_t)1 << (FLAG_SHIFT + 2)) < 0)
         return -1;
     for (Py_ssize_t si = 0; si < st->n; si++) {
+        const Py_ssize_t first = op->ncell;
         int64_t code = st->code[si];
         int a_done = code >> FLAG_SHIFT & 1, end_done = code >> (FLAG_SHIFT + 1) & 1;
         int p = code >> (FLAG_SHIFT + 2) & 1;
@@ -721,10 +742,18 @@ static int search(int T, const Columns *col, States *st, Transition **tr, Py_ssi
             next |= (int64_t)(a_done || m->start) << FLAG_SHIFT
                     | (int64_t)(end_done || m->end) << (FLAG_SHIFT + 1)
                     | (int64_t)(1 - p) << (FLAG_SHIFT + 2);
-            Py_ssize_t sj = intern(st, next);
-            if (sj < 0 || reserve((void **)tr, &cap, *ntr, sizeof(Transition)) < 0)
+            Py_ssize_t sj = intern(st, next), had = seen;
+            if (sj < 0 || reserve((void **)&op->cell_of, &seen, 4 * sj + 3, sizeof(int32_t)) < 0
+                || reserve((void **)&op->tr, &trcap, op->ntr, sizeof(Transition)) < 0
+                || reserve((void **)&op->cell, &cellcap, op->ncell, sizeof(Cell)) < 0)
                 return -1;
-            (*tr)[(*ntr)++] = (Transition){(int32_t)si, (int32_t)sj, m->xpow, m->ypow, m->end};
+            memset(op->cell_of + had, -1, (size_t)(seen - had) * sizeof(int32_t));
+            int32_t *slot = &op->cell_of[4 * sj + m->end];
+            if (*slot < first) {
+                op->cell[op->ncell] = (Cell){(int32_t)si, (int32_t)sj, m->end};
+                *slot = (int32_t)op->ncell++;
+            }
+            op->tr[op->ntr++] = (Transition){*slot, m->xpow, m->ypow};
         }
     }
     return 0;
@@ -745,8 +774,7 @@ static PyObject *transfer(PyObject *self, PyObject *args)
     PyObject *numpy = NULL, *out = NULL;
     Columns col[2] = {{0}};
     States st = {0};
-    Transition *tr = NULL;
-    Py_ssize_t ntr = 0;
+    Operator op = {0};
 
     if (!PyArg_ParseTuple(args, "i:transfer", &T))
         return NULL;
@@ -762,26 +790,26 @@ static PyObject *transfer(PyObject *self, PyObject *args)
     memset(st.slot, -1, (st.mask + 1) * sizeof(int32_t));
     if (column_moves(T, 0, &col[0]) < 0
         || column_moves(T, 1, &col[1]) < 0
-        || search(T, col, &st, &tr, &ntr) < 0)
+        || search(T, col, &st, &op) < 0)
         goto done;
     for (int p = 0; p < 2; p++) {  /* the moves are not needed any more */
         PyMem_Free(col[p].moves);
         col[p].moves = NULL;
     }
-    if ((numpy = PyImport_ImportModule("numpy")) == NULL || (out = PyTuple_New(6)) == NULL)
+    if ((numpy = PyImport_ImportModule("numpy")) == NULL || (out = PyTuple_New(7)) == NULL)
         goto done;
-    for (int a = 0; a < 6; a++) {
+    for (int a = 0; a < 7; a++) {
         Py_buffer view;
-        PyObject *arr = int64_array(numpy, a ? ntr : st.n, &view);
+        PyObject *arr = int64_array(numpy, a == 0 ? st.n : a < 4 ? op.ntr : op.ncell, &view);
         if (arr == NULL)
             goto done;
         PyTuple_SET_ITEM(out, a, arr);
         int64_t *v = view.buf;
         if (a == 0)
             memcpy(v, st.code, (size_t)st.n * sizeof(int64_t));
-        for (Py_ssize_t i = 0; a && i < ntr; i++)
-            v[i] = a == 1 ? tr[i].src : a == 2 ? tr[i].dst : a == 3 ? tr[i].xpow
-                 : a == 4 ? tr[i].ypow : tr[i].end;
+        for (Py_ssize_t i = 0; a && i < (a < 4 ? op.ntr : op.ncell); i++)
+            v[i] = a == 1 ? op.tr[i].slot : a == 2 ? op.tr[i].xpow : a == 3 ? op.tr[i].ypow
+                 : a == 4 ? op.cell[i].row : a == 5 ? op.cell[i].col : op.cell[i].end;
         PyBuffer_Release(&view);
     }
 done:
@@ -792,7 +820,9 @@ done:
     }
     PyMem_Free(st.code);
     PyMem_Free(st.slot);
-    PyMem_Free(tr);
+    PyMem_Free(op.tr);
+    PyMem_Free(op.cell);
+    PyMem_Free(op.cell_of);
     Py_XDECREF(numpy);
     if (PyErr_Occurred())
         Py_CLEAR(out);
@@ -1831,7 +1861,7 @@ static PyMethodDef methods[] = {
     {"tally_class", tally_class, METH_VARARGS,
      "Histogram of walk endpoints: counts[class, length, contacts]."},
     {"transfer", transfer, METH_VARARGS,
-     "Strip transfer operator of height T: (codes, src, dst, xpow, ypow, end)."},
+     "Strip transfer operator of height T: (codes, slot, xpow, ypow, row, col, end)."},
     {"spectral_radius", spectral_radius, METH_VARARGS,
      "Spectral radius of M = coo(row, col, w) by power iteration from start, or None."},
     {"bridges", bridges, METH_VARARGS,

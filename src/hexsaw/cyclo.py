@@ -247,11 +247,6 @@ class Cyclo48:
     def is_rational(self) -> bool:
         return not any(self.n[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.n[0], self.d)
-
     # -- numeric evaluation ---------------------------------------------
 
     def to_complex(self) -> complex:

@@ -23,19 +23,25 @@ enumerating longer walks raises TruncationError upstream.
 
 A domain's sorted mid-edges, their boundary classes and the kernel's
 step tables all come from one pass over its vertices
-(:attr:`Domain.layout`), made on first use: a vertex's three mid-edges
+(:attr:`Domain.tables`), made on first use: a vertex's three mid-edges
 are twice the vertex plus its three heading steps, a mid-edge met from
 one domain vertex only is a boundary mid-edge classified by that
 vertex, and a walk entering a vertex through one of its mid-edges turns
 left or right into the other two.  ``mids`` and ``boundary`` are views
-of that pass.
+of that pass.  Every domain the package builds is symmetric under the
+reflection U -> -U, which fixes a, swaps left and right turns and keeps
+length and contacts; the pass checks that and records the reflection's
+class permutation (E <-> EBAR on trapezoids and strips) as
+``mirror_class``, and the kernel then walks only the walks whose first
+turn is left and folds in their mirror images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InvalidParameterError
 from . import lattice
@@ -51,18 +57,31 @@ E_PLUS = "E+"
 E_MINUS = "E-"
 INTERIOR = "int"
 
+CLASS_ORDER = (A_START, A_BOTTOM, B_TOP, E_RIGHT, E_LEFT, E_PLUS, E_MINUS, INTERIOR)
+CLASS_ID = {c: i for i, c in enumerate(CLASS_ORDER)}
 
-class Layout(NamedTuple):
-    """A domain's mid-edges, boundary classes and kernel step tables, as
-    Python sequences.  A mid-edge's direction flag ``dir`` is 1 when it
-    is traversed along heading 3, 4 or 5, and 0 along 0, 1 or 2."""
 
-    mids: tuple[tuple[int, int], ...]    # sorted
-    verts: tuple[tuple[int, int], ...]   # sorted
-    classes: tuple[str, ...]             # boundary class of each mid-edge
-    step_vert: tuple[int, ...]  # [2*mid + dir] -> vertex ahead, -1 if outside
-    step_mid: tuple[int, ...]   # [4*mid + 2*dir + turn] -> next mid (turn 0 = L)
-    step_dir: tuple[int, ...]   # [4*mid + 2*dir + turn] -> next dir
+@dataclass(frozen=True, eq=False)
+class KernelTables:
+    """A domain's stepping tables, as the kernel and iter_saws read them.
+    A mid-edge's direction flag ``dir`` is 1 when it is traversed along
+    heading 3, 4 or 5, and 0 along 0, 1 or 2."""
+
+    mids: tuple              # sorted
+    verts: tuple             # sorted
+    step_vert: np.ndarray    # [2*mid + dir] -> vertex ahead, -1 if outside
+    step_mid: np.ndarray     # [4*mid + 2*dir + turn] -> next mid (turn 0 = L)
+    step_dir: np.ndarray     # [4*mid + 2*dir + turn] -> next dir flag
+    vert_surface: np.ndarray
+    mid_class: np.ndarray    # CLASS_ID of each mid-edge's boundary class
+    start_mid: int
+    start_dir: int
+    n_classes: int
+    n_surface: int
+    # [class] -> class of the mirror image under (U, V) -> (-U, V), an
+    # involution fixing A_START; None unless the domain is symmetric.
+    # With it the kernel walks the first-left-turn subtree and folds.
+    mirror_class: np.ndarray | None
 
 
 # The headings from a vertex out through its three mid-edges, in the
@@ -94,7 +113,7 @@ class Domain:
             raise InvalidParameterError("domain does not contain the start mid-edge")
 
     @cached_property
-    def layout(self) -> Layout:
+    def tables(self) -> KernelTables:
         """Mid-edges, boundary classes and step tables in one pass over
         the vertices.  Vertex (u, v)'s mid-edges are (2u, 2v) plus the
         steps of its three out-headings j, and a mid-edge met from one
@@ -136,20 +155,49 @@ class Domain:
                 step_dir[base] = outs[left]
                 step_mid[base + 1] = ix[right]
                 step_dir[base + 1] = outs[right]
-        classes = tuple(INTERIOR if owner[m] is None
-                        else self._classify_boundary(m, owner[m]) for m in mids)
-        return Layout(mids, verts, classes,
-                      tuple(step_vert), tuple(step_mid), tuple(step_dir))
+        classes = [INTERIOR if owner[m] is None
+                   else self._classify_boundary(m, owner[m]) for m in mids]
+        vert_surface = [1 if v in self.surface else 0 for v in verts]
+        return KernelTables(
+            mids=mids,
+            verts=verts,
+            step_vert=np.array(step_vert, dtype=np.int32),
+            step_mid=np.array(step_mid, dtype=np.int32),
+            step_dir=np.array(step_dir, dtype=np.int32),
+            vert_surface=np.array(vert_surface, dtype=np.uint8),
+            mid_class=np.array([CLASS_ID[c] for c in classes], dtype=np.int32),
+            start_mid=mid_idx[lattice.START_MID],
+            start_dir=int(lattice.START_HEADING >= 3),
+            n_classes=len(CLASS_ORDER),
+            n_surface=sum(vert_surface),
+            mirror_class=self._mirror_class(dict(zip(mids, classes))),
+        )
 
     @cached_property
     def mids(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.layout.mids)
+        return frozenset(self.tables.mids)
 
     @cached_property
     def boundary(self) -> dict[tuple[int, int], str]:
         """Boundary class of every mid-edge (INTERIOR for full edges)."""
-        layout = self.layout
-        return dict(zip(layout.mids, layout.classes))
+        tables = self.tables
+        return dict(zip(tables.mids, map(CLASS_ORDER.__getitem__, tables.mid_class.tolist())))
+
+    def _mirror_class(self, boundary: dict) -> np.ndarray | None:
+        """The class permutation of the reflection (u, v) -> (-u, v), or
+        None unless the vertices and the surface are symmetric and one map
+        of classes sends every mid-edge's class to its mirror's.  That map
+        is an involution (the reflection is one) and fixes A_START (the
+        start mid-edge is its own mirror)."""
+        for vs in (self.vertices, self.surface):
+            if {(-u, v) for u, v in vs} != vs:
+                return None
+        image: dict[str, str] = {}
+        for (U, V), c in boundary.items():
+            mirror = boundary[-U, V]
+            if image.setdefault(c, mirror) != mirror:
+                return None
+        return np.array([CLASS_ID[image.get(c, c)] for c in CLASS_ORDER], dtype=np.int32)
 
     def _classify_boundary(self, m, lam_owner: bool) -> str:
         U, V = m
@@ -160,14 +208,6 @@ class Domain:
         if self.kind == "rectangle":
             return E_PLUS if lam_owner else E_MINUS
         return E_RIGHT if U > 0 else E_LEFT
-
-    def boundary_mids(self, cls: str) -> list[tuple[int, int]]:
-        return sorted(m for m, c in self.boundary.items() if c == cls)
-
-    def contains_walk(self, w: lattice.Walk) -> bool:
-        return all(v in self.vertices for v in w.vertices) and all(
-            m in self.mids for m in w.mids
-        )
 
 
 def _check_TL(T: int, L: int) -> None:

@@ -1,18 +1,14 @@
 """Exhaustive enumeration of walks and loop configurations in a domain.
 
 Both enumerators walk the same step tables (:func:`build_tables`), the
-domain's one-pass :attr:`~hexsaw.domains.Domain.layout` as arrays.  The
-hot path (full endpoint histograms keyed by boundary class, length and
-surface contacts) runs through the compiled kernel ``_dfs``, which must
-be built: importing the package without it raises ``ImportError``, and
-its histograms are checked against :func:`iter_saws`.  Every domain the
-package builds is symmetric under the reflection U -> -U, which fixes
-a, swaps left and right turns and keeps length and contacts;
-:func:`build_tables` checks that from the domain and records the
-reflection's class permutation (E <-> EBAR on trapezoids and strips) as
-``mirror_class``, and the kernel then walks only the walks whose first
-turn is left and folds in their mirror images.  Everything that
-needs per-walk detail (turns, winding phases, penultimate mid-edges,
+domain's one-pass :attr:`~hexsaw.domains.Domain.tables`.  The hot path
+(full endpoint histograms keyed by boundary class, length and surface
+contacts) runs through the compiled kernel ``_dfs``, which must be
+built: importing the package without it raises ``ImportError``, and its
+histograms are checked against :func:`iter_saws`.  The kernel walks
+only the walks whose first turn is left and folds in their mirror
+images by the tables' ``mirror_class``.  Everything that needs per-walk
+detail (turns, winding phases, penultimate mid-edges,
 loop decoration) uses :func:`iter_saws`, the package's one walk
 generator, and is only intended for small domains.  Such a pass is
 collapsed into tallies {(length, contacts, loops): count} under a key
@@ -27,7 +23,6 @@ enumerator instead (:func:`hexsaw.bridges.iter_bridges`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -39,70 +34,12 @@ from . import lattice
 from .errors import CapacityError, InvalidParameterError, TruncationError
 from .lattice import _kernel
 
-CLASS_ORDER = (dm.A_START, dm.A_BOTTOM, dm.B_TOP, dm.E_RIGHT, dm.E_LEFT,
-               dm.E_PLUS, dm.E_MINUS, dm.INTERIOR)
-CLASS_ID = {c: i for i, c in enumerate(CLASS_ORDER)}
 LOOP_VERTEX_CAP = 40
 
 
-@dataclass(frozen=True, eq=False)
-class KernelTables:
-    """Flattened stepping tables consumed by the kernel and iter_saws."""
-
-    mids: tuple
-    verts: tuple
-    step_vert: np.ndarray    # [2*mid + dir] -> vertex ahead, -1 if outside
-    step_mid: np.ndarray     # [4*mid + 2*dir + turn] -> next mid
-    step_dir: np.ndarray     # [4*mid + 2*dir + turn] -> next dir flag
-    vert_surface: np.ndarray
-    mid_class: np.ndarray
-    start_mid: int
-    start_dir: int
-    n_classes: int
-    n_surface: int
-    # [class] -> class of the mirror image under (U, V) -> (-U, V), an
-    # involution fixing A_START; None unless the domain is symmetric.
-    # With it the kernel walks the first-left-turn subtree and folds.
-    mirror_class: np.ndarray | None
-
-
-def _mirror_class(domain: dm.Domain) -> np.ndarray | None:
-    """The class permutation of the reflection (u, v) -> (-u, v), or None
-    unless the vertices and the surface are symmetric and one map of
-    classes sends every mid-edge's class to its mirror's.  That map is an
-    involution (the reflection is one) and fixes A_START (the start
-    mid-edge is its own mirror)."""
-    for vs in (domain.vertices, domain.surface):
-        if {(-u, v) for u, v in vs} != vs:
-            return None
-    boundary = domain.boundary
-    image: dict[str, str] = {}
-    for (U, V), c in boundary.items():
-        mirror = boundary[-U, V]
-        if image.setdefault(c, mirror) != mirror:
-            return None
-    return np.array([CLASS_ID[image.get(c, c)] for c in CLASS_ORDER], dtype=np.int32)
-
-
 @lru_cache(maxsize=64)
-def build_tables(domain: dm.Domain) -> KernelTables:
-    layout = domain.layout
-    surface = domain.surface
-    vert_surface = [1 if v in surface else 0 for v in layout.verts]
-    return KernelTables(
-        mids=layout.mids,
-        verts=layout.verts,
-        step_vert=np.array(layout.step_vert, dtype=np.int32),
-        step_mid=np.array(layout.step_mid, dtype=np.int32),
-        step_dir=np.array(layout.step_dir, dtype=np.int32),
-        vert_surface=np.array(vert_surface, dtype=np.uint8),
-        mid_class=np.array([CLASS_ID[c] for c in layout.classes], dtype=np.int32),
-        start_mid=bisect_left(layout.mids, lattice.START_MID),
-        start_dir=int(lattice.START_HEADING >= 3),
-        n_classes=len(CLASS_ORDER),
-        n_surface=sum(vert_surface),
-        mirror_class=_mirror_class(domain),
-    )
+def build_tables(domain: dm.Domain) -> dm.KernelTables:
+    return domain.tables
 
 
 def _resolve_max_len(domain: dm.Domain, max_len: int | None) -> int:
@@ -287,12 +224,12 @@ def _walk_tallies(domain: dm.Domain, key, with_loops: bool) -> dict:
 
 def boundary_tallies(domain: dm.Domain, with_loops: bool = False) -> Tallies:
     """Configuration tallies keyed by boundary class of the walk's end."""
-    out: Tallies = {c: {} for c in CLASS_ORDER}
+    out: Tallies = {c: {} for c in dm.CLASS_ORDER}
     if not with_loops:
         hist = class_histogram(domain)
         nz = np.argwhere(hist)
         for ci, ln, ct in nz:
-            out[CLASS_ORDER[ci]][(int(ln), int(ct), 0)] = int(hist[ci, ln, ct])
+            out[dm.CLASS_ORDER[ci]][(int(ln), int(ct), 0)] = int(hist[ci, ln, ct])
         return out
     out.update(_walk_tallies(domain, lambda v: domain.boundary[v.end], True))
     return out
@@ -353,7 +290,7 @@ def observable_f(domain: dm.Domain, consts, y, with_loops: bool = False) -> dict
 
 #: Walks ending back on the bottom line (class A) leave the open upper
 #: half-plane; the start class stays, as it only ever holds the empty walk.
-HALF_PLANE_CLASSES = frozenset(CLASS_ORDER) - {dm.A_BOTTOM}
+HALF_PLANE_CLASSES = frozenset(dm.CLASS_ORDER) - {dm.A_BOTTOM}
 
 
 def half_plane_domain(N: int) -> dm.Domain:
@@ -369,7 +306,7 @@ def half_plane_counts(N: int) -> dict[tuple[int, int], int]:
     if N < 0:
         raise InvalidParameterError(f"need N >= 0, got {N}")
     hist = class_histogram(half_plane_domain(N), max_len=N)
-    keep = [i for i, c in enumerate(CLASS_ORDER) if c in HALF_PLANE_CLASSES]
+    keep = [i for i, c in enumerate(dm.CLASS_ORDER) if c in HALF_PLANE_CLASSES]
     agg = hist[keep].sum(axis=0)
     out = {}
     for n in range(N + 1):

@@ -40,7 +40,7 @@ from .errors import ClassificationError, InvalidParameterError
 
 #: The contract of the kernel this package calls; ``_dfs.c`` exports the
 #: same number, and both rise when an entry's arguments or tables change.
-KERNEL_ABI = 3
+KERNEL_ABI = 4
 
 _BUILD_HINT = ("run 'python setup.py build_ext --inplace' in a source checkout, "
                "or 'pip install -e .'")
@@ -205,15 +205,8 @@ class Walk:
         return self._trace[1]
 
     @property
-    def headings(self) -> list[int]:
-        return self._trace[2]
-
-    @property
     def end(self) -> tuple[int, int]:
         return self.mids[-1]
-
-    def is_self_avoiding(self) -> bool:
-        return self.facts.self_avoiding
 
     def winding(self) -> int:
         """Total turning in units of pi/3 (counterclockwise positive)."""
@@ -225,14 +218,6 @@ class Walk:
             raise InvalidParameterError(f"bad subwalk range [{i}, {j}]")
         mids, _, heads = self._trace
         return Walk(mids[i], heads[i], self.turns[i:j])
-
-    def reflect(self) -> "Walk":
-        """Mirror image about the vertical axis through the start mid-edge."""
-        flipped = tuple("R" if t == "L" else "L" for t in self.turns)
-        return Walk(self.start, (-self.heading) % 6, flipped)
-
-    def translate(self, dU: int, dV: int) -> "Walk":
-        return Walk((self.start[0] + dU, self.start[1] + dV), self.heading, self.turns)
 
 
 def classify_walk(w: Walk) -> str:

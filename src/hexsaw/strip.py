@@ -94,51 +94,37 @@ _END_KINDS = _kernel.END_KINDS
 class TransferOperator:
     """Column-to-column transfer system for one strip height, contacts on top.
 
-    The compiled kernel builds it, for 1 <= T <= ``T_MAX``, as int
-    arrays, and those arrays are the only transition representation:
-    transition k goes from state ``src[k]`` to ``dst[k]`` with weight
-    x**xpow[k] * y**ypow[k] and end kind ``_END_KINDS[end[k]]``.
-    ``transitions`` is a read-only view yielding the same transitions as
-    (src, dst, xpow, ypow, end_kind) tuples.  ``states`` holds the
-    kernel's int64 state codes (layout in the ``_dfs.c`` header), and
-    ``sinks``, the accepting states, are those with an empty cut and
-    both flags set.  ``cells`` is ``(slot, row, col, end)``: for each
-    transition the slot of its matrix cell, and for each cell its row,
-    column and end-kind code, cells being the distinct (src, dst, end)
-    triples in order of first use.
+    The compiled kernel builds it, for 1 <= T <= ``T_MAX``, as the int
+    arrays its ``_dfs.c`` header lays out, and those arrays are the only
+    transition representation.  Transition k has weight x**xpow[k] *
+    y**ypow[k] and falls in cell ``slot[k]``; cell c is the matrix entry
+    from state ``row[c]`` to ``col[c]`` with end kind
+    ``_END_KINDS[end[c]]``, the cells being the distinct (row, col, end)
+    triples in order of first use.  ``transitions`` is a read-only view
+    yielding the transitions as (src, dst, xpow, ypow, end_kind) tuples.
+    ``states`` holds the kernel's int64 state codes, and ``sinks``, the
+    accepting states, are those with an empty cut and both flags set.
     """
 
     T: int
-    src: np.ndarray = field(repr=False)
-    dst: np.ndarray = field(repr=False)
+    slot: np.ndarray = field(repr=False)
     xpow: np.ndarray = field(repr=False)
     ypow: np.ndarray = field(repr=False)
+    row: np.ndarray = field(repr=False)
+    col: np.ndarray = field(repr=False)
     end: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)  # kernel state codes
     sources = (0, 1)                   # state indices with weight-1 initial amplitude
     sinks: tuple = field(init=False)   # accepting state indices
-    cells: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        for a in (self.states, self.src, self.dst, self.xpow, self.ypow, self.end):
+        for a in (self.slot, self.xpow, self.ypow, self.row, self.col, self.end, self.states):
             a.flags.writeable = False  # the operator is cached and shared
         # the code below the parity bit is both flags over an empty cut;
         # read with % and >>, as numpy's bitwise_and loop pages in 64 kB
         flags = _kernel.FLAG_SHIFT
         object.__setattr__(self, "sinks", tuple(np.flatnonzero(
             self.states % (4 << flags) == 3 << flags).tolist()))
-        n, ends = self.state_count, len(_END_KINDS)
-        # slots number the distinct cells by their first transition
-        cell, first, inverse = np.unique((self.src * n + self.dst) * ends + self.end,
-                                         return_index=True, return_inverse=True)
-        # stable: the sort np.unique has run already, so no other sort
-        # code is paged in
-        order = np.argsort(first, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        cell = cell[order]
-        object.__setattr__(self, "cells", (rank[inverse], cell // ends // n,
-                                           cell // ends % n, cell % ends))
 
     @property
     def state_count(self) -> int:
@@ -157,12 +143,12 @@ class _Transitions:
         self._op = op
 
     def __len__(self) -> int:
-        return len(self._op.src)
+        return len(self._op.slot)
 
     def __iter__(self):
         op = self._op
-        return zip(op.src.tolist(), op.dst.tolist(), op.xpow.tolist(), op.ypow.tolist(),
-                   [_END_KINDS[e] for e in op.end.tolist()])
+        return zip(op.row[op.slot].tolist(), op.col[op.slot].tolist(), op.xpow.tolist(),
+                   op.ypow.tolist(), [_END_KINDS[e] for e in op.end[op.slot].tolist()])
 
 
 def build_transfer(T: int) -> TransferOperator:
@@ -178,8 +164,8 @@ def build_transfer(T: int) -> TransferOperator:
 
 @lru_cache(maxsize=16)
 def _build_transfer(T: int) -> TransferOperator:
-    codes, src, dst, xpow, ypow, end = _kernel.transfer(T)
-    return TransferOperator(T, src, dst, xpow, ypow, end, codes)
+    codes, *arrays = _kernel.transfer(T)
+    return TransferOperator(T, *arrays, codes)
 
 
 def series_counts(op: TransferOperator, N: int, kind: str = "walk"):
@@ -189,9 +175,11 @@ def series_counts(op: TransferOperator, N: int, kind: str = "walk"):
     kind='walk'.  Used as the bridge between the operator and the DFS
     enumeration oracle.
     """
-    keep = np.flatnonzero(np.isin(op.end, [0] + [_END_KINDS.index(e) for e in _KINDS[kind]]))
+    ends = [0] + [_END_KINDS.index(e) for e in _KINDS[kind]]
+    keep = np.flatnonzero(np.isin(op.end, ends)[op.slot])
+    cell = op.slot[keep]
     by_src: dict = {}
-    for si, sj, xp, yp in zip(op.src[keep].tolist(), op.dst[keep].tolist(),
+    for si, sj, xp, yp in zip(op.row[cell].tolist(), op.col[cell].tolist(),
                               op.xpow[keep].tolist(), op.ypow[keep].tolist()):
         by_src.setdefault(si, []).append((sj, xp, yp))
     frontier = {s: {(0, 0): 1} for s in op.sources}
@@ -229,20 +217,18 @@ class _FloatMatrix:
 
 
 def _cell_weights(op: TransferOperator, x, y) -> np.ndarray:
-    """M(x, y) on the cells of ``op.cells``, as floats or, for ``Cyclo48``
+    """M(x, y) on the cells of ``op``, as floats or, for ``Cyclo48``
     x and y, in an object array: x**i * y**j once per exponent pair,
     gathered per transition and summed into its cell in transition order."""
-    slot, row, _, _ = op.cells
     xmax, ymax = int(op.xpow.max(initial=0)), int(op.ypow.max(initial=0))
     table = np.array([[x**i * y**j for j in range(ymax + 1)] for i in range(xmax + 1)])
-    w = np.full(len(row), x * 0)
-    np.add.at(w, slot, table[op.xpow, op.ypow])
+    w = np.full(len(op.row), x * 0)
+    np.add.at(w, op.slot, table[op.xpow, op.ypow])
     return w
 
 
 def _float_matrix(op: TransferOperator, x: float, y: float) -> _FloatMatrix:
-    _, row, col, _ = op.cells
-    return _FloatMatrix(op.state_count, row, col, _cell_weights(op, float(x), float(y)))
+    return _FloatMatrix(op.state_count, op.row, op.col, _cell_weights(op, float(x), float(y)))
 
 
 def _spectral_radius(M: _FloatMatrix, tol: float = RADIUS_TOL, iters: int = 20000,
@@ -375,14 +361,14 @@ def _sector_solve(op: TransferOperator, w: np.ndarray, one, solve) -> np.ndarray
     M_e keeps the cells without an end and those of end kind e.  No
     diagonal block holds an end cell, so the columns share every block,
     and an end-placed sector solves one column for all three.  ``w``
-    holds M's entries on ``op.cells``, as floats or as ``Cyclo48`` in an
-    object array, and ``one`` is the unit of the same scalars.
+    holds M's entries on the cells of ``op``, as floats or as ``Cyclo48``
+    in an object array, and ``one`` is the unit of the same scalars.
     ``solve(m, r, c, v, b)`` solves (I - B) U = b for one m x m diagonal
     block B given in coordinate form, B[r[k], c[k]] = v[k] with distinct
     (r[k], c[k]), and an (m, k) right-hand side b: :func:`_dense_solve`
     in floats, :func:`_markowitz_solve` over Q(zeta_48).
     """
-    _, row, col, end = op.cells
+    row, col, end = op.row, op.col, op.end
     zero = one * 0
     n, kinds = op.state_count, len(_END_KINDS) - 1
     # A state's flag sector is 3 - (start inserted + 2 * end placed), so

@@ -15,6 +15,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Sequence
 
+import walk_oracle
 from hexsaw import lattice
 from hexsaw.bridges import iter_strip_walks
 from hexsaw.errors import ClassificationError, InvalidParameterError
@@ -41,7 +42,7 @@ def _reflect_suffix(w: Walk, k: int) -> Walk:
     """Reflect the part of the walk after vertex index k in the vertical
     line through that vertex.  The turn at the pivot vertex flips
     exactly when its outgoing mid-edge is a slanted one."""
-    heads = w.headings
+    heads = walk_oracle.headings(w)
     new_heads = list(heads[: k + 1]) + [(-h) % 6 for h in heads[k + 1:]]
     return Walk(w.start, w.heading, _turns_from_headings(new_heads))
 
@@ -49,7 +50,7 @@ def _reflect_suffix(w: Walk, k: int) -> Walk:
 def _reflect_prefix(w: Walk, k: int) -> Walk:
     """Reflect the part of the walk before vertex index k in the vertical
     line through that vertex."""
-    heads = w.headings
+    heads = walk_oracle.headings(w)
     uk = w.vertices[k][0]
     new_heads = [(-h) % 6 for h in heads[: k + 1]] + list(heads[k + 1:])
     new_start = (4 * uk - w.start[0], w.start[1])
@@ -63,7 +64,7 @@ def unfold(w: Walk) -> Walk:
     The input must be self-avoiding; the output has the same length, is
     self-avoiding, and is a fixpoint of this map.
     """
-    if not w.is_self_avoiding():
+    if not w.facts.self_avoiding:
         raise ClassificationError("walk is not self-avoiding")
     if len(w) == 0:
         return w

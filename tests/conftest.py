@@ -6,9 +6,13 @@ is compiled into a temporary directory before any test module imports
 that ships, built fresh from this checkout (a stale in-place build is
 never loaded).  A session that cannot build the kernel cleanly (no C
 compiler, a failed build or a compiler warning) stops with the reason.
+The build runs in the session's environment, so ``CFLAGS`` and
+``LDFLAGS`` reach ``setup.py build_ext``: the CI workflow sets them to
+run the kernel's tests under UBSan.
 """
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -29,7 +33,7 @@ def _build(out: Path):
     proc = subprocess.run(
         [sys.executable, "setup.py", "-q", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
-        cwd=ROOT, capture_output=True, text=True,
+        cwd=ROOT, env=os.environ, capture_output=True, text=True,
     )
     log = proc.stdout + proc.stderr
     if proc.returncode != 0 or ": warning:" in log:

@@ -1,5 +1,5 @@
 """Per-mid-edge domain geometry, a test oracle for the one-pass
-``Domain.layout``: a domain's mid-edges, boundary classes and kernel
+``Domain.tables``: a domain's mid-edges, boundary classes and kernel
 step tables, each from its own pass.
 
 These are the package's former bodies of ``Domain.mids`` (the union of
@@ -17,7 +17,6 @@ the layout pass and needs neither.
 import numpy as np
 
 from hexsaw import domains as dm
-from hexsaw import enumeration as en
 from hexsaw import lattice
 from hexsaw.errors import InvalidParameterError
 from hexsaw.lattice import HEADING_STEPS, is_vertex, vertex_neighbors, vertex_type
@@ -81,18 +80,18 @@ def mirror_class(domain: dm.Domain, classes: dict) -> np.ndarray | None:
 
     if mirrored(domain.vertices) != domain.vertices or mirrored(domain.surface) != domain.surface:
         return None
-    pairs = {(en.CLASS_ID[c], en.CLASS_ID[classes[-U, V]]) for (U, V), c in classes.items()}
+    pairs = {(dm.CLASS_ID[c], dm.CLASS_ID[classes[-U, V]]) for (U, V), c in classes.items()}
     perm = dict(pairs)
     if len(perm) != len(pairs):
         return None
-    out = [perm.get(c, c) for c in range(len(en.CLASS_ORDER))]
-    start = en.CLASS_ID[dm.A_START]
+    out = [perm.get(c, c) for c in range(len(dm.CLASS_ORDER))]
+    start = dm.CLASS_ID[dm.A_START]
     if out[start] != start or any(out[p] != c for c, p in enumerate(out)):
         return None
     return np.array(out, dtype=np.int32)
 
 
-def build_tables(domain: dm.Domain) -> en.KernelTables:
+def build_tables(domain: dm.Domain) -> dm.KernelTables:
     mids_ = tuple(sorted(mids(domain)))
     verts = tuple(sorted(domain.vertices))
     mid_idx = {m: i for i, m in enumerate(mids_)}
@@ -120,10 +119,10 @@ def build_tables(domain: dm.Domain) -> en.KernelTables:
     )
     classes = boundary(domain)
     mid_class = np.array(
-        [en.CLASS_ID[classes[m]] for m in mids_], dtype=np.int32
+        [dm.CLASS_ID[classes[m]] for m in mids_], dtype=np.int32
     )
     sm = mid_idx[lattice.START_MID]
-    return en.KernelTables(
+    return dm.KernelTables(
         mids=mids_,
         verts=verts,
         step_vert=step_vert,
@@ -133,7 +132,7 @@ def build_tables(domain: dm.Domain) -> en.KernelTables:
         mid_class=mid_class,
         start_mid=sm,
         start_dir=headings[sm].index(lattice.START_HEADING),
-        n_classes=len(en.CLASS_ORDER),
+        n_classes=len(dm.CLASS_ORDER),
         n_surface=int(vert_surface.sum()),
         mirror_class=mirror_class(domain, classes),
     )

@@ -31,7 +31,8 @@ def test_height_width_examples():
     # the shortest bridge: one left-right pair, height 1, width 1/2
     b = Walk(turns=("R", "L"))
     assert br.height_width(b) == (Fraction(1), Fraction(1, 2))
-    assert br.height_width(b.reflect()) == br.height_width(b)
+    mirror = Walk(b.start, (-b.heading) % 6, tuple("R" if t == "L" else "L" for t in b.turns))
+    assert br.height_width(mirror) == br.height_width(b)
     tall = Walk(turns=("R", "L", "L", "R"))
     assert br.height_width(tall) == (Fraction(2), Fraction(1, 2))
 
@@ -205,7 +206,7 @@ def _strip_prefix_counts(N):
     as the walks of each height-h strip prefix that end on its top line
     (class B): one class_histogram search per height."""
     counts = np.zeros((N // 2 + 1, N + 1), dtype=np.int64)
-    top = en.CLASS_ID[dm.B_TOP]
+    top = dm.CLASS_ID[dm.B_TOP]
     for h in range(1, N // 2 + 1):
         strip = dm.build_strip_prefix(h, dm.prefix_size(N))
         counts[h] = en.class_histogram(strip, N)[top].sum(axis=1)
@@ -444,11 +445,11 @@ def test_unfold_properties():
     for n in range(1, 9):
         for turns in walk_oracle.iter_turn_sequences(n):
             w = Walk(turns=turns)
-            if not w.is_self_avoiding():
+            if not w.facts.self_avoiding:
                 continue
             u = arch_lemmas.unfold(w)
             assert len(u) == len(w)
-            assert u.is_self_avoiding()
+            assert u.facts.self_avoiding
             # start minimal, end maximal in x over all vertices
             us = [2 * x for x, _ in u.vertices]
             assert all(u.start[0] <= x <= u.end[0] for x in us)

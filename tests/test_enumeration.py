@@ -73,7 +73,7 @@ def _iter_saws_histogram(domain, n):
     tables = en.build_tables(domain)
     ref = np.zeros((tables.n_classes, n + 1, tables.n_surface + 1), dtype=np.int64)
     for visit in en.iter_saws(domain, n):
-        ref[en.CLASS_ID[domain.boundary[visit.end]], visit.length, visit.contacts] += 1
+        ref[dm.CLASS_ID[domain.boundary[visit.end]], visit.length, visit.contacts] += 1
     return ref
 
 
@@ -162,7 +162,7 @@ def test_only_the_empty_walk(c_kernel):
     assert tables.mirror_class is not None
     for m in range(len(tables.mids)):
         got = c_kernel.tally_class(tables, m)
-        assert got.sum() == 1 and got[en.CLASS_ID[dm.A_START], 0, 0] == 1
+        assert got.sum() == 1 and got[dm.CLASS_ID[dm.A_START], 0, 0] == 1
         assert (got == _iter_saws_histogram(domain, m)).all()
 
 
@@ -188,7 +188,7 @@ def _malformed_tables(tables):
     out_of_range, cycle, moves_start = mirror.copy(), mirror.copy(), mirror.copy()
     out_of_range[-1] = tables.n_classes
     cycle[[3, 4, 5]] = (4, 5, 3)                # E -> EBAR -> E+ -> E
-    start, bottom = en.CLASS_ID[dm.A_START], en.CLASS_ID[dm.A_BOTTOM]
+    start, bottom = dm.CLASS_ID[dm.A_START], dm.CLASS_ID[dm.A_BOTTOM]
     moves_start[[start, bottom]] = (bottom, start)   # an involution, but moving a
     return (
         dataclasses.replace(tables, step_mid=wide),
@@ -371,17 +371,36 @@ def test_c_walk_facts_rejects_malformed_walks(c_kernel):
         assert far == c_kernel.walk_facts(0, 0, 0, turns) == tuple(Walk(turns=turns).facts)
 
 
+def _first_use_cells(src, dst, end, n):
+    """(slot, row, col, end): the distinct (src, dst, end) triples of the
+    transitions numbered in order of their first transition, the slot of
+    each transition, and each cell's row, column and end."""
+    ends = len(transfer_oracle.END_KINDS)
+    cell, first, inverse = np.unique((src * n + dst) * ends + end,
+                                     return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cell = cell[order]
+    return rank[inverse], cell // ends // n, cell // ends % n, cell % ends
+
+
 @pytest.mark.parametrize("T", range(1, 9), ids=lambda T: f"{T}-top")
 def test_c_transfer_matches_pure(c_kernel, T):
-    """Same layout, state codes, numbering and transitions, array for array."""
+    """Same layout, state codes, numbering and transitions, array for
+    array, and the kernel's cells are the first-use numbering."""
     for name in ("T_MAX", "FLAG_SHIFT", "END_KINDS"):
         assert getattr(c_kernel, name) == getattr(transfer_oracle, name), name
-    ref = transfer_oracle.transfer(T)
+    codes, src, dst, xpow, ypow, end = transfer_oracle.transfer(T)
     got = c_kernel.transfer(T)
-    assert len(got) == len(ref) == 6
-    for a, b in zip(got, ref):
-        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
-        assert (a == b).all()
+    assert len(got) == 7 and all(a.dtype == np.int64 for a in got)
+    k_codes, k_slot, k_xpow, k_ypow, k_row, k_col, k_end = got
+    for a, b in ((k_codes, codes), (k_xpow, xpow), (k_ypow, ypow),
+                 (k_row[k_slot], src), (k_col[k_slot], dst), (k_end[k_slot], end)):
+        assert b.dtype == np.int64 and a.shape == b.shape and (a == b).all()
+    cells = _first_use_cells(src, dst, end, len(codes))
+    for a, b in zip((k_slot, k_row, k_col, k_end), cells):
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
 
 
 @pytest.mark.parametrize("args", [(0,), (11,), (-1,), (1000,)])
@@ -399,7 +418,8 @@ def _brute_force_saws(domain, n_max):
     for n in range(n_max + 1):
         for turns in walk_oracle.iter_turn_sequences(n):
             w = Walk(turns=turns)
-            if w.is_self_avoiding() and domain.contains_walk(w):
+            if (w.facts.self_avoiding and all(v in domain.vertices for v in w.vertices)
+                    and all(m in domain.mids for m in w.mids)):
                 contacts = sum(1 for v in w.vertices if v in domain.surface)
                 prev = w.mids[-2] if n else None
                 out.append((turns, w.end, prev, contacts, w.winding()))
@@ -432,7 +452,7 @@ def test_kernels_agree(domain):
     hist = en.class_histogram(domain, n_max)
     ref = np.zeros_like(hist)
     for turns, end, _, contacts, _ in _brute_force_saws(domain, n_max):
-        ref[en.CLASS_ID[domain.boundary[end]], len(turns), contacts] += 1
+        ref[dm.CLASS_ID[domain.boundary[end]], len(turns), contacts] += 1
     assert (hist == ref).all()
 
 
@@ -443,7 +463,7 @@ def test_histogram_matches_generator():
     full = en.class_histogram(domain)
     ref = np.zeros_like(full)
     for visit in en.iter_saws(domain):
-        ref[en.CLASS_ID[domain.boundary[visit.end]], visit.length, visit.contacts] += 1
+        ref[dm.CLASS_ID[domain.boundary[visit.end]], visit.length, visit.contacts] += 1
     assert (full == ref).all()
     for m in range(full.shape[1]):
         assert (en.class_histogram(domain, m) == ref[:, : m + 1]).all()

@@ -58,7 +58,7 @@ def test_walk_trace_and_winding():
     assert len(w) == 4
     assert w.end == (0, 12)
     assert w.winding() == 0
-    assert w.is_self_avoiding()
+    assert w.facts.self_avoiding
     assert Walk(turns=("R", "R")).winding() == -2
     assert Walk(turns=("L",)).winding() == 1
 
@@ -90,16 +90,17 @@ def test_walk_mid_distinctness_kills_hexagon():
     # six identical turns close a hexagon: vertices distinct only until
     # the final step revisits the starting mid-edge
     w = Walk(turns=("R",) * 6)
-    assert not w.is_self_avoiding()
+    assert not w.facts.self_avoiding
 
 
 def test_subwalk_reflect_translate():
     w = Walk(turns=("R", "L", "L", "R"))
     s = w.subwalk(2, 4)
     assert s.start == w.mids[2] and len(s) == 2
-    r = w.reflect()
+    # the mirror image about the vertical axis through the start mid-edge
+    r = Walk(w.start, (-w.heading) % 6, tuple("R" if t == "L" else "L" for t in w.turns))
     assert r.end == (-w.end[0], w.end[1])
-    t = w.translate(4, 0)
+    t = Walk((w.start[0] + 4, w.start[1]), w.heading, w.turns)
     assert t.end == (4, 12)
 
 
@@ -122,9 +123,9 @@ def test_classify_heights_definition():
     for n in range(1, 7):
         for turns in walk_oracle.iter_turn_sequences(n):
             w = Walk(turns=turns)
-            if not w.is_self_avoiding():
+            if not w.facts.self_avoiding:
                 continue
-            mids, heads = w.mids, w.headings
+            mids, heads = w.mids, walk_oracle.headings(w)
             expect = (
                 heads[0] == 0
                 and heads[-1] == 0
@@ -163,7 +164,7 @@ def test_walk_facts_match_oracle_on_all_short_walks(start, heading):
             w = Walk(start, heading, turns)
             want = _oracle_facts(w)
             assert tuple(w.facts) == want, turns
-            assert w.is_self_avoiding() == want[0]
+            assert w.facts.self_avoiding == want[0]
             if want[1] is None:
                 with pytest.raises(ClassificationError):
                     classify_walk(w)

@@ -45,8 +45,8 @@ def test_transfer_matches_kernel(T):
     op = sp.build_transfer(T)
     hist = en.class_histogram(dm.build_strip_prefix(T, 11), 20)
     assert sp.series_counts(op, 20, "walk") == _as_counts(hist.sum(axis=0))
-    assert sp.series_counts(op, 20, "arch") == _as_counts(hist[en.CLASS_ID[dm.A_BOTTOM]])
-    assert sp.series_counts(op, 20, "bridge") == _as_counts(hist[en.CLASS_ID[dm.B_TOP]])
+    assert sp.series_counts(op, 20, "arch") == _as_counts(hist[dm.CLASS_ID[dm.A_BOTTOM]])
+    assert sp.series_counts(op, 20, "bridge") == _as_counts(hist[dm.CLASS_ID[dm.B_TOP]])
 
 
 def test_transfer_sizes():

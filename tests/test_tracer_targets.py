@@ -36,4 +36,4 @@ def test_transfer_hook_counts_the_operator():
     op = build_transfer(3)
     tracer._HOOKS["strip.build_transfer"](tr, (3,), {}, op, 0.0, 0.0)
     assert tr.counts["strip.transfer.states"] == op.state_count
-    assert tr.counts["strip.transfer.transitions"] == len(op.src)
+    assert tr.counts["strip.transfer.transitions"] == len(op.slot)

@@ -1,8 +1,9 @@
 """Pure-Python twin of the compiled kernel's strip transfer builder.
 
-``transfer`` returns the same arrays as ``_dfs.transfer`` (same state
-codes, numbering and transitions), and the tests compare the two array
-for array.  It is an oracle only: no package module imports it, and
+``transfer`` returns the arrays of ``_dfs.transfer`` (same state codes,
+numbering and transitions) with each transition's source, target and
+end in place of its cell, and the tests compare the two array for
+array.  It is an oracle only: no package module imports it, and
 the package always runs the compiled kernel.
 """
 

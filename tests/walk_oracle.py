@@ -6,11 +6,12 @@ kernel's ``stickbreak_sweep``.
 
 The first four are the package's former Python bodies of
 ``Walk.is_self_avoiding``, ``classify_walk``, ``renewal_points`` and
-``diamond_points``, which read the walk's Python trace (``Walk.mids``,
-``Walk.headings``) and never the kernel; they tell a vertical mid-edge
-by this module's ``mid_orientation``, once a package lattice helper.  The sweep is the command
-line's former loop: one ``Walk``, ``stickbreak`` and ``classify_walk``
-call per diamond-point pair.
+``diamond_points``, which read the walk's Python trace (``Walk.mids``
+and this module's ``headings``, traced with ``lattice.step``) and never
+the kernel; they tell a vertical mid-edge by this module's
+``mid_orientation``, once a package lattice helper.  The sweep is the
+command line's former loop: one ``Walk``, ``stickbreak`` and
+``classify_walk`` call per diamond-point pair.
 """
 
 from typing import Iterator
@@ -36,6 +37,17 @@ def mid_orientation(U: int, V: int) -> int:
     return mid_headings(U, V)[0] % 3
 
 
+def headings(w: Walk) -> list[int]:
+    """The heading along each mid-edge of the walk, traced with
+    ``lattice.step``."""
+    m, h = w.start, w.heading
+    out = [h]
+    for t in w.turns:
+        _, m, h = lattice.step(m, h, t)
+        out.append(h)
+    return out
+
+
 def is_self_avoiding(w: Walk) -> bool:
     mids, verts, _ = w._trace
     return len(set(mids)) == len(mids) and len(set(verts)) == len(verts)
@@ -57,11 +69,12 @@ def classify_walk(w: Walk) -> str:
     n = len(w)
     if n == 0:
         raise ClassificationError("the empty walk is not classifiable")
+    heads = headings(w)
     vertical_up_ends = (
         mid_orientation(*mids[0]) == 0
         and mid_orientation(*mids[-1]) == 0
-        and w.headings[0] == 0
-        and w.headings[-1] == 0
+        and heads[0] == 0
+        and heads[-1] == 0
     )
     if vertical_up_ends and all(v0 < y < vn for y in interior):
         return "bridge"
@@ -86,7 +99,7 @@ def renewal_points(b: Walk) -> list[int]:
     walk by height.
     """
     _require_bridge(b)
-    mids, heads = b.mids, b.headings
+    mids, heads = b.mids, headings(b)
     n = len(b)
     out = [0]
     running_max = mids[0][1]
