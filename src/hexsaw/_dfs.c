@@ -15,52 +15,44 @@ left turn, folds each class's counts with its mirror's (a fixed class
 doubles, a swapped pair c, p both become H[c] + H[p]), then counts the
 empty walk; the array equals the full search's.  A mirror_class that is
 not n_classes native ints in range, not an involution, or moving the
-class of the start mid-edge raises ValueError, in every entry that
-opens the tables (tally_class, bridges, bridge_counts,
-stickbreak_sweep).  The module exports KERNEL_ABI, which lattice
-compares with its own at import; raise both when an entry's arguments
-or the tables it reads change.
+class of the start mid-edge raises ValueError.  The module exports
+KERNEL_ABI, which lattice compares with its own at import; raise both
+when an entry's arguments or the tables it reads change.
 
-bridges(tables, max_len, irreducible) walks the same tree on the tables
-of enumeration.half_plane_domain and returns a list with the turn tuple
-(interned 'L' and 'R' strings) of each bridge of 1..max_len steps: a walk
-whose last vertex is its highest and whose last step leaves that vertex
-straight up.  The order is tally_class's depth-first order, the left turn
-before the right, which is iter_saws' order.  irreducible None keeps
-every bridge; otherwise a bridge is kept iff having no interior renewal
-point (the rule of walk_facts) equals the truth of irreducible.  The
-heights, in lattice's doubled units, are the second coordinates of
-tables.mids and twice those of tables.verts.  Malformed tables, as for
-tally_class, coordinates that are not tuples of pairs of ints within
-LONG_MAX / 8 or that disagree with the step tables (a mid-edge not one
-half-edge step of lattice.HEADING_STEPS from a vertex that step_vert
-gives it), and max_len < 0 raise ValueError; max_len 0 gives an empty
-list.
+bridges(max_len, irreducible) walks the tree of the half-plane walks
+from the start mid-edge a = (0, 0), heading 0, the tree that tally_class
+walks on enumeration.half_plane_domain's tables, and returns a list with
+the turn tuple (interned 'L' and 'R' strings) of each bridge of
+1..max_len steps: a walk whose last vertex is its highest and whose last
+step leaves that vertex straight up.  It reads no tables: it steps with
+lattice.step's integer arithmetic, as walk_facts traces, marks the
+vertices it visits on a grid, and ends a walk at a vertex below the row
+v = 1 of the half-plane's bottom boundary.  The order is the depth-first
+order, the left turn before the right, which is iter_saws' order.
+irreducible None keeps every bridge; otherwise a bridge is kept iff
+having no interior renewal point (the rule of walk_facts) equals the
+truth of irreducible.  max_len < 0 or above BRIDGE_MAX_LEN (which keeps
+the grid small) raises ValueError before any walk; max_len 0 or 1 gives
+an empty list.
 
-bridge_counts(tables, max_len) walks the same tree and finds the same
-bridges as bridges(tables, max_len, None), building no tuple, and returns
-counts[height, length] as an int64 numpy array of shape
-(max_len // 2 + 1, max_len + 1): the number of bridges of each length
-and height (V_end - V_start) / 6, read from the second coordinates of
-tables.mids.  A bridge of n steps rises at most n / 2, so a height that
-is not a whole number in 1..n/2 means step tables that are not the
-lattice's (a step_mid that jumps, say), and raises ValueError before it
-indexes the array.  Tables and max_len are checked as for bridges;
-max_len 0 or 1 gives no bridge.
+bridge_counts(max_len) walks the same tree and finds the same bridges as
+bridges(max_len, None), building no tuple, and returns counts[height,
+length] as an int64 numpy array of shape (max_len // 2 + 1, max_len +
+1): the number of bridges of each length and height V_end / 6.  max_len
+is checked as for bridges.
 
-stickbreak_sweep(tables, max_len) checks the stickbreak lemma on every
-bridge that bridges(tables, max_len, None) lists, in the same walk, and
-keeps no list.  For each bridge it traces the turns from the start
-mid-edge tables.mids[start_mid], heading at the vertex ahead, finds the
-diamond points d[0] < d[1] < ... as walk_facts does, and for each pair
-i < j splices a right turn before step d[i] and a left turn before step
-d[j], as bridges.stickbreak does.
-An output passes iff walk_facts' core finds it self-avoiding, of class
-bridge and two steps longer than the input.  It returns (bridges,
-bridges with two or more diamond points, pairs, failures, first), first
-being (turns, i, j) for the first failing pair in that order, turns
-the bridge's tuple as bridges gives it, or None.  Tables and max_len
-are checked as for bridges; max_len 0 or 1 gives (0, 0, 0, 0, None).
+stickbreak_sweep(max_len) checks the stickbreak lemma on every bridge
+that bridges(max_len, None) lists, in the same walk, and keeps no list.
+For each bridge it finds the diamond points d[0] < d[1] < ... on the
+walk's path, as walk_facts does, and for each pair i < j splices a right
+turn before step d[i] and a left turn before step d[j], as
+bridges.stickbreak does.  An output passes iff walk_facts' trace and
+core find it self-avoiding, of class bridge and two steps longer than
+the input.  It returns (bridges, bridges with two or more diamond
+points, pairs, failures, first), first being (turns, i, j) for the first
+failing pair in that order, turns the bridge's tuple as bridges gives
+it, or None.  max_len is checked as for bridges; max_len 0 or 1 gives
+(0, 0, 0, 0, None).
 
 transfer(T) builds the height-T strip transfer operator for
 1 <= T <= T_MAX (ValueError otherwise), its contacts on the top row: the
@@ -112,7 +104,9 @@ vertices are (each decided with an open-addressing set, in linear
 time), class is lattice.classify_walk's, or None for a walk that is
 empty or not self-avoiding, and for a bridge renewal and diamond are the
 tuples of mid-edge indices that bridges.renewal_points and
-bridges.diamond_points return, else None.  stickbreak_sweep runs the
+bridges.diamond_points return (each found in linear time), else None.
+tests/walk_oracle.py holds the quadratic diamond rule, and the tests
+compare the kernel's points with it.  stickbreak_sweep runs the
 same trace, set and classification on each output it judges.
 
 cyclo_mul(an, ad, bn, bd), cyclo_add(an, ad, bn, bd, s) and
@@ -143,7 +137,7 @@ arithmetic, and the tests compare these entries with it. */
 #include <stdint.h>
 #include <string.h>
 
-#define KERNEL_ABI 4            /* lattice.KERNEL_ABI must equal it */
+#define KERNEL_ABI 5            /* lattice.KERNEL_ABI must equal it */
 
 typedef struct {
     const int32_t *step_vert, *step_mid, *step_dir, *mid_class;
@@ -274,8 +268,8 @@ static int get_table(PyObject *tables, const char *name, Py_buffer *buf, long n,
     return 0;
 }
 
-/* The KernelTables fields both enumerators read: the sizes, the start,
-the five step tables and mirror_class as buffers, every size and entry
+/* The KernelTables fields tally_class reads: the sizes, the start, the
+five step tables and mirror_class as buffers, every size and entry
 checked (ValueError).  Release the buffers with close_tables, also on
 failure. */
 typedef struct {
@@ -792,10 +786,12 @@ static PyObject *transfer(PyObject *self, PyObject *args)
         || column_moves(T, 1, &col[1]) < 0
         || search(T, col, &st, &op) < 0)
         goto done;
-    for (int p = 0; p < 2; p++) {  /* the moves are not needed any more */
+    for (int p = 0; p < 2; p++) {  /* the moves and the cell index are not needed any more */
         PyMem_Free(col[p].moves);
         col[p].moves = NULL;
     }
+    PyMem_Free(op.cell_of);
+    op.cell_of = NULL;
     if ((numpy = PyImport_ImportModule("numpy")) == NULL || (out = PyTuple_New(7)) == NULL)
         goto done;
     for (int a = 0; a < 7; a++) {
@@ -811,6 +807,10 @@ static PyObject *transfer(PyObject *self, PyObject *args)
             v[i] = a == 1 ? op.tr[i].slot : a == 2 ? op.tr[i].xpow : a == 3 ? op.tr[i].ypow
                  : a == 4 ? op.cell[i].row : a == 5 ? op.cell[i].col : op.cell[i].end;
         PyBuffer_Release(&view);
+        if (a == 3) {  /* the transitions are all written out */
+            PyMem_Free(op.tr);
+            op.tr = NULL;
+        }
     }
 done:
     for (int p = 0; p < 2; p++) {
@@ -991,23 +991,40 @@ static Py_ssize_t renewal_points(const Point *mid, const uint8_t *up, Py_ssize_t
     return nf;
 }
 
+/* (v + 3u, v - 3u) of mid[i] relative to mid[0]: a step moves each by at
+   most 9. */
+static Point cone(const Point *mid, Py_ssize_t i)
+{
+    const long long du = 3 * (mid[i].u - mid[0].u), dv = mid[i].v - mid[0].v;
+    return (Point){dv + du, dv - du};
+}
+
 /* The diamond points of a bridge on the mid-edges mid[0..n]: the vertical
    mid-edges k with every mid-edge in the double cone of slopes +-60
-   degrees and apexes 2 below and above k.  Writes them into found[] in
-   order and returns how many. */
-static Py_ssize_t diamond_points(const Point *mid, Py_ssize_t n, Py_ssize_t *found)
+   degrees and apexes 2 below and above k.  On a bridge the mid-edges
+   before k must lie in the lower cone, v + 3|u - u_k| <= v_k + 2, and
+   those after it in the upper one, v - 3|u - u_k| >= v_k - 2: a step
+   moves a mid-edge by (+-2, 0) or (+-1, +-3), which cannot cross from one
+   cone to the other but at k, and a bridge starts below every other
+   mid-edge and ends above it.  So the greatest v + 3u and v - 3u up to k
+   and the least after it decide k.  Writes the points into found[] in
+   order and returns how many; lo[0..n] is scratch. */
+static Py_ssize_t diamond_points(const Point *mid, Py_ssize_t n, Point *lo, Py_ssize_t *found)
 {
     Py_ssize_t nf = 0;
+    lo[n] = cone(mid, n);   /* lo[i]: the least of each over mid[i..n] */
+    for (Py_ssize_t i = n - 1; i >= 0; i--) {
+        const Point c = cone(mid, i);
+        lo[i].u = c.u < lo[i + 1].u ? c.u : lo[i + 1].u;
+        lo[i].v = c.v < lo[i + 1].v ? c.v : lo[i + 1].v;
+    }
+    Point hi = cone(mid, 0);    /* the greatest of each over mid[0..k] */
     for (Py_ssize_t k = 0; k <= n; k++) {
-        if (floor_mod(mid[k].u, 2))
-            continue;
-        Py_ssize_t i = 0;
-        for (; i <= n; i++) {
-            long long d = 3 * llabs(mid[i].u - mid[k].u);
-            if (!(mid[i].v - mid[k].v + 2 >= d || mid[k].v + 2 - mid[i].v >= d))
-                break;
-        }
-        if (i > n)
+        const Point c = cone(mid, k);
+        hi.u = c.u > hi.u ? c.u : hi.u;
+        hi.v = c.v > hi.v ? c.v : hi.v;
+        if (!floor_mod(mid[k].u, 2) && hi.u <= c.u + 2 && hi.v <= c.v + 2
+            && lo[k].u >= c.u - 2 && lo[k].v >= c.v - 2)
             found[nf++] = k;
     }
     return nf;
@@ -1142,9 +1159,9 @@ static PyObject *walk_facts(PyObject *self, PyObject *args)
                             cls == CLS_NOT_SAW ? NULL : CLASS_NAMES[cls], Py_None, Py_None);
         goto done;
     }
-    if ((renewal = index_tuple(found, renewal_points(w.pt, w.up, n, w.pt + 2 * n + 1, found)))
-            != NULL
-        && (diamond = index_tuple(found, diamond_points(w.pt, n, found))) != NULL)
+    Point *scratch = w.pt + 2 * n + 1;
+    if ((renewal = index_tuple(found, renewal_points(w.pt, w.up, n, scratch, found))) != NULL
+        && (diamond = index_tuple(found, diamond_points(w.pt, n, scratch, found))) != NULL)
         out = Py_BuildValue("(OsOO)", Py_True, CLASS_NAMES[cls], renewal, diamond);
 done:
     Py_XDECREF(renewal);
@@ -1157,64 +1174,27 @@ done:
 
 /* ---- bridges ---- */
 
-/* The pairs of ints in tables.<name>, each coordinate times scale, into
-   out; ValueError unless it is a tuple of n such pairs with every
-   coordinate read within LONG_MAX / 8 in size. */
-static int get_points(PyObject *tables, const char *name, long n, int scale, Point *out)
-{
-    PyObject *seq = PyObject_GetAttrString(tables, name);
-    if (seq == NULL)
-        return -1;
-    int ok = PyTuple_Check(seq) && PyTuple_GET_SIZE(seq) == n;
-    for (long i = 0; ok && i < n; i++) {
-        PyObject *p = PyTuple_GET_ITEM(seq, i);
-        ok = PyTuple_Check(p) && PyTuple_GET_SIZE(p) == 2;
-        long c[2] = {0, 0};
-        for (int k = 0; ok && k < 2; k++) {
-            PyObject *x = PyTuple_GET_ITEM(p, k);
-            int overflow = 0;
-            ok = PyLong_Check(x);
-            c[k] = ok ? PyLong_AsLongAndOverflow(x, &overflow) : 0;
-            ok = ok && !overflow && c[k] <= LONG_MAX / 8 && c[k] >= -(LONG_MAX / 8);
-        }
-        out[i] = (Point){(long long)scale * c[0], (long long)scale * c[1]};
-    }
-    Py_DECREF(seq);
-    if (!ok)
-        PyErr_Format(PyExc_ValueError, "%s: need %ld pairs of ints, each within %ld", name, n,
-                     LONG_MAX / 8);
-    return ok ? 0 : -1;
-}
-
-/* The heading h of the half-edge step from a to b (b - a is
-   (STEP_DU[h], STEP_DV[h])), or -1 if there is none. */
-static int heading_of(Point a, Point b)
-{
-    for (int h = 0; h < 6; h++)
-        if (b.u - a.u == STEP_DU[h] && b.v - a.v == STEP_DV[h])
-            return h;
-    return -1;
-}
+#define BRIDGE_MAX_LEN 1024     /* the vertex grid then takes at most 4.2 MB */
 
 typedef struct Bridger Bridger;
 
-/* Called on each bridge of the given length, its turns in b->turns;
-   0, or -1 with an exception set to stop the walk. */
+/* Called on each bridge of the given length, its turns in b->turns and
+   its mid-edges in b->path; 0, or -1 with an exception set to stop the
+   walk. */
 typedef int (*BridgeHook)(Bridger *b, int length);
 
+/* The half-plane walks from a of at most max_len steps.  Vertex (u, v) of
+   such a walk has |u| < max_len and 1 <= v < 2 max_len, and its mark is
+   vis[(u + max_len) * (2 max_len + 2) + v]. */
 struct Bridger {
-    const int32_t *step_vert, *step_mid, *step_dir;
-    Point *mid_pt, *vert_pt;            /* doubled coordinates */
-    uint8_t *vis_mid, *vis_vert;
+    uint8_t *vis;                       /* vertex marks */
     uint8_t *turns, *up;                /* per step: 0 left, 1 right; per path mid-edge */
-    Point *path, *lo;                   /* the path's mid-edges (heights only); scratch */
+    Point *path, *lo;                   /* the path's mid-edges (doubled); scratch */
     Py_ssize_t *found;
     PyObject *turn[2];                  /* 'L', 'R' */
     int max_len, irreducible;           /* -1 keeps every bridge */
-    int start_mid, start_dir;
     BridgeHook hook;
     void *ctx;                          /* the hook's */
-    Tables t;
     void *mem;
 };
 
@@ -1227,99 +1207,72 @@ static PyObject *turn_tuple(Bridger *b, int length)
     return t;
 }
 
-/* The walk that tally_class visits at (mid, d, length), then its
-   extensions.  The walk is a bridge if its last vertex is its highest and
-   its last step leaves that vertex straight up; top is the height of its
-   highest vertex and last the index of its last one. */
-static int grow(Bridger *b, int mid, int d, int length, int last, long long top)
+/* The walk on path[0..length], heading h along its last mid-edge, then
+   its extensions, stepped as trace_walk steps.  The walk is a bridge if
+   its last step leaves its highest vertex, at doubled height top,
+   straight up.  No step goes straight through a vertex, so distinct
+   vertices mean distinct mid-edges, and vertex marks are enough. */
+static int grow(Bridger *b, int h, int length, long long top)
 {
-    b->path[length].v = b->mid_pt[mid].v;
-    if (length > 0) {
-        b->up[length] = b->mid_pt[mid].v == b->vert_pt[last].v + 2;
-        int bridge = b->up[length] && b->vert_pt[last].v == top;
-        if (bridge && b->irreducible >= 0)
-            bridge = (renewal_points(b->path, b->up, length, b->lo, b->found) == 2)
-                     == b->irreducible;
-        if (bridge && b->hook(b, length) < 0)
+    const Point m = b->path[length];
+    b->up[length] = h == 0;
+    if (length > 0 && h == 0 && m.v - STEP_DV[0] == top) {
+        int keep = b->irreducible < 0
+                   || (renewal_points(b->path, b->up, length, b->lo, b->found) == 2)
+                          == b->irreducible;
+        if (keep && b->hook(b, length) < 0)
             return -1;
     }
-    if (length >= b->max_len)
+    const Point x = {m.u + STEP_DU[h], m.v + STEP_DV[h]};   /* the vertex ahead, doubled */
+    if (length >= b->max_len || x.v < 2)    /* below the row v = 1 */
         return 0;
-    int v = b->step_vert[2 * mid + d];
-    if (v < 0 || b->vis_vert[v])
+    uint8_t *mark = &b->vis[(x.u / 2 + b->max_len) * (2 * b->max_len + 2) + x.v / 2];
+    if (*mark)
         return 0;
-    b->vis_vert[v] = 1;
-    int base = 4 * mid + 2 * d, rc = 0;
-    long long ntop = b->vert_pt[v].v > top ? b->vert_pt[v].v : top;
+    *mark = 1;
+    int rc = 0;
     for (int t = 0; t < 2 && rc == 0; t++) {
-        int nm = b->step_mid[base + t];
-        if (!b->vis_mid[nm]) {
-            b->vis_mid[nm] = 1;
-            b->turns[length] = (uint8_t)t;
-            rc = grow(b, nm, b->step_dir[base + t], length + 1, v, ntop);
-            b->vis_mid[nm] = 0;
-        }
+        const int nh = t ? (h + 1) % 6 : (h + 5) % 6;
+        b->turns[length] = (uint8_t)t;
+        b->path[length + 1] = (Point){x.u + STEP_DU[nh], x.v + STEP_DV[nh]};
+        rc = grow(b, nh, length + 1, x.v > top ? x.v : top);
     }
-    b->vis_vert[v] = 0;
+    *mark = 0;
     return rc;
 }
 
-/* Open the tables for a walk over the bridges of at most max_len steps
-   (b->max_len is that cap, lowered to what the tables hold) and read
-   their coordinates; release with bridger_close, also on failure. */
-static int bridger_open(Bridger *b, PyObject *tables, int max_len, int irreducible)
+/* Allocate for a walk over the bridges of at most max_len steps (ValueError
+   outside 0..BRIDGE_MAX_LEN); release with bridger_close, also on
+   failure. */
+static int bridger_open(Bridger *b, int max_len, int irreducible)
 {
-    Tables *t = &b->t;
     b->mem = NULL;
     b->turn[0] = b->turn[1] = NULL;
-    if (open_tables(tables, max_len, t) < 0)
+    if (max_len < 0 || max_len > BRIDGE_MAX_LEN) {
+        PyErr_Format(PyExc_ValueError, "need 0 <= max_len <= %d, got %d", BRIDGE_MAX_LEN,
+                     max_len);
         return -1;
-    /* a self-avoiding walk visits each mid-edge at most once */
-    const long n = (max_len < t->n_mids ? max_len : t->n_mids - 1) + 1;
-    /* mid and vertex coordinates, path and scratch points, found indices,
-       then the mid-edge and vertex marks, turns and up flags */
-    const size_t words = (size_t)(t->n_mids + t->n_verts + 2 * n) * sizeof(Point)
-                         + (size_t)n * sizeof(Py_ssize_t);
-    uint8_t *mem = b->mem = PyMem_Calloc(words + (size_t)(t->n_mids + t->n_verts + 2 * n), 1);
+    }
+    const size_t n = (size_t)max_len + 1, grid = (2 * n - 1) * 2 * n;
+    /* path and scratch points, found indices, then turns, up flags and
+       the vertex marks */
+    const size_t words = 2 * n * sizeof(Point) + n * sizeof(Py_ssize_t);
+    uint8_t *mem = b->mem = PyMem_Calloc(words + 2 * n + grid, 1);
     if (mem == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    Point *path = (Point *)mem + t->n_mids + t->n_verts;
-    uint8_t *vis = mem + words;
-    b->step_vert = t->b[0].buf;
-    b->step_mid = t->b[1].buf;
-    b->step_dir = t->b[2].buf;
-    b->mid_pt = (Point *)mem;
-    b->vert_pt = b->mid_pt + t->n_mids;
-    b->vis_mid = vis;
-    b->vis_vert = vis + t->n_mids;
-    b->turns = b->vis_vert + t->n_verts;
+    b->path = (Point *)mem;
+    b->lo = b->path + n;
+    b->found = (Py_ssize_t *)(b->lo + n);
+    b->turns = mem + words;
     b->up = b->turns + n;
-    b->path = path;
-    b->lo = path + n;
-    b->found = (Py_ssize_t *)(path + 2 * n);
-    b->max_len = (int)n - 1;
+    b->vis = b->up + n;
+    b->max_len = max_len;
     b->irreducible = irreducible;
-    b->start_mid = (int)t->start_mid;
-    b->start_dir = (int)t->start_dir;
     b->turn[0] = PyUnicode_InternFromString("L");
     b->turn[1] = PyUnicode_InternFromString("R");
-    if (b->turn[0] == NULL || b->turn[1] == NULL
-        || get_points(tables, "mids", t->n_mids, 1, b->mid_pt) < 0
-        || get_points(tables, "verts", t->n_verts, 2, b->vert_pt) < 0)
-        return -1;
-    /* the coordinates agree with the step tables: each vertex that a
-       mid-edge leads to lies one half-edge step from it */
-    for (long i = 0; i < 2 * t->n_mids; i++) {
-        const int v = b->step_vert[i];
-        if (v >= 0 && heading_of(b->mid_pt[i / 2], b->vert_pt[v]) < 0) {
-            PyErr_Format(PyExc_ValueError, "mids[%ld] is not next to verts[%d], a vertex of its "
-                         "step tables", i / 2, v);
-            return -1;
-        }
-    }
-    return 0;
+    return b->turn[0] == NULL || b->turn[1] == NULL ? -1 : 0;
 }
 
 /* Call hook(b, length) on each bridge, in depth-first order. */
@@ -1327,8 +1280,8 @@ static int bridger_run(Bridger *b, BridgeHook hook, void *ctx)
 {
     b->hook = hook;
     b->ctx = ctx;
-    b->vis_mid[b->start_mid] = 1;
-    return grow(b, b->start_mid, b->start_dir, 0, -1, LLONG_MIN);
+    b->path[0] = (Point){0, 0};
+    return grow(b, 0, 0, LLONG_MIN);
 }
 
 static void bridger_close(Bridger *b)
@@ -1336,7 +1289,6 @@ static void bridger_close(Bridger *b)
     Py_XDECREF(b->turn[0]);
     Py_XDECREF(b->turn[1]);
     PyMem_Free(b->mem);
-    close_tables(&b->t);
 }
 
 /* Append the bridge's turn tuple to the list ctx. */
@@ -1350,15 +1302,15 @@ static int emit(Bridger *b, int length)
 
 static PyObject *bridges(PyObject *self, PyObject *args)
 {
-    PyObject *tables, *irr, *out = NULL;
+    PyObject *irr, *out = NULL;
     int max_len, irreducible = -1;
     Bridger b;
 
-    if (!PyArg_ParseTuple(args, "OiO:bridges", &tables, &max_len, &irr))
+    if (!PyArg_ParseTuple(args, "iO:bridges", &max_len, &irr))
         return NULL;
     if (irr != Py_None && (irreducible = PyObject_IsTrue(irr)) < 0)
         return NULL;
-    if (bridger_open(&b, tables, max_len, irreducible) == 0 && (out = PyList_New(0)) != NULL)
+    if (bridger_open(&b, max_len, irreducible) == 0 && (out = PyList_New(0)) != NULL)
         bridger_run(&b, emit, out);
     bridger_close(&b);
     if (PyErr_Occurred())
@@ -1368,45 +1320,33 @@ static PyObject *bridges(PyObject *self, PyObject *args)
 
 /* ---- bridge counts ---- */
 
-typedef struct {
-    int64_t *counts;            /* counts[height, length], rows of n_len */
-    Py_ssize_t n_len;
-} Census;
-
-/* Count the bridge by its height (V_end - V_start) / 6 and its length.  A
-   bridge of n steps climbs at most n / 2, so a height that is not a whole
-   number in 1..n/2 means step tables that are not the lattice's:
-   ValueError, before any index is formed. */
+/* Count the bridge by its height V_end / 6 and its length in ctx,
+   counts[height, length] with rows of max_len + 1.  Vertical mid-edges lie
+   at heights V that are multiples of 6, and a step rises at most 3, so a
+   bridge of n steps rises 6, 12, ..., at most 3n: its row is 1..n/2,
+   inside counts. */
 static int count_bridge(Bridger *b, int length)
 {
-    Census *c = b->ctx;
-    const long long dv = b->path[length].v - b->path[0].v;
-    if (dv % 6 != 0 || dv < 6 || dv > 3LL * length) {
-        PyErr_Format(PyExc_ValueError,
-                     "a bridge of %d steps rises %lld in mids: not a height in 1..%d", length,
-                     dv, length / 2);
-        return -1;
-    }
-    c->counts[dv / 6 * c->n_len + length]++;
+    int64_t *counts = b->ctx;
+    counts[b->path[length].v / 6 * (b->max_len + 1) + length]++;
     return 0;
 }
 
 static PyObject *bridge_counts(PyObject *self, PyObject *args)
 {
-    PyObject *tables, *numpy = NULL, *counts = NULL;
+    PyObject *numpy = NULL, *counts = NULL;
     int max_len;
     Bridger b;
     Py_buffer out;
 
-    if (!PyArg_ParseTuple(args, "Oi:bridge_counts", &tables, &max_len))
+    if (!PyArg_ParseTuple(args, "i:bridge_counts", &max_len))
         return NULL;
-    if (bridger_open(&b, tables, max_len, -1) == 0
+    if (bridger_open(&b, max_len, -1) == 0
         && (numpy = PyImport_ImportModule("numpy")) != NULL
         && (counts = PyObject_CallMethod(numpy, "zeros", "((ll)s)", (long)max_len / 2 + 1,
                                          (long)max_len + 1, "int64")) != NULL
         && PyObject_GetBuffer(counts, &out, PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE) == 0) {
-        Census c = {out.buf, (Py_ssize_t)max_len + 1};
-        bridger_run(&b, count_bridge, &c);
+        bridger_run(&b, count_bridge, out.buf);
         PyBuffer_Release(&out);
     }
     bridger_close(&b);
@@ -1419,11 +1359,8 @@ static PyObject *bridge_counts(PyObject *self, PyObject *args)
 /* ---- stickbreak sweep ---- */
 
 typedef struct {
-    Point start;                /* the start mid-edge, left with heading */
-    int heading;
     Trace w;
     uint8_t *out;               /* the spliced turns */
-    Py_ssize_t *dia;            /* the bridge's diamond points */
     long long enumerated, used, pairs, failures;
     PyObject *first;            /* (turns, i, j) of the first failure */
 } Sweep;
@@ -1448,14 +1385,14 @@ static Py_ssize_t splice(const uint8_t *turn, Py_ssize_t n, Py_ssize_t di, Py_ss
 static int sweep_bridge(Bridger *b, int length)
 {
     Sweep *s = b->ctx;
+    const Py_ssize_t *dia = b->found;
+    const Py_ssize_t nd = diamond_points(b->path, length, b->lo, b->found);
     s->enumerated++;
-    trace_walk(&s->w, s->start, s->heading, b->turns, length);
-    const Py_ssize_t nd = diamond_points(s->w.pt, length, s->dia);
     s->used += nd >= 2;
     for (Py_ssize_t i = 0; i < nd; i++)
         for (Py_ssize_t j = i + 1; j < nd; j++) {
-            Py_ssize_t m = splice(b->turns, length, s->dia[i], s->dia[j], s->out);
-            trace_walk(&s->w, s->start, s->heading, s->out, m);
+            Py_ssize_t m = splice(b->turns, length, dia[i], dia[j], s->out);
+            trace_walk(&s->w, (Point){0, 0}, 0, s->out, m);
             s->pairs++;
             if (m == length + 2 && walk_class(&s->w, m) == CLS_BRIDGE)
                 continue;
@@ -1469,24 +1406,16 @@ static int sweep_bridge(Bridger *b, int length)
 
 static PyObject *stickbreak_sweep(PyObject *self, PyObject *args)
 {
-    PyObject *tables, *out = NULL;
+    PyObject *out = NULL;
     int max_len;
     Bridger b;
-    Sweep s = {{0, 0}, 0, {NULL, NULL, NULL, 0}, NULL, NULL, 0, 0, 0, 0, NULL};
+    Sweep s = {{NULL, NULL, NULL, 0}, NULL, 0, 0, 0, 0, NULL};
 
-    if (!PyArg_ParseTuple(args, "Oi:stickbreak_sweep", &tables, &max_len))
+    if (!PyArg_ParseTuple(args, "i:stickbreak_sweep", &max_len))
         return NULL;
-    if (bridger_open(&b, tables, max_len, -1) < 0)
+    if (bridger_open(&b, max_len, -1) < 0 || trace_alloc(&s.w, max_len + 2) < 0)
         goto done;
-    /* the start heading points from the start mid-edge at the vertex
-       ahead; with no vertex ahead there is no bridge */
-    const int v = b.step_vert[2 * b.start_mid + b.start_dir];
-    s.start = b.mid_pt[b.start_mid];
-    s.heading = v < 0 ? -1 : heading_of(s.start, b.vert_pt[v]);
-    const Py_ssize_t cap = b.max_len + 2;
-    if (trace_alloc(&s.w, cap) < 0)
-        goto done;
-    if ((s.out = PyMem_Malloc(cap)) == NULL || (s.dia = PyMem_New(Py_ssize_t, cap)) == NULL) {
+    if ((s.out = PyMem_Malloc(max_len + 2)) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -1497,7 +1426,6 @@ done:
     bridger_close(&b);
     trace_free(&s.w);
     PyMem_Free(s.out);
-    PyMem_Free(s.dia);
     Py_XDECREF(s.first);
     if (PyErr_Occurred())
         Py_CLEAR(out);

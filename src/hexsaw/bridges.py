@@ -5,13 +5,15 @@ A bridge decomposes uniquely at its renewal points into irreducible
 bridges.  The critical weights x_c^|gamma| of irreducible bridges sum
 to 1 (Kesten's relation); this module computes exact truncated partial
 sums of that series in Q(zeta_48).  Every bridge comes from the
-kernel's one bridge enumerator: it counts the bridges by height and
-length for those sums (renewal inversion turns the counts into
-irreducible ones), lists them for the sampler's pool, deciding
-irreducibility by the renewal rule of ``Walk.facts``, and runs the
-stickbreak sweep whole, splicing and judging each perturbation with the
-same C code as ``Walk.facts`` and returning counts, building no
-``Walk``.  The half-plane and strip walks come from
+kernel's one bridge enumerator, which walks the upper half-plane from a
+with the step arithmetic of :func:`hexsaw.lattice.step` and takes only a
+length, no domain.  It counts the bridges by height and length for
+those sums (renewal inversion turns the counts into irreducible ones),
+lists them for the sampler's pool, deciding irreducibility by the
+renewal rule of ``Walk.facts``, and runs the stickbreak sweep whole,
+splicing and judging each perturbation with the same C code as
+``Walk.facts`` and returning counts, building no ``Walk``.  The
+half-plane and strip walks come from
 :func:`hexsaw.enumeration.iter_saws` passes.
 
 Unfolding and the prime-arch factorization of unfolded arches are
@@ -152,9 +154,8 @@ def iter_bridges(max_len: int, irreducible: bool | None = None) -> Iterator[Walk
     rule, so a Walk is built only for the bridges yielded, and built
     without re-checking what the kernel has checked."""
     _check_max_len(max_len)
-    tables = en.build_tables(en.half_plane_domain(max_len))
     make = Walk._from_kernel
-    for turns in _kernel.bridges(tables, max_len, irreducible):
+    for turns in _kernel.bridges(max_len, irreducible):
         yield make(turns)
 
 
@@ -163,14 +164,14 @@ def bridge_height_length_counts(
 ) -> dict[tuple[int, int], int]:
     """Counts of bridges by (height, length) up to max_len steps.
 
-    The kernel's bridge enumerator, on the tables :func:`iter_bridges`
-    reads, counts the bridges by height and length in one walk; the
+    The kernel's bridge enumerator, the one behind :func:`iter_bridges`,
+    counts the bridges by height and length in one walk; the
     shortest bridge of height h has 2h steps.  A bridge is an irreducible
     bridge followed by a bridge or nothing, heights and lengths adding, so
     the irreducible counts are the renewal inversion I = B - I*B.
     """
     _check_max_len(max_len)
-    hist = _kernel.bridge_counts(en.build_tables(en.half_plane_domain(max_len)), max_len)
+    hist = _kernel.bridge_counts(max_len)
     counts = {(h, n): c for h, row in enumerate(hist.tolist()) for n, c in enumerate(row) if c}
     if not irreducible_only:
         return counts
@@ -306,8 +307,7 @@ def stickbreak_sweep(max_len: int) -> StickbreakSweep:
     kernel runs the sweep inside its bridge enumerator and keeps only the
     counts and the first failing (turns of b, i, j)."""
     _check_max_len(max_len)
-    tables = en.build_tables(en.half_plane_domain(max_len))
-    return StickbreakSweep(*_kernel.stickbreak_sweep(tables, max_len))
+    return StickbreakSweep(*_kernel.stickbreak_sweep(max_len))
 
 
 # ---------------------------------------------------------------------------

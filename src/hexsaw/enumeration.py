@@ -80,10 +80,6 @@ class SawVisit(NamedTuple):
     def walk(self) -> lattice.Walk:
         return lattice.Walk(turns=self.turns)
 
-    @property
-    def mids(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.walk.mids)
-
 
 def iter_saws(domain: dm.Domain, max_len: int | None = None) -> Iterator[SawVisit]:
     """Every self-avoiding walk from a, including the empty walk, in

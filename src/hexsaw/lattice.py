@@ -40,7 +40,7 @@ from .errors import ClassificationError, InvalidParameterError
 
 #: The contract of the kernel this package calls; ``_dfs.c`` exports the
 #: same number, and both rise when an entry's arguments or tables change.
-KERNEL_ABI = 4
+KERNEL_ABI = 5
 
 _BUILD_HINT = ("run 'python setup.py build_ext --inplace' in a source checkout, "
                "or 'pip install -e .'")
@@ -207,10 +207,6 @@ class Walk:
     @property
     def end(self) -> tuple[int, int]:
         return self.mids[-1]
-
-    def winding(self) -> int:
-        """Total turning in units of pi/3 (counterclockwise positive)."""
-        return self.turns.count("L") - self.turns.count("R")
 
     def subwalk(self, i: int, j: int) -> "Walk":
         """The portion between mid-edge indices i <= j."""

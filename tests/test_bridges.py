@@ -215,10 +215,9 @@ def _strip_prefix_counts(N):
 
 @pytest.mark.parametrize("N", list(range(17)) + [20])
 def test_kernel_bridge_counts_match_strip_prefix_histograms(N):
-    """The bridge enumerator's (height, length) counts on the half-plane
-    tables equal the class-B histograms of the strip prefixes."""
-    tables = en.build_tables(en.half_plane_domain(N))
-    assert (br._kernel.bridge_counts(tables, N) == _strip_prefix_counts(N)).all()
+    """The bridge enumerator's (height, length) counts, from its own
+    lattice walk, equal the class-B histograms of the strip prefixes."""
+    assert (br._kernel.bridge_counts(N) == _strip_prefix_counts(N)).all()
 
 
 def test_kernel_bridge_counts_match_per_walk_oracle():
@@ -361,6 +360,21 @@ def test_bridge_points_match_oracle_on_long_concatenations():
         assert br.renewal_points(b) == seams
         with_diamonds += len(br.diamond_points(b)) >= 2
     assert with_diamonds > 40
+
+
+def test_diamond_points_match_quadratic_oracle_on_sampled_bridges():
+    """The kernel's linear-time diamond rule (running extremes of
+    v +- 3u before and after each mid-edge) picks the mid-edges that the
+    oracle's all-pairs double-cone test picks, on sampled bridges of more
+    than a thousand steps."""
+    found = 0
+    for seed in range(5):
+        b, _ = br.sample_renewal(14, 400, seed)
+        assert len(b) > 1000
+        d = br.diamond_points(b)
+        assert d == walk_oracle.diamond_points(b), seed
+        found += len(d)
+    assert found > 50
 
 
 def test_diamond_points_are_renewal_points():

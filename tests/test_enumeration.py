@@ -214,93 +214,31 @@ def test_c_kernel_rejects_malformed_tables(c_kernel):
         c_kernel.tally_class(tables, -1)
 
 
-def test_c_bridges_rejects_malformed_tables(c_kernel):
-    """The bridge entry checks the tables as tally_class does, and also
-    the coordinate pairs it reads heights from, and that they agree with
-    the step tables."""
-    tables = en.build_tables(en.half_plane_domain(4))
-    far = ((0, 2**62),) + tables.verts[1:]
-    for bad in _malformed_tables(tables) + (
-        dataclasses.replace(tables, mids=tables.mids[:-1] + ((0,),)),
-        dataclasses.replace(tables, mids=list(tables.mids)),
-        dataclasses.replace(tables, mids=tuple((u, 3 * v) for u, v in tables.mids)),
-        dataclasses.replace(tables, verts=tables.verts[:-1] + ((0, 1.5),)),
-        dataclasses.replace(tables, verts=far),
-    ):
-        for irreducible in (None, True, False):
-            with pytest.raises(ValueError):
-                c_kernel.bridges(bad, 4, irreducible)
-    with pytest.raises(ValueError):
-        c_kernel.bridges(tables, -1, None)
-    for irreducible in (None, True, False):
-        assert c_kernel.bridges(tables, 0, irreducible) == []
-    assert c_kernel.bridges(tables, 2, None) == [("L", "R"), ("R", "L")]
+@pytest.mark.parametrize("entry, args, want", [
+    ("bridges", (None,), [[], [], [("L", "R"), ("R", "L")]]),
+    ("bridges", (True,), [[], [], [("L", "R"), ("R", "L")]]),
+    ("bridges", (False,), [[], [], []]),
+    ("bridge_counts", (), [[[0]], [[0, 0]], [[0, 0, 0], [0, 0, 2]]]),
+    ("stickbreak_sweep", (), [(0, 0, 0, 0, None)] * 2 + [(2, 2, 2, 0, None)]),
+], ids=["bridges", "irreducible_bridges", "reducible_bridges", "bridge_counts",
+        "stickbreak_sweep"])
+def test_c_bridge_entry_checks_max_len(c_kernel, entry, args, want):
+    """The bridge entries take only max_len, checked before any walk: a
+    negative one or one too large for the vertex grid raises ValueError,
+    and one that is not an int TypeError.  want is the result at max_len
+    0, 1 and 2: below two steps there is no bridge, and at two there are
+    the two minimal ones, irreducible, each with two diamond points."""
+    def call(max_len):
+        got = getattr(c_kernel, entry)(max_len, *args)
+        return got.tolist() if isinstance(got, np.ndarray) else got
 
-
-def _teleported(tables):
-    """The tables with the start's first left turn redirected to the
-    highest slanted mid-edge that climbs into a vertex with a vertical
-    edge above it: its coordinates still agree with the step tables, but
-    the next step up ends a "bridge" of two steps far above the start."""
-    mids, verts = tables.mids, tables.verts
-
-    def climbs(m, d):
-        v = tables.step_vert[2 * m + d]
-        return (v >= 0 and mids[m][1] == 2 * verts[v][1] - 1
-                and any(mids[tables.step_mid[4 * m + 2 * d + t]][1] == 2 * verts[v][1] + 2
-                        for t in (0, 1)))
-
-    far, d = max(((m, d) for m in range(len(mids)) for d in (0, 1) if climbs(m, d)),
-                 key=lambda md: mids[md[0]][1])
-    step_mid, step_dir = tables.step_mid.copy(), tables.step_dir.copy()
-    base = 4 * tables.start_mid + 2 * tables.start_dir
-    step_mid[base], step_dir[base] = far, d
-    return dataclasses.replace(tables, step_mid=step_mid, step_dir=step_dir)
-
-
-def test_c_bridge_counts_rejects_malformed_tables(c_kernel):
-    """The count entry opens the tables as the bridge entry does, and
-    never indexes past its array: coordinates that disagree with the step
-    tables (every V tripled) are refused when the tables are opened, and
-    a bridge that rises more than half its length (a step table that
-    jumps) when it is counted."""
-    tables = en.build_tables(en.half_plane_domain(4))
-    tripled = tuple((u, 3 * v) for u, v in tables.mids)
-    for bad in _malformed_tables(tables) + (
-        dataclasses.replace(tables, mids=tables.mids[:-1] + ((0,),)),
-        dataclasses.replace(tables, verts=tables.verts[:-1] + ((0, 1.5),)),
-        dataclasses.replace(tables, mids=tripled),
-        dataclasses.replace(tables, mids=tripled,
-                            verts=tuple((u, 3 * v) for u, v in tables.verts)),
-    ):
-        with pytest.raises(ValueError):
-            c_kernel.bridge_counts(bad, 4)
-    with pytest.raises(ValueError, match="rises"):
-        c_kernel.bridge_counts(_teleported(tables), 4)
-    with pytest.raises(ValueError):
-        c_kernel.bridge_counts(tables, -1)
-    for max_len in (0, 1):
-        counts = c_kernel.bridge_counts(tables, max_len)
-        assert counts.shape == (1, max_len + 1) and not counts.any()
-    assert c_kernel.bridge_counts(tables, 2).tolist() == [[0, 0, 0], [0, 0, 2]]
-
-
-def test_c_stickbreak_sweep_rejects_malformed_tables(c_kernel):
-    """The sweep opens the tables as the bridge entry does."""
-    tables = en.build_tables(en.half_plane_domain(4))
-    moved = list(tables.mids)
-    moved[tables.start_mid] = (4, 0)   # no longer next to the vertex ahead
-    for bad in _malformed_tables(tables) + (
-        dataclasses.replace(tables, mids=tables.mids[:-1] + ((0,),)),
-        dataclasses.replace(tables, verts=tables.verts[:-1] + ((1.5, 0),)),
-        dataclasses.replace(tables, mids=tuple(moved)),
-    ):
-        with pytest.raises(ValueError):
-            c_kernel.stickbreak_sweep(bad, 4)
-    with pytest.raises(ValueError):
-        c_kernel.stickbreak_sweep(tables, -1)
-    for max_len in (0, 1):
-        assert c_kernel.stickbreak_sweep(tables, max_len) == (0, 0, 0, 0, None)
+    for bad in (-1, 10**6, 2**31 - 1):
+        with pytest.raises(ValueError, match="max_len"):
+            call(bad)
+    for bad in (4.0, "4", None):
+        with pytest.raises(TypeError):
+            call(bad)
+    assert [call(n) for n in (0, 1, 2)] == want
 
 
 def test_c_spectral_radius_rejects_malformed_matrices(c_kernel):
@@ -422,7 +360,7 @@ def _brute_force_saws(domain, n_max):
                     and all(m in domain.mids for m in w.mids)):
                 contacts = sum(1 for v in w.vertices if v in domain.surface)
                 prev = w.mids[-2] if n else None
-                out.append((turns, w.end, prev, contacts, w.winding()))
+                out.append((turns, w.end, prev, contacts, turns.count("L") - turns.count("R")))
     return out
 
 
@@ -478,7 +416,7 @@ def test_iter_saws_basics():
     assert empties[0].prev is None
     # every walk is self-avoiding by construction: set sizes match lengths
     for v in visits:
-        assert len(v.mids) == v.length + 1
+        assert len(v.walk.mids) == v.length + 1
         assert len(v.vertices) == v.length
     # exactly two walks of length 1 (left and right turn at the first vertex)
     assert sum(1 for v in visits if v.length == 1) == 2

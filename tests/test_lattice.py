@@ -57,10 +57,11 @@ def test_walk_trace_and_winding():
     w = Walk(turns=("R", "L", "L", "R"))
     assert len(w) == 4
     assert w.end == (0, 12)
-    assert w.winding() == 0
     assert w.facts.self_avoiding
-    assert Walk(turns=("R", "R")).winding() == -2
-    assert Walk(turns=("L",)).winding() == 1
+    # the winding, in units of pi/3 counterclockwise, is the turn of the heading
+    for turns in (w.turns, ("R", "R"), ("L",)):
+        winding = turns.count("L") - turns.count("R")
+        assert (lattice.START_HEADING - winding) % 6 == Walk(turns=turns)._trace[2][-1]
 
 
 def test_walk_turns_are_a_tuple_of_l_and_r():
