@@ -1,6 +1,23 @@
 """hexsaw: exact identities for the honeycomb O(n) loop model with a
 surface fugacity, verified by exhaustive enumeration at desk scale."""
 
+import os
+import sys
+
+# One OpenBLAS thread, set before numpy loads OpenBLAS, which reads the
+# variable once, at load.  The package's only BLAS work is the dense float
+# strip solve (T <= 7), and one thread runs it as fast or faster.  On a
+# 2-CPU host the default pool of one thread per CPU cost every fresh
+# process about 70 ms of CPU (`python -c "import numpy"`: 0.24-0.26 s
+# against 0.17-0.18 s), and after an idle spell it stalled that solve:
+# check_strip_identity(6, 2) took 0.57-0.60 s after `sleep 3`, against
+# 0.011-0.016 s with one thread.  A thread count the user set (OpenBLAS
+# reads all three variables), or a numpy loaded before hexsaw, is kept.
+if "numpy" not in sys.modules and not any(
+        name in os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cyclo import Cyclo48
 from .model import ModelConstants, constants
 from .lattice import Walk, classify_walk

@@ -326,20 +326,31 @@ def sample_renewal(N: int, k: int, seed: int) -> tuple[Walk, dict]:
     x_c = constants(0, "dilute").x_c.to_float()
     weights = [x_c ** len(b) for b in pool]
     rng = random.Random(seed)
-    drawn = rng.choices(pool, weights=weights, k=k)
-    bridge = concat_bridges(drawn)
-    heights = [int(height_width(b)[0]) for b in drawn]
-    h_total, w_total = height_width(bridge)
+    picks = rng.choices(range(len(pool)), weights=weights, k=k)
+    bridge = concat_bridges([pool[i] for i in picks])
+    # Every factor starts at a and ends heading up, so the splice
+    # translates it by the U at which the factors before it end: fold
+    # each distinct factor's height, U range and end U over the draws.
+    shape = {}
+    for i in set(picks):
+        us = [m[0] for m in pool[i].mids]
+        shape[i] = (int(height_width(pool[i])[0]), min(us), max(us), us[-1])
+    height = u_lo = u_hi = off = 0
+    for i in picks:
+        h, lo, hi, end = shape[i]
+        height += h
+        u_lo, u_hi = min(u_lo, off + lo), max(u_hi, off + hi)
+        off += end
     report = {
         "truncation_N": N,
         "factors": k,
         "seed": seed,
         "length": len(bridge),
-        "height": int(h_total),
-        "width": str(w_total),
+        "height": height,
+        "width": str(Fraction(u_hi - u_lo, 4)),
         "renewal_points": len(renewal_points(bridge)),
         "diamond_points": len(diamond_points(bridge)),
-        "mean_factor_height": sum(heights) / len(heights),
+        "mean_factor_height": height / k,
         "expected_factor_height": stats.mean_height_float,
     }
     return bridge, report

@@ -273,85 +273,81 @@ def _add_common(p, *, model=False, TL=False, rows=False, mode=False):
         p.add_argument("--format", default="json", choices=["json", "csv"])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _args(*extra, **common):
+    """An argument adder: ``_add_common``'s groups, then each (flag, options)."""
+    def add(p):
+        _add_common(p, **common)
+        for flag, options in extra:
+            p.add_argument(flag, **options)
+    return add
+
+
+_Y = ("--y", {"default": "1"})
+_TMAX = ("--Tmax", {"type": int, "default": 4})
+_TOL_HELP = ("width of the final bracket on each y_T, in [0, 1e-2]; 0 runs to adjacent "
+             "floats, but the spectral radius is only settled to about 1e-13 relative, so "
+             "a width below that is no error bound (default 1e-8)")
+
+#: name -> (help, argument adder, handler), in the order ``--help`` lists them
+COMMANDS = {
+    "verify-local": ("vertex identity on a trapezoid", _args(
+        ("--y", {"default": "1", "help": "surface weight, positive and finite"}),
+        model=True, TL=True), _cmd_verify_local),
+    "verify-global": ("boundary identity on a trapezoid", _args(_Y, model=True, TL=True),
+                      _cmd_verify_global),
+    "verify-rectangle": ("boundary identity on a rectangle", _args(model=True, TL=True),
+                         _cmd_verify_rectangle),
+    "strip-mu": ("strip growth rates mu_T", _args(_TMAX, _Y, rows=True), _cmd_strip_mu),
+    "y-seq": ("critical strip fugacities y_T", _args(
+        _TMAX, ("--tol", {"type": float, "default": 1e-8, "help": _TOL_HELP}), rows=True),
+        _cmd_y_seq),
+    "strip-identity": ("arch/bridge identity in a strip", _args(
+        ("--T", {"type": int, "required": True}), _Y, mode=True), _cmd_strip_identity),
+    "bounds": ("strip inequality suite", _args(
+        ("--Tmax", {"type": int, "default": 3}), ("--y-grid", {"default": "1,3/2,2"}),
+        rows=True, mode=True), _cmd_bounds),
+    "kesten": ("truncated irreducible-bridge sums", _args(
+        ("--N", {"default": "4,8,12,16", "help": "comma-separated truncations"}), rows=True),
+        _cmd_kesten),
+    "stickbreak-sweep": ("exhaustive stickbreak property check", _args(
+        ("--max-len", {"type": int, "default": 10, "dest": "max_len"})),
+        _cmd_stickbreak_sweep),
+    "sample": ("truncated renewal sampler", _args(
+        ("--N", {"type": int, "default": 12, "help": "factor length truncation"}),
+        ("--k", {"type": int, "default": 10, "help": "number of factors"}),
+        ("--seed", {"type": int, "default": 0})), _cmd_sample),
+    "half-plane": ("half-plane walk partition sums", _args(
+        ("--N", {"type": int, "default": 10, "help": "maximum length"}), _Y, rows=True),
+        _cmd_half_plane),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it
+    names one: building all of them costs each run a few milliseconds.
+    Usage lines and errors read the same either way."""
     ap = argparse.ArgumentParser(
         prog="hexsaw",
         description="Exact identities for the honeycomb loop model "
         "with a surface fugacity.",
     )
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-local", help="vertex identity on a trapezoid")
-    _add_common(p, model=True, TL=True)
-    p.add_argument("--y", default="1", help="surface weight, positive and finite")
-    p.set_defaults(func=_cmd_verify_local)
-
-    p = sub.add_parser("verify-global", help="boundary identity on a trapezoid")
-    _add_common(p, model=True, TL=True)
-    p.add_argument("--y", default="1")
-    p.set_defaults(func=_cmd_verify_global)
-
-    p = sub.add_parser("verify-rectangle", help="boundary identity on a rectangle")
-    _add_common(p, model=True, TL=True)
-    p.set_defaults(func=_cmd_verify_rectangle)
-
-    p = sub.add_parser("strip-mu", help="strip growth rates mu_T")
-    _add_common(p, rows=True)
-    p.add_argument("--Tmax", type=int, default=4)
-    p.add_argument("--y", default="1")
-    p.set_defaults(func=_cmd_strip_mu)
-
-    p = sub.add_parser("y-seq", help="critical strip fugacities y_T")
-    _add_common(p, rows=True)
-    p.add_argument("--Tmax", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="width of the final bracket on each y_T, in [0, 1e-2]; "
-                        "0 runs to adjacent floats, but the spectral radius is "
-                        "only settled to about 1e-13 relative, so a width "
-                        "below that is no error bound (default 1e-8)")
-    p.set_defaults(func=_cmd_y_seq)
-
-    p = sub.add_parser("strip-identity", help="arch/bridge identity in a strip")
-    _add_common(p, mode=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--y", default="1")
-    p.set_defaults(func=_cmd_strip_identity)
-
-    p = sub.add_parser("bounds", help="strip inequality suite")
-    _add_common(p, rows=True, mode=True)
-    p.add_argument("--Tmax", type=int, default=3)
-    p.add_argument("--y-grid", default="1,3/2,2")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("kesten", help="truncated irreducible-bridge sums")
-    _add_common(p, rows=True)
-    p.add_argument("--N", default="4,8,12,16", help="comma-separated truncations")
-    p.set_defaults(func=_cmd_kesten)
-
-    p = sub.add_parser("stickbreak-sweep", help="exhaustive stickbreak property check")
-    _add_common(p)
-    p.add_argument("--max-len", type=int, default=10, dest="max_len")
-    p.set_defaults(func=_cmd_stickbreak_sweep)
-
-    p = sub.add_parser("sample", help="truncated renewal sampler")
-    _add_common(p)
-    p.add_argument("--N", type=int, default=12, help="factor length truncation")
-    p.add_argument("--k", type=int, default=10, help="number of factors")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("half-plane", help="half-plane walk partition sums")
-    _add_common(p, rows=True)
-    p.add_argument("--N", type=int, default=10, help="maximum length")
-    p.add_argument("--y", default="1")
-    p.set_defaults(func=_cmd_half_plane)
-
+    one = command in COMMANDS
+    # with one subparser, the usage line still lists every command
+    metavar = "{%s}" % ",".join(COMMANDS) if one else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if one else COMMANDS:
+        help_, add_args, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        add_args(p)
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -42,17 +42,20 @@ from .errors import ClassificationError, InvalidParameterError
 #: same number, and both rise when an entry's arguments or tables change.
 KERNEL_ABI = 5
 
-_BUILD_HINT = ("run 'python setup.py build_ext --inplace' in a source checkout, "
+# setuptools takes an in-place build copied without its timestamps for up
+# to date, so a stale one is rebuilt with --force
+_BUILD_HINT = ("run 'python setup.py build_ext --inplace{}' in a source checkout, "
                "or 'pip install -e .'")
 
 try:
     from . import _dfs as _kernel
 except ImportError as exc:
-    raise ImportError(f"the compiled kernel hexsaw._dfs is not built; {_BUILD_HINT}") from exc
+    raise ImportError("the compiled kernel hexsaw._dfs is not built; "
+                      + _BUILD_HINT.format("")) from exc
 _abi = getattr(_kernel, "KERNEL_ABI", None)
 if _abi != KERNEL_ABI:
     raise ImportError(f"the compiled kernel hexsaw._dfs is stale (KERNEL_ABI {_abi}, "
-                      f"need {KERNEL_ABI}); rebuild it: {_BUILD_HINT}")
+                      f"need {KERNEL_ABI}); rebuild it: {_BUILD_HINT.format(' --force')}")
 
 Turn = Literal["L", "R"]
 

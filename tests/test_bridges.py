@@ -542,6 +542,16 @@ def test_sampler_pins(seed, height, turns):
     assert rep["renewal_points"] == 21
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_sampler_height_width_fold_matches_trace(seed):
+    """The report folds each factor's height and U range over the draws;
+    on the whole traced bridge, height_width gives the same values."""
+    bridge, rep = br.sample_renewal(14, 400, seed)
+    height, width = br.height_width(bridge)
+    assert (rep["height"], rep["width"]) == (int(height), str(width))
+    assert rep["mean_factor_height"] == int(height) / 400
+
+
 def test_sampler_guards():
     with pytest.raises(InvalidParameterError):
         br.sample_renewal(4, 0, 1)

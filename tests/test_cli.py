@@ -16,7 +16,7 @@ import pytest
 import walk_oracle
 from hexsaw import bridges as br
 from hexsaw.bridges import N_CAP
-from hexsaw.cli import SCHEMA_VERSION, main
+from hexsaw.cli import COMMANDS, SCHEMA_VERSION, build_parser, main
 from hexsaw.lattice import Walk
 from hexsaw.strip import T_CAP_EXACT, T_CAP_FLOAT
 
@@ -382,16 +382,105 @@ def test_solver_and_capacity_errors_exit_3(capsys):
     capsys.readouterr()
 
 
-def test_cli_import_stays_light(c_kernel):
-    """Every CLI run is a fresh process, so no heavy optional import at load."""
+def test_help_lists_every_subcommand(capsys):
+    """`hexsaw --help` names all eleven subcommands, and each one's
+    --help exits 0."""
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert len(COMMANDS) == 11
+    for name, (help_, _, _) in COMMANDS.items():
+        assert name in out and help_ in out
+    for name in COMMANDS:
+        assert main([name, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: hexsaw {name} ")
+
+
+def _parse_output(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_subparser_reads_like_all(capsys, name):
+    """The parser built for one subcommand gives the same help, usage and
+    errors as the one built for all of them."""
+    one, every = build_parser(name), build_parser()
+    assert one.format_usage() == every.format_usage()
+    for argv in ([name, "--help"], [name, "--bogus"], [name, "extra"]):
+        assert _parse_output(capsys, one, argv) == _parse_output(capsys, every, argv)
+
+
+# The thread count of the OpenBLAS mapped into this process, or None:
+# numpy 2 wheels name the entry scipy_openblas_get_num_threads64_,
+# numpy 1.24 wheels openblas_get_num_threads64_.
+_BLAS_THREADS = """
+def blas_threads():
+    import ctypes
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+"""
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_import(c_kernel, user_env, numpy_first=False):
+    """Import hexsaw.cli in a fresh interpreter, with none of the thread
+    variables set but ``user_env``'s and numpy loaded first or not.  It
+    returns the variables the import set and OpenBLAS's thread count, and
+    skips when no OpenBLAS is mapped."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
-        "import importlib.util, sys\n"
+        "import importlib.util, json, os, sys\n"
         f"spec = importlib.util.spec_from_file_location('hexsaw._dfs', {c_kernel.__file__!r})\n"
         "sys.modules['hexsaw._dfs'] = kernel = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(kernel)\n"
+        + "import numpy\n" * numpy_first
+        + "before = dict(os.environ)\n"
         "import hexsaw.cli\n"
         "assert 'scipy' not in sys.modules\n"
+        "added = {k: v for k, v in os.environ.items() if before.get(k) != v}\n"
+        + _BLAS_THREADS
+        + "print(json.dumps([added, blas_threads()]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(user_env, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    added, threads = json.loads(proc.stdout)
+    if threads is None:
+        pytest.skip("no OpenBLAS is mapped into the process")
+    return added, threads
+
+
+def test_cli_import_stays_light(c_kernel):
+    """Every CLI run is a fresh process, so no heavy optional import at
+    load, and OpenBLAS starts with one thread, not one per CPU."""
+    assert _fresh_import(c_kernel, {}) == ({"OPENBLAS_NUM_THREADS": "1"}, 1)
+
+
+@pytest.mark.parametrize("user_env, numpy_first, threads", [
+    ({"OPENBLAS_NUM_THREADS": "2"}, False, 2),
+    ({"OMP_NUM_THREADS": "2"}, False, 2),
+    ({}, True, None),               # numpy chose its threads before hexsaw loaded
+], ids=["openblas-2", "omp-2", "numpy-first"])
+def test_import_keeps_blas_threads_chosen_first(c_kernel, user_env, numpy_first, threads):
+    """A thread count the user set, or a numpy loaded before hexsaw,
+    is kept: the import sets no variable."""
+    added, seen = _fresh_import(c_kernel, user_env, numpy_first)
+    assert added == {}
+    if threads is not None:
+        # OpenBLAS runs no more threads than the process may use CPUs
+        assert seen == min(threads, len(os.sched_getaffinity(0)))
