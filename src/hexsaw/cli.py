@@ -2,8 +2,9 @@
 package, with machine-readable JSON or CSV reports.
 
 Exit codes: 0 when every checked property holds, 1 when a check is
-falsified, 2 on usage errors, 3 when a solver did not converge, a size
-cap was hit or a check asks for more precision than the solver has.
+falsified, 2 on usage errors or a report that cannot be written, 3 when
+a solver did not converge, a size cap was hit or a check asks for more
+precision than the solver has.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _cmd_strip_mu(args):
                                       "within the radius tolerance: increase cannot be decided")
         if prev is not None and not est.mu > prev:
             ok = False
-        if y == 1 and not est.mu < sp.MU_BULK + 1e-12:
+        if y == 1 and not est.mu < sp.MU_BULK:
             ok = False
         prev = est.mu
     return {"rows": rows, "mu_bulk": sp.MU_BULK}, ok, rows
@@ -362,7 +363,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     doc = _document(args, results, ok, t0)
-    _emit(args, doc, rows)
+    try:
+        _emit(args, doc, rows)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write report to {args.output or 'stdout'}: "
+                         f"{exc.strerror or exc}\n")
+        return 2
     return 0 if ok else 1
 
 

@@ -24,7 +24,6 @@ enumerator instead (:func:`hexsaw.bridges.iter_bridges`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -37,7 +36,6 @@ from .lattice import _kernel
 LOOP_VERTEX_CAP = 40
 
 
-@lru_cache(maxsize=64)
 def build_tables(domain: dm.Domain) -> dm.KernelTables:
     return domain.tables
 

@@ -25,26 +25,13 @@ is the same one at y = 1, where beta(1) = 1.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 from . import domains as dm
 from . import enumeration as en
 from . import lattice
-from .cyclo import Cyclo48
 from .errors import InvalidParameterError
 from .model import ModelConstants
-
-
-def _direction(consts: ModelConstants, h: int):
-    """(p - v)/|p - v| for the mid-edge along heading h, as a scalar."""
-    if consts.mode == "exact":
-        return Cyclo48.zeta_pow(12 - 8 * h)
-    return cmath.exp(1j * (cmath.pi / 2 - h * cmath.pi / 3))
-
-
-def _zero(consts: ModelConstants):
-    return consts.one() * 0
 
 
 @dataclass(frozen=True)
@@ -63,12 +50,6 @@ class ResidualReport:
         return self.exact_zero if self.mode == "exact" else self.max_abs < 1e-9
 
 
-def _abs(v) -> float:
-    if isinstance(v, Cyclo48):
-        return abs(v.to_complex())
-    return abs(v)
-
-
 def check_local(
     domain: dm.Domain,
     consts: ModelConstants,
@@ -81,27 +62,21 @@ def check_local(
     F: dict = {}
     for (end, _), val in F_via.items():
         F[end] = F[end] + val if end in F else val
-    zero = _zero(consts)
-    half = _half(consts)
+    zero = consts.one() * 0
+    half = consts.one() / 2
     residuals = {}
     for v in sorted(domain.vertices):
         lhs = zero
         for h, (du, dv) in enumerate(lattice.HEADING_STEPS):
             m = (2 * v[0] + du, 2 * v[1] + dv)
             if m in domain.mids:
-                lhs = lhs + half * _direction(consts, h) * F.get(m, zero)
+                lhs = lhs + half * consts.direction(h) * F.get(m, zero)
         if v in domain.surface:
             rhs = _surface_rhs(domain, consts, yv, F_via, v, half, zero)
         else:
             rhs = zero
         residuals[v] = lhs - rhs
     return _report("local", consts, {"y": str(y)}, residuals)
-
-
-def _half(consts: ModelConstants):
-    if consts.mode == "exact":
-        return Cyclo48.from_rational(1) / 2
-    return 0.5
 
 
 def _surface_rhs(domain, consts, yv, F_via, v, half, zero):
@@ -117,32 +92,24 @@ def _surface_rhs(domain, consts, yv, F_via, v, half, zero):
     s_q = F_via.get((p, q), zero)
     s_r = F_via.get((p, r), zero)
     term_q = (
-        half * _direction(consts, 4) * one_minus_y
+        half * consts.direction(4) * one_minus_y
         * s_q / (consts.x_c * yv * lam)
     )
     term_r = (
-        half * _direction(consts, 2) * one_minus_y
+        half * consts.direction(2) * one_minus_y
         * s_r / (consts.x_c * yv * lam_bar)
     )
     return term_q + term_r
 
 
 def _report(kind, consts, params, residuals) -> ResidualReport:
-    max_abs = max((_abs(v) for v in residuals.values()), default=0.0)
-    if consts.mode == "exact":
-        exact_zero = all(
-            (not r) if isinstance(r, Cyclo48) else r == 0
-            for r in residuals.values()
-        )
-    else:
-        exact_zero = False
     return ResidualReport(
         kind=kind,
         mode=consts.mode,
         params={"n": str(consts.n), "regime": consts.regime, **params},
         residuals=residuals,
-        max_abs=max_abs,
-        exact_zero=exact_zero,
+        max_abs=max((consts.magnitude(v) for v in residuals.values()), default=0.0),
+        exact_zero=consts.mode == "exact" and not any(residuals.values()),
     )
 
 

@@ -33,7 +33,8 @@ Scalar = Union[Cyclo48, complex, float]
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """Bundle of critical parameters for one (n, regime) pair."""
+    """Bundle of critical parameters for one (n, regime) pair, and the one
+    owner of its scalar mode: the checks never test a scalar's type."""
 
     n: float | Fraction
     regime: Regime
@@ -49,6 +50,20 @@ class ModelConstants:
 
     def one(self) -> Scalar:
         return Cyclo48.from_rational(1) if self.mode == "exact" else 1.0
+
+    def direction(self, h: int) -> Scalar:
+        """(p - v)/|p - v| for the mid-edge p along heading h."""
+        if self.mode == "exact":
+            return Cyclo48.zeta_pow(12 - 8 * h)
+        return cmath.exp(1j * (cmath.pi / 2 - h * cmath.pi / 3))
+
+    def real(self, v: Scalar) -> float:
+        """A real scalar of this set, as a float."""
+        return v.to_float() if self.mode == "exact" else float(v)
+
+    def magnitude(self, v: Scalar) -> float:
+        """|v| as a float."""
+        return abs(v.to_complex() if self.mode == "exact" else v)
 
     def phase(self, w: int) -> Scalar:
         """exp(-i*sigma*W) for a winding W = w*pi/3."""

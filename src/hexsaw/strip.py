@@ -65,7 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import ONE, ZERO, Cyclo48
+from .cyclo import ONE, ZERO
 from .lattice import _kernel
 from .errors import (
     CapacityError,
@@ -578,14 +578,8 @@ def check_bounds(Tmax: int, y_grid=(1, Fraction(3, 2), 2), mode: str = "auto") -
     checks = []
 
     def sgn_ok(name, value):
-        """value must be >= 0 (exact sign decision in exact mode)."""
-        if isinstance(value, Cyclo48):
-            ok = (not value) or value.sign() > 0
-            num = value.to_float()
-        else:
-            ok = value >= -1e-12
-            num = float(value)
-        checks.append({"check": name, "margin": num, "ok": bool(ok)})
+        """value must be >= 0 (decided exactly in exact mode)."""
+        checks.append({"check": name, "margin": c.real(value), "ok": bool(value >= 0)})
 
     for t in range(1, Tmax):
         sgn_ok(f"B_{t} > B_{t + 1}", B[t] - B[t + 1])

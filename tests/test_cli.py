@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schema, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 
 import walk_oracle
 from hexsaw import bridges as br
+from hexsaw import strip as sp
 from hexsaw.bridges import N_CAP
 from hexsaw.cli import COMMANDS, SCHEMA_VERSION, build_parser, main
 from hexsaw.lattice import Walk
@@ -200,6 +202,21 @@ def test_output_file_json(capsys, tmp_path):
     assert json.loads(out.read_text())["ok"] is True
 
 
+@pytest.mark.parametrize("argv", [("verify-local", "--T", "1", "--L", "1"),
+                                  ("half-plane", "--N", "4", "--format", "csv")],
+                         ids=["json", "csv"])
+@pytest.mark.parametrize("where, reason", [("missing-dir", "No such file or directory"),
+                                           ("dir", "Is a directory")])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv, where, reason):
+    """A report that cannot be written exits 2 with one error line: no
+    traceback, and not exit 1, which would say a check failed."""
+    path = tmp_path / "missing" / "r.out" if where == "missing-dir" else tmp_path
+    assert main([*argv, "--output", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write report to {path}: {reason}\n"
+
+
 def test_half_plane(capsys):
     code, doc = run_json(capsys, "half-plane", "--N", "6")
     assert code == 0 and doc["ok"] is True
@@ -294,6 +311,15 @@ def test_large_surface_weights_are_admissible(capsys, argv):
     weight whose powers stay in the float range: exit 0, checks holding."""
     code, doc = run_json(capsys, *argv)
     assert code == 0 and doc["ok"] is True
+
+
+def test_strip_mu_bound_has_no_slack(capsys, monkeypatch):
+    """mu_T(1, 1) < mu_bulk is strict: a rate 5e-13 above it fails."""
+    real = sp.growth_mu
+    monkeypatch.setattr(sp, "growth_mu", lambda T, y: dataclasses.replace(
+        real(T, y), mu=sp.MU_BULK + 5e-13))
+    code, doc = run_json(capsys, "strip-mu", "--Tmax", "1")
+    assert code == 1 and doc["ok"] is False
 
 
 @pytest.mark.parametrize("Tmax, y", [("3", "1e6"), ("6", "1e4")])

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +227,14 @@ def test_float_mixing_raises(a, f):
             op()
     with pytest.raises(ScalarModeError):
         a ** 1.0
+
+
+def test_no_silent_float_conversion():
+    """An exact element has no float() or complex(), so a float array or a
+    float math function refuses it instead of rounding it silently."""
+    for convert in (float, complex, math.sqrt, lambda v: np.array([v], dtype=float)):
+        with pytest.raises(TypeError):
+            convert(SQRT2)
 
 
 # -- exact sign and float value ----------------------------------------

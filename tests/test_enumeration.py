@@ -28,6 +28,11 @@ def test_backend_flag():
     assert en.backend_name() == "compiled"
 
 
+def test_build_tables_returns_the_domain_cache():
+    d = dm.build_trapezoid(2, 2)
+    assert en.build_tables(d) is en.build_tables(d) is d.tables
+
+
 def test_kernel_header_names_every_function(c_kernel):
     """The header comment of _dfs.c states the contract of each function
     the kernel exports, each named as it is called: name(args)."""

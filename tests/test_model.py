@@ -64,6 +64,21 @@ def test_float_matches_exact_at_n0():
     assert abs(ce.coeff_e.to_float() - cf.coeff_e) < 1e-14
 
 
+@pytest.mark.parametrize("regime", ["dilute", "dense"])
+def test_scalar_readouts_agree_between_modes_at_n0(regime):
+    ce = constants(0, regime)
+    cf = constants(0.0, regime, mode="float")
+    for h in range(6):
+        de, df = ce.direction(h), cf.direction(h)
+        assert abs(de.to_complex() - df) < 1e-15
+        assert abs(ce.magnitude(de) - cf.magnitude(df)) < 1e-15
+        assert abs(ce.magnitude(de * ce.x_c) - cf.magnitude(df * cf.x_c)) < 1e-15
+    for name in ("x_c", "coeff_a", "coeff_e", "eps_plus"):
+        ve, vf = getattr(ce, name), getattr(cf, name)
+        assert abs(ce.real(ve) - cf.real(vf)) < 1e-15
+        assert abs(ce.magnitude(ve) - cf.magnitude(vf)) < 1e-15
+
+
 def test_phase_and_beta():
     c = constants(0, "dilute")
     assert c.phase(6) == (c.lam) ** 6

@@ -1,5 +1,6 @@
 """Strip transfer operator, growth rates and the bridge/arch identities."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -588,3 +589,22 @@ def test_check_bounds_small():
     assert any(n.startswith("inverse-bridge-bound") for n in names)
     for c in rep["checks"]:
         assert c["margin"] >= -1e-12
+
+
+@pytest.mark.parametrize("mode, eps", [("float", 1e-13), ("exact", Fraction(1, 10**30))])
+def test_check_bounds_fails_a_margin_just_below_zero(mode, eps, monkeypatch):
+    """B_2(1) raised to B_1(1) + eps: "B_1 > B_2" has margin -eps and fails,
+    with no slack in float mode and by the exact order in exact mode."""
+    real = sp.strip_gf
+
+    def gf(T, y, kind="walk", mode="auto"):
+        if (T, y, kind) == (2, 1, "bridge"):
+            return dataclasses.replace(real(T, y, kind, mode),
+                                       value=real(1, y, kind, mode).value + eps)
+        return real(T, y, kind, mode)
+
+    monkeypatch.setattr(sp, "strip_gf", gf)
+    rep = sp.check_bounds(2, y_grid=(1,), mode=mode)
+    (check,) = [ch for ch in rep["checks"] if ch["check"] == "B_1 > B_2"]
+    assert not check["ok"] and not rep["ok"]
+    assert check["margin"] == pytest.approx(-float(eps), rel=1e-3)
